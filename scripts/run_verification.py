@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
-"""Run the full verification sweeps from the command line.
+"""Run the verification sweeps of `coxbrick.verify` over a range of ranks.
 
-Equivalent to the acceptance suite but with adjustable ranks, e.g.
+The counts run up to A7/D6 (further with larger --max-a/--max-d), the
+census on D5, canonical join representations on A4 and D4, the socle
+oracle on every rank up to --max-a/--max-d, and the semibrick sweep at
+those top ranks, e.g.
 
     python scripts/run_verification.py --max-a 6 --max-d 5
 """
@@ -10,102 +13,23 @@ import argparse
 import sys
 import time
 
-from coxbrick.canjoin import cjr_direct
-from coxbrick.census import census, census_diff, global_count
-from coxbrick.cli import default_fixture_lines
-from coxbrick.coxeter import (
-    DynkinType,
-    Family,
-    descents,
-    enumerate_group,
-    join_irreducible_type,
-)
-from coxbrick.grids import UnsupportedCaseError, j_module, kernel_socle
-from coxbrick.homs import iso_bricks, socle_over_end
-from coxbrick.bricks import brick_rep
-from coxbrick.semibricks import semibrick_direct, verify_semibrick
-from coxbrick.weak_order import GroupPoset
+from coxbrick import verify
+from coxbrick.coxeter import DynkinType, Family
 
 
-def sweep_counts(max_a: int, max_d: int) -> bool:
-    ok = True
+def plan(max_a: int, max_d: int):
+    """(suite, type) pairs in the order they run."""
+    for family, lo, hi in [(Family.A, 2, max(max_a, 7)), (Family.D, 4, max(max_d, 6))]:
+        for n in range(lo, hi + 1):
+            yield "count", DynkinType(family, n)
+    yield "census", DynkinType(Family.D, 5)
+    yield "cjr", DynkinType(Family.A, 4)
+    yield "cjr", DynkinType(Family.D, 4)
     for family, lo, hi in [(Family.A, 2, max_a), (Family.D, 4, max_d)]:
         for n in range(lo, hi + 1):
-            dynkin = DynkinType(family, n)
-            count = sum(
-                1 for w in enumerate_group(dynkin) if len(descents(w)) == 1
-            )
-            formula = global_count(dynkin)
-            status = "OK" if count == formula else "FAIL"
-            ok &= count == formula
-            print(f"count {dynkin}: formula {formula}, enumerated {count}, {status}")
-    return ok
-
-
-def sweep_socle(max_a: int, max_d: int) -> bool:
-    ok = True
-    for family, lo, hi in [(Family.A, 2, max_a), (Family.D, 4, max_d)]:
-        for n in range(lo, hi + 1):
-            dynkin = DynkinType(family, n)
-            bad = []
-            total = 0
-            for w in enumerate_group(dynkin):
-                if join_irreducible_type(w) is None:
-                    continue
-                total += 1
-                socle = socle_over_end(j_module(w))
-                good = iso_bricks(brick_rep(w), socle)
-                try:
-                    kernel = kernel_socle(w)
-                    good = good and kernel.dims == socle.dims and kernel.mats == socle.mats
-                except UnsupportedCaseError:
-                    pass
-                if not good:
-                    bad.append(w)
-            print(f"socle {dynkin}: {total - len(bad)}/{total} bricks match socle oracle")
-            for w in bad:
-                print(f"  counterexample: {w}")
-            ok &= not bad
-    return ok
-
-
-def sweep_cjr(max_rank: int = 4) -> bool:
-    ok = True
-    for dynkin in (DynkinType(Family.A, min(4, max_rank)), DynkinType(Family.D, 4)):
-        poset = GroupPoset.build(dynkin)
-        bad = [w for w in poset.elements if cjr_direct(w) != poset.cjr_oracle(w)]
-        print(
-            f"cjr {dynkin}: {len(poset.elements) - len(bad)}/{len(poset.elements)} match oracle"
-        )
-        ok &= not bad
-    return ok
-
-
-def sweep_semibricks(max_a: int, max_d: int) -> bool:
-    ok = True
-    for family, n in [(Family.A, max_a), (Family.D, max_d)]:
-        dynkin = DynkinType(family, n)
-        bad = []
-        elements = enumerate_group(dynkin)
-        for w in elements:
-            if not verify_semibrick(semibrick_direct(w)).ok:
-                bad.append(w)
-        print(f"semibrick {dynkin}: {len(elements) - len(bad)}/{len(elements)} verified")
-        ok &= not bad
-    return ok
-
-
-def sweep_census() -> bool:
-    groups = census(DynkinType(Family.D, 5))
-    problems = census_diff(groups, default_fixture_lines())
-    total = sum(len(v) for v in groups.values())
-    if problems:
-        print(f"census D5: {len(problems)} mismatches")
-        for p in problems[:10]:
-            print(f"  {p}")
-        return False
-    print(f"census D5: {total} entries in {len(groups)} shapes match fixture")
-    return True
+            yield "oracle", DynkinType(family, n)
+    yield "semibrick", DynkinType(Family.A, max_a)
+    yield "semibrick", DynkinType(Family.D, max_d)
 
 
 def main() -> int:
@@ -115,11 +39,13 @@ def main() -> int:
     args = parser.parse_args()
     start = time.time()
     ok = True
-    ok &= sweep_counts(max(args.max_a, 7), max(args.max_d, 6))
-    ok &= sweep_census()
-    ok &= sweep_cjr()
-    ok &= sweep_socle(args.max_a, args.max_d)
-    ok &= sweep_semibricks(args.max_a, args.max_d)
+    for suite, dynkin in plan(args.max_a, args.max_d):
+        if suite == "census":
+            result = verify.census(dynkin, verify.default_fixture_lines())
+        else:
+            result = getattr(verify, suite)(dynkin)
+        print(f"{suite} {dynkin}: " + "\n  ".join(result.report()))
+        ok &= result.ok
     print(f"{'ALL OK' if ok else 'FAILURES'} in {time.time() - start:.1f}s")
     return 0 if ok else 1
 

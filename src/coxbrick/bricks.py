@@ -38,14 +38,6 @@ class BrickParamsA:
     b: int
     r_values: frozenset[int]
 
-    @property
-    def v_plus(self) -> tuple[int, ...]:
-        return tuple(range(self.b, self.a))
-
-    @property
-    def v_minus(self) -> tuple[int, ...]:
-        return ()
-
 
 @dataclass(frozen=True)
 class BrickParamsD:
@@ -55,14 +47,6 @@ class BrickParamsD:
     r: int
     c: int
     r_values: frozenset[int]
-
-    @property
-    def v_plus(self) -> tuple[int, ...]:
-        return v_sets(self.a, self.b, self.c)[1]
-
-    @property
-    def v_minus(self) -> tuple[int, ...]:
-        return v_sets(self.a, self.b, self.c)[0]
 
 
 def depth_r(r_values: frozenset[int]) -> int:

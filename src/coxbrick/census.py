@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 from coxbrick.bricks import BrickDiagram, arrow_sort_key, brick_diagram_d, brick_params_d
 from coxbrick.coxeter import (
+    DEFAULT_ENUMERATION_CAP,
     CoxeterElement,
     DynkinType,
     Family,
-    descents,
-    enumerate_group,
     format_window,
+    join_irreducibles,
 )
 
 
@@ -104,7 +104,7 @@ def global_count(dynkin: DynkinType) -> int:
 
 
 def census(
-    dynkin: DynkinType, cap: int = 50_000
+    dynkin: DynkinType, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> dict[ShapeSigma, list[tuple[CoxeterElement, BrickDiagram]]]:
     """All type-D join-irreducibles grouped by shape.
 
@@ -114,9 +114,7 @@ def census(
     if dynkin.family is not Family.D:
         raise ValueError("the shape census is defined for type D only")
     groups: dict[ShapeSigma, list] = {s: [] for s in feasible_shapes(dynkin.rank)}
-    for w in enumerate_group(dynkin, cap=cap):
-        if len(descents(w)) != 1:
-            continue
+    for w in join_irreducibles(dynkin, cap=cap):
         groups[sigma(w)].append(w)
     out: dict[ShapeSigma, list[tuple[CoxeterElement, BrickDiagram]]] = {}
     for s in sorted(groups):
@@ -154,6 +152,9 @@ def parse_census_line(line: str) -> dict:
     for part in line.split():
         key, _, value = part.partition("=")
         fields[key] = value
+    missing = [f"{key}=" for key in ("sigma", "window", "symbols", "arrows") if key not in fields]
+    if missing:
+        raise ValueError(f"census line lacks {' '.join(missing)}: {line!r}")
     shape = ShapeSigma(*(int(x) for x in fields["sigma"].split(",")))
     window = tuple(int(x) for x in fields["window"].split(","))
     symbols = frozenset(int(x) for x in fields["symbols"].split(","))

@@ -7,11 +7,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-from importlib import resources
 
 from coxbrick import census as census_mod
+from coxbrick import verify
 from coxbrick.bricks import (
     brick_diagram,
     diagram_to_json,
@@ -19,25 +18,22 @@ from coxbrick.bricks import (
 )
 from coxbrick.canjoin import decompose
 from coxbrick.coxeter import (
+    DEFAULT_ENUMERATION_CAP,
     CapacityError,
     CoxeterElement,
     DynkinType,
     Family,
     descents,
-    enumerate_group,
     format_window,
     inversions,
     join_irreducible_type,
     parse_window,
 )
-from coxbrick.grids import j_module, kernel_socle
-from coxbrick.homs import iso_bricks, socle_over_end
 from coxbrick.semibricks import (
     render_semibrick,
     semibrick,
     semibrick_direct,
     semibrick_to_json,
-    verify_semibrick,
 )
 from coxbrick.weak_order import GroupPoset
 
@@ -162,44 +158,45 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _report(result: verify.SweepResult, prefix: str = "") -> int:
+    print(prefix + "\n".join(result.report()))
+    return EXIT_OK if result.ok else EXIT_VERIFY
+
+
 def cmd_count(args: argparse.Namespace) -> int:
-    dynkin = _dynkin(args)
-    formula = census_mod.global_count(dynkin)
-    enumerated = sum(
-        1 for w in enumerate_group(dynkin, cap=args.cap) if len(descents(w)) == 1
-    )
-    status = "OK" if formula == enumerated else "MISMATCH"
-    print(f"formula {formula}, enumerated {enumerated}, {status}")
-    return EXIT_OK if status == "OK" else EXIT_VERIFY
+    return _report(verify.count(_dynkin(args), cap=args.cap))
 
 
-def default_fixture_lines() -> list[str]:
-    text = resources.files("coxbrick").joinpath("data/d5_census.txt").read_text()
-    return text.splitlines()
-
-
-def cmd_census(args: argparse.Namespace) -> int:
+def _census_type(args: argparse.Namespace) -> DynkinType:
     dynkin = _dynkin(args)
     if dynkin.family is not Family.D:
         raise InputError("the census is defined for type D only")
-    if args.check and not args.fixture and dynkin.rank != 5:
+    return dynkin
+
+
+def _read_fixture(path: str) -> list[str]:
+    try:
+        with open(path) as fh:
+            return fh.read().splitlines()
+    except OSError as exc:
+        raise InputError(f"cannot read fixture {path}: {exc.strerror}") from None
+
+
+def _check_census(args: argparse.Namespace) -> int:
+    dynkin = _census_type(args)
+    if args.fixture:
+        fixture = _read_fixture(args.fixture)
+    elif dynkin.rank == 5:
+        fixture = verify.default_fixture_lines()
+    else:
         raise InputError("only rank 5 has a packaged fixture; pass --fixture")
-    groups = census_mod.census(dynkin, cap=args.cap)
-    if args.fixture or args.check:
-        if args.fixture:
-            with open(args.fixture) as fh:
-                fixture = fh.read().splitlines()
-        else:
-            fixture = default_fixture_lines()
-        problems = census_mod.census_diff(groups, fixture)
-        total = sum(len(v) for v in groups.values())
-        if problems:
-            for p in problems:
-                print(p)
-            return EXIT_VERIFY
-        print(f"census {dynkin}: {total} entries in {len(groups)} shapes match fixture")
-        return EXIT_OK
-    for line in census_mod.census_lines(groups):
+    return _report(verify.census(dynkin, fixture, cap=args.cap), prefix=f"census {dynkin}: ")
+
+
+def cmd_census(args: argparse.Namespace) -> int:
+    if args.check or args.fixture:
+        return _check_census(args)
+    for line in census_mod.census_lines(census_mod.census(_census_type(args), cap=args.cap)):
         print(line)
     return EXIT_OK
 
@@ -215,81 +212,16 @@ def cmd_hasse(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verify_oracle(dynkin: DynkinType, args: argparse.Namespace) -> int:
-    jirr = [
-        w for w in enumerate_group(dynkin, cap=args.cap) if len(descents(w)) == 1
-    ]
-    if args.sample and args.sample < len(jirr):
-        jirr = random.Random(args.seed).sample(jirr, args.sample)
-        jirr.sort()
-    from coxbrick.bricks import brick_rep
-    from coxbrick.grids import UnsupportedCaseError
-
-    failures = []
-    for w in jirr:
-        module = j_module(w)
-        socle = socle_over_end(module)
-        combinatorial = brick_rep(w)
-        ok = iso_bricks(socle, combinatorial)
-        try:
-            kernel = kernel_socle(w)
-            ok = ok and kernel.dims == socle.dims and kernel.mats == socle.mats
-        except UnsupportedCaseError:
-            pass
-        if not ok:
-            failures.append(w)
-    print(f"{len(jirr) - len(failures)}/{len(jirr)} bricks match socle oracle")
-    for w in failures:
-        print(f"counterexample: {w}")
-    return EXIT_VERIFY if failures else EXIT_OK
-
-
-def _verify_cjr(dynkin: DynkinType, args: argparse.Namespace) -> int:
-    from coxbrick.canjoin import cjr_direct
-
-    poset = GroupPoset.build(dynkin, cap=args.cap)
-    failures = []
-    for w in poset.elements:
-        if cjr_direct(w) != poset.cjr_oracle(w):
-            failures.append(w)
-    total = len(poset.elements)
-    print(f"{total - len(failures)}/{total} canonical join representations match oracle")
-    for w in failures:
-        print(f"counterexample: {w}")
-    return EXIT_VERIFY if failures else EXIT_OK
-
-
-def _verify_semibrick(dynkin: DynkinType, args: argparse.Namespace) -> int:
-    elements = enumerate_group(dynkin, cap=args.cap)
-    if args.sample and args.sample < len(elements):
-        elements = sorted(random.Random(args.seed).sample(list(elements), args.sample))
-    poset = GroupPoset.build(dynkin, cap=args.cap) if args.join else None
-    failures = []
-    for w in elements:
-        report = verify_semibrick(semibrick_direct(w), poset)
-        if not report.ok:
-            failures.append(w)
-    print(f"{len(elements) - len(failures)}/{len(elements)} semibricks verified")
-    for w in failures:
-        print(f"counterexample: {w}")
-    return EXIT_VERIFY if failures else EXIT_OK
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    dynkin = _dynkin(args)
-    if args.suite == "oracle":
-        return _verify_oracle(dynkin, args)
-    if args.suite == "cjr":
-        return _verify_cjr(dynkin, args)
-    if args.suite == "semibrick":
-        return _verify_semibrick(dynkin, args)
     if args.suite == "count":
         return cmd_count(args)
     if args.suite == "census":
-        args.fixture = getattr(args, "fixture", None)
-        args.check = True
-        return cmd_census(args)
-    raise InputError(f"unknown suite {args.suite}")
+        return _check_census(args)
+    dynkin = _dynkin(args)
+    options = {"sample_size": args.sample, "seed": args.seed, "cap": args.cap}
+    if args.suite == "semibrick":
+        options["join"] = args.join
+    return _report(getattr(verify, args.suite)(dynkin, **options))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,7 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, window: bool = False) -> None:
         p.add_argument("--type", required=True, choices=["A", "D"])
         p.add_argument("--rank", required=True, type=int)
-        p.add_argument("--cap", type=int, default=50_000, help="enumeration cap")
+        p.add_argument(
+            "--cap", type=int, default=DEFAULT_ENUMERATION_CAP, help="enumeration cap"
+        )
         if window:
             p.add_argument("--window", required=True, help="comma-separated window")
 

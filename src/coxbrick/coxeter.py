@@ -293,3 +293,14 @@ def enumerate_group(
                 windows.append(tuple(w))
     windows.sort()
     return tuple(CoxeterElement(dynkin, w) for w in windows)
+
+
+def join_irreducibles(
+    dynkin: DynkinType, cap: int = DEFAULT_ENUMERATION_CAP
+) -> tuple[CoxeterElement, ...]:
+    """The join-irreducible elements (exactly one descent), ordered by window.
+
+    They are filtered out of `enumerate_group`, so `cap` bounds |W| and
+    CapacityError is raised the same way.
+    """
+    return tuple(w for w in enumerate_group(dynkin, cap=cap) if len(descents(w)) == 1)

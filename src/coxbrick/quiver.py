@@ -159,13 +159,6 @@ class QuiverRepresentation:
             if not rl.is_zero(total):
                 raise RelationError(f"relation {relation} fails")
 
-    def is_valid(self) -> bool:
-        try:
-            self.check_relations()
-        except RelationError:
-            return False
-        return True
-
 
 def zero_mats(quiver: DoubleQuiver, dims: dict[int, int]) -> dict[str, Mat]:
     return {

@@ -24,10 +24,6 @@ def zeros(nrows: int, ncols: int) -> Mat:
     return tuple((ZERO,) * ncols for _ in range(nrows))
 
 
-def eye(n: int) -> Mat:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-
 def shape(a: Mat) -> tuple[int, int]:
     return (len(a), len(a[0]) if a else 0)
 
@@ -57,10 +53,6 @@ def mat_scale(c, a: Mat) -> Mat:
 
 def is_zero(a: Mat) -> bool:
     return all(x == 0 for row in a for x in row)
-
-
-def transpose(a: Mat) -> Mat:
-    return tuple(zip(*a)) if a and a[0] else zeros(shape(a)[1], 0)
 
 
 def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:

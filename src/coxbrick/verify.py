@@ -1,0 +1,149 @@
+"""Verification sweeps: each check that the two routes agree, written once.
+
+Every suite is the function of the same name; it takes a Dynkin type and
+returns a `SweepResult`.  `count` compares the closed-form number of
+join-irreducibles with enumeration, `census` the type-D shape census with
+fixture lines, `oracle` the socle of J(w) over End(J(w)) with the
+combinatorial brick (and the kernel route with that socle where it
+applies), `cjr` the closed-form canonical join representations with the
+lattice oracle, and `semibrick` runs the structural checks on the direct
+semibrick of every element.  The CLI, `scripts/run_verification.py` and
+the acceptance tests all call these functions.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass, field
+from importlib import resources
+
+from coxbrick.bricks import brick_rep
+from coxbrick.canjoin import cjr_direct
+from coxbrick.census import census as build_census
+from coxbrick.census import census_diff, global_count
+from coxbrick.coxeter import (
+    DEFAULT_ENUMERATION_CAP,
+    DynkinType,
+    enumerate_group,
+    join_irreducibles,
+)
+from coxbrick.grids import UnsupportedCaseError, j_module, kernel_socle
+from coxbrick.homs import iso_bricks, socle_over_end
+from coxbrick.semibricks import semibrick_direct, verify_semibrick
+from coxbrick.weak_order import GroupPoset
+
+_CLAIMS = {
+    "oracle": "bricks match socle oracle",
+    "cjr": "canonical join representations match oracle",
+    "semibrick": "semibricks verified",
+}
+
+
+@dataclass(frozen=True)
+class SweepResult:
+    """How many objects a sweep checked and which of them failed.
+
+    `failures` lists the failing elements, except for census (the fixture
+    diff messages) and count (one formula-vs-enumeration message).
+    `counts` holds the suite's other tallies: the closed-form `formula`
+    (count), the number of `shapes` (census) and the number of bricks also
+    checked on the `kernel` route (oracle).
+    """
+
+    suite: str
+    dynkin: DynkinType
+    checked: int
+    failures: list = field(default_factory=list)
+    counts: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    def report(self) -> list[str]:
+        """A summary line, then one line per failing element or census problem."""
+        if self.suite == "count":
+            status = "OK" if self.ok else "MISMATCH"
+            return [f"formula {self.counts['formula']}, enumerated {self.checked}, {status}"]
+        if self.suite == "census":
+            if self.ok:
+                return [f"{self.checked} entries in {self.counts['shapes']} shapes match fixture"]
+            return [f"{len(self.failures)} mismatches against fixture", *self.failures]
+        passed = self.checked - len(self.failures)
+        return [f"{passed}/{self.checked} {_CLAIMS[self.suite]}"] + [
+            f"counterexample: {w}" for w in self.failures
+        ]
+
+
+def sample(items, size: int, seed: int) -> list:
+    """`size` of the items drawn with `random.Random(seed)`, sorted; all of
+    them when `size` is 0 or at least their number."""
+    items = list(items)
+    if size and size < len(items):
+        return sorted(random.Random(seed).sample(items, size))
+    return items
+
+
+def default_fixture_lines() -> list[str]:
+    """The packaged rank-5 type-D census."""
+    text = resources.files("coxbrick").joinpath("data/d5_census.txt").read_text()
+    return text.splitlines()
+
+
+def count(dynkin: DynkinType, cap: int = DEFAULT_ENUMERATION_CAP) -> SweepResult:
+    formula = global_count(dynkin)
+    enumerated = len(join_irreducibles(dynkin, cap=cap))
+    failures = [] if enumerated == formula else [f"formula {formula} != enumerated {enumerated}"]
+    return SweepResult("count", dynkin, enumerated, failures, {"formula": formula})
+
+
+def census(
+    dynkin: DynkinType, fixture_lines: list[str], cap: int = DEFAULT_ENUMERATION_CAP
+) -> SweepResult:
+    groups = build_census(dynkin, cap=cap)
+    total = sum(len(entries) for entries in groups.values())
+    problems = census_diff(groups, fixture_lines)
+    return SweepResult("census", dynkin, total, problems, {"shapes": len(groups)})
+
+
+def oracle(
+    dynkin: DynkinType, sample_size: int = 0, seed: int = 0, cap: int = DEFAULT_ENUMERATION_CAP
+) -> SweepResult:
+    elements = sample(join_irreducibles(dynkin, cap=cap), sample_size, seed)
+    failures = []
+    kernel_checked = 0
+    for w in elements:
+        socle = socle_over_end(j_module(w))
+        ok = iso_bricks(brick_rep(w), socle)
+        try:
+            kernel = kernel_socle(w)
+        except UnsupportedCaseError:
+            pass
+        else:
+            kernel_checked += 1
+            ok = ok and kernel.dims == socle.dims and kernel.mats == socle.mats
+        if not ok:
+            failures.append(w)
+    return SweepResult("oracle", dynkin, len(elements), failures, {"kernel": kernel_checked})
+
+
+def cjr(
+    dynkin: DynkinType, sample_size: int = 0, seed: int = 0, cap: int = DEFAULT_ENUMERATION_CAP
+) -> SweepResult:
+    poset = GroupPoset.build(dynkin, cap=cap)
+    elements = sample(poset.elements, sample_size, seed)
+    failures = [w for w in elements if cjr_direct(w) != poset.cjr_oracle(w)]
+    return SweepResult("cjr", dynkin, len(elements), failures)
+
+
+def semibrick(
+    dynkin: DynkinType,
+    sample_size: int = 0,
+    seed: int = 0,
+    join: bool = False,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> SweepResult:
+    elements = sample(enumerate_group(dynkin, cap=cap), sample_size, seed)
+    poset = GroupPoset.build(dynkin, cap=cap) if join else None
+    failures = [w for w in elements if not verify_semibrick(semibrick_direct(w), poset).ok]
+    return SweepResult("semibrick", dynkin, len(elements), failures)

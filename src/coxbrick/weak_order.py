@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from coxbrick.coxeter import (
+    DEFAULT_ENUMERATION_CAP,
     CapacityError,
     CoxeterElement,
     DynkinType,
@@ -50,7 +51,7 @@ class GroupPoset:
     _refl_bit: dict[Reflection, int] = field(repr=False)
 
     @classmethod
-    def build(cls, dynkin: DynkinType, cap: int = 50_000) -> "GroupPoset":
+    def build(cls, dynkin: DynkinType, cap: int = DEFAULT_ENUMERATION_CAP) -> "GroupPoset":
         elements = enumerate_group(dynkin, cap=cap)
         refl = all_reflections(dynkin)
         bit = {t: k for k, t in enumerate(refl)}

@@ -6,20 +6,11 @@ Each test prints a PASS line with its measured numbers (visible under
 
 import pytest
 
+from coxbrick import verify
 from coxbrick.canjoin import cjr_direct
-from coxbrick.census import census, census_diff, global_count, parse_census_line
-from coxbrick.cli import default_fixture_lines, main
-from coxbrick.coxeter import (
-    DynkinType,
-    Family,
-    descents,
-    enumerate_group,
-    join_irreducible_type,
-    parse_window,
-)
-from coxbrick.grids import UnsupportedCaseError, j_module, kernel_socle
-from coxbrick.homs import hom_dim, is_positive_root, iso_bricks, socle_over_end
-from coxbrick.semibricks import semibrick_direct
+from coxbrick.census import census, parse_census_line
+from coxbrick.cli import main
+from coxbrick.coxeter import DynkinType, Family, parse_window
 from coxbrick.weak_order import GroupPoset
 
 
@@ -31,29 +22,29 @@ def test_counting_formulas_match_enumeration():
     ]:
         for n in ranks:
             dynkin = DynkinType(family, n)
-            group = enumerate_group(dynkin)
-            count = sum(1 for w in group if len(descents(w)) == 1)
-            assert count == formula(n) == global_count(dynkin), dynkin
-            checked.append(f"{dynkin}:{count}")
+            result = verify.count(dynkin)
+            assert result.failures == [], result.failures
+            assert result.checked == formula(n), dynkin
+            checked.append(f"{dynkin}:{result.checked}")
     assert "A7:247" in checked and "D5:157" in checked and "D6:530" in checked
     print("\nPASS counting formulas: " + " ".join(checked))
 
 
 def test_rank5_census_reproduces_reference_list():
-    groups = census(DynkinType(Family.D, 5))
-    fixture = default_fixture_lines()
-    problems = census_diff(groups, fixture)
-    assert problems == [], problems[:5]
+    d5 = DynkinType(Family.D, 5)
+    fixture = verify.default_fixture_lines()
+    result = verify.census(d5, fixture)
+    assert result.failures == [], result.failures[:5]
+    assert result.checked == 157
 
+    groups = census(d5)
     sizes = {str(shape): len(entries) for shape, entries in groups.items()}
     assert sizes["2,-5,0"] == 4
     assert sizes["5,-4,3"] == 8
     assert sizes["5,1,0"] == 8
-    total = sum(sizes.values())
-    assert total == 157
 
     fixture_shapes = {parse_census_line(line)["sigma"] for line in fixture}
-    assert len(groups) == len(fixture_shapes)
+    assert len(groups) == len(fixture_shapes) == result.counts["shapes"]
 
     # spot-check at least 20 entries directly against the parsed fixture
     parsed = [parse_census_line(line) for line in fixture]
@@ -65,43 +56,30 @@ def test_rank5_census_reproduces_reference_list():
         assert frozenset(diag.symbols) == rec["symbols"], rec["window"]
         assert frozenset(diag.arrows) == rec["arrows"], rec["window"]
     print(
-        f"\nPASS rank-5 census: {total} entries in {len(groups)} shape groups "
+        f"\nPASS rank-5 census: {result.checked} entries in {len(groups)} shape groups "
         "match the reference list entry-by-entry"
     )
 
 
 def test_socle_oracle_equivalence():
-    from coxbrick.bricks import brick_rep
-
     totals = []
-    for family, ranks in [(Family.A, range(2, 6)), (Family.D, range(4, 6))]:
-        for n in ranks:
-            dynkin = DynkinType(family, n)
-            count = kernel_count = 0
-            for w in enumerate_group(dynkin):
-                if join_irreducible_type(w) is None:
-                    continue
-                module = j_module(w)
-                socle = socle_over_end(module)
-                assert iso_bricks(brick_rep(w), socle), w
-                count += 1
-                try:
-                    kernel = kernel_socle(w)
-                except UnsupportedCaseError:
-                    continue
-                assert kernel.dims == socle.dims, w
-                assert kernel.mats == socle.mats, w
-                kernel_count += 1
-            totals.append(f"{dynkin}:{count}(kernel:{kernel_count})")
+    # type, rank, bricks checked, of which also checked on the kernel route
+    for family, n, bricks, kernel in [
+        (Family.A, 2, 4, 4), (Family.A, 3, 11, 11), (Family.A, 4, 26, 26),
+        (Family.A, 5, 57, 57), (Family.D, 4, 44, 14), (Family.D, 5, 157, 30),
+    ]:
+        result = verify.oracle(DynkinType(family, n))
+        assert result.failures == [], result.failures
+        assert (result.checked, result.counts["kernel"]) == (bricks, kernel), result.dynkin
+        totals.append(f"{result.dynkin}:{bricks}(kernel:{kernel})")
     print("\nPASS socle oracle equivalence: " + " ".join(totals))
 
 
 def test_canonical_join_representations():
-    for family, n in [(Family.A, 4), (Family.D, 4)]:
-        dynkin = DynkinType(family, n)
-        poset = GroupPoset.build(dynkin)
-        for w in poset.elements:
-            assert cjr_direct(w) == poset.cjr_oracle(w), w
+    for family, n, size in [(Family.A, 4, 120), (Family.D, 4, 192)]:
+        result = verify.cjr(DynkinType(family, n))
+        assert result.failures == [], result.failures
+        assert result.checked == size
     a3 = GroupPoset.build(DynkinType(Family.A, 3))
     for w in a3.elements:
         assert a3.verify_cjr_definition(w, cjr_direct(w)), w
@@ -194,26 +172,21 @@ def test_worked_examples_byte_for_byte(capsys):
 
 
 @pytest.mark.parametrize(
-    "dynkin",
-    [DynkinType(Family.A, 5), DynkinType(Family.D, 5)],
-    ids=str,
+    "dynkin, size",
+    [(DynkinType(Family.A, 5), 720), (DynkinType(Family.D, 5), 1920)],
+    ids=["A5", "D5"],
 )
-def test_structural_properties_full_sweep(dynkin):
-    elements = enumerate_group(dynkin)
-    for w in elements:
-        s = semibrick_direct(w)
-        assert len(s.summands) == len(descents(w)), w
-        for sm in s.summands:
-            sm.rep.check_relations()
-            assert hom_dim(sm.rep, sm.rep) == 1, (w, sm.d)
-            assert is_positive_root(dynkin, sm.rep.dim_vector()), (w, sm.d)
-        for x in s.summands:
-            for y in s.summands:
-                if x.d != y.d:
-                    assert hom_dim(x.rep, y.rep) == 0, (w, x.d, y.d)
+def test_structural_properties_full_sweep(dynkin, size):
+    # verify_semibrick checks, per element: one summand per descent, every
+    # summand a brick whose dimension vector is a positive root, and zero
+    # Hom between distinct summands; building each summand checks its
+    # preprojective relations.
+    result = verify.semibrick(dynkin)
+    assert result.failures == [], result.failures
+    assert result.checked == size
     print(
         f"\nPASS structural properties: exhaustive over {dynkin} "
-        f"({len(elements)} elements)"
+        f"({result.checked} elements)"
     )
 
 

@@ -20,8 +20,7 @@ from coxbrick.bricks import (
 from coxbrick.coxeter import (
     DynkinType,
     Family,
-    enumerate_group,
-    join_irreducible_type,
+    join_irreducibles,
     parse_window,
     simple_reflection,
 )
@@ -174,7 +173,7 @@ def test_brick_rep_d_signed_entries():
 
 @pytest.mark.parametrize("dynkin", [A4, D4], ids=str)
 def test_brick_reps_injective_up_to_iso(dynkin):
-    jirr = [w for w in enumerate_group(dynkin) if join_irreducible_type(w) is not None]
+    jirr = join_irreducibles(dynkin)
     reps = {w: brick_rep(w) for w in jirr}
     for u, v in itertools.combinations(jirr, 2):
         if reps[u].dim_vector() != reps[v].dim_vector():
@@ -185,9 +184,7 @@ def test_brick_reps_injective_up_to_iso(dynkin):
 @pytest.mark.parametrize("dynkin", [A6, D5], ids=str)
 def test_brick_diagrams_pairwise_distinct(dynkin):
     seen = {}
-    for w in enumerate_group(dynkin):
-        if join_irreducible_type(w) is None:
-            continue
+    for w in join_irreducibles(dynkin):
         diag = brick_diagram(w)
         key = (diag.symbols, diag.arrows)
         assert key not in seen, (w, seen[key])
@@ -199,9 +196,7 @@ def test_diagram_matches_rep_nonzero_entries(dynkin):
     from coxbrick.homs import diagram_edges
 
     adjacent = {frozenset(e) for e in diagram_edges(dynkin)}
-    for w in enumerate_group(dynkin):
-        if join_irreducible_type(w) is None:
-            continue
+    for w in join_irreducibles(dynkin):
         diag = brick_diagram(w)
         rep = brick_rep(w)
         vertex_of = {s: symbol_vertex(s) for s in diag.symbols}
@@ -214,9 +209,7 @@ def test_diagram_matches_rep_nonzero_entries(dynkin):
     "dynkin", [DynkinType(Family.A, n) for n in range(2, 7)], ids=str
 )
 def test_type_a_bricks_structural(dynkin):
-    for w in enumerate_group(dynkin):
-        if join_irreducible_type(w) is None:
-            continue
+    for w in join_irreducibles(dynkin):
         rep = brick_rep(w)
         rep.check_relations()
         assert is_brick(rep)
@@ -230,9 +223,7 @@ def test_type_a_bricks_structural(dynkin):
 @pytest.mark.parametrize("dynkin,expected", [(A4, 26), (A6, 120)], ids=str)
 def test_bricks_match_socle_oracle(dynkin, expected):
     count = 0
-    for w in enumerate_group(dynkin):
-        if join_irreducible_type(w) is None:
-            continue
+    for w in join_irreducibles(dynkin):
         assert iso_bricks(brick_rep(w), socle_over_end(j_module(w)))
         count += 1
     assert count == expected

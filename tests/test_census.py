@@ -18,16 +18,15 @@ from coxbrick.census import (
     shape_count,
     sigma,
 )
-from coxbrick.cli import default_fixture_lines
 from coxbrick.coxeter import (
     CapacityError,
     DynkinType,
     Family,
-    descents,
-    enumerate_group,
+    join_irreducibles,
     parse_window,
     simple_reflection,
 )
+from coxbrick.verify import default_fixture_lines
 
 A3 = DynkinType(Family.A, 3)
 D4 = DynkinType(Family.D, 4)
@@ -105,9 +104,7 @@ def test_census_capacity():
 def test_chi_injective():
     for dynkin in (D4, D5):
         seen = set()
-        for w in enumerate_group(dynkin):
-            if len(descents(w)) != 1:
-                continue
+        for w in join_irreducibles(dynkin):
             value = chi(w)
             assert value not in seen
             seen.add(value)

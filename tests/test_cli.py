@@ -1,9 +1,14 @@
 """Command-line behaviour: output formats, exit codes, round trips."""
 
+import dataclasses
 import json
 
+import pytest
 
+from coxbrick import verify
+from coxbrick.bricks import brick_rep
 from coxbrick.cli import element_from_json, main
+from coxbrick.coxeter import parse_window
 
 EXIT_OK, EXIT_VERIFY, EXIT_INPUT, EXIT_CAPACITY = 0, 1, 2, 3
 
@@ -252,6 +257,27 @@ def test_census_fixture_mismatch_exits_one(capsys, tmp_path):
     assert code == EXIT_VERIFY
 
 
+@pytest.mark.parametrize("missing", [False, True], ids=["directory", "missing-file"])
+def test_census_unreadable_fixture_exits_two(capsys, tmp_path, missing):
+    fixture = tmp_path / "absent.txt" if missing else tmp_path
+    code, out, err = run(
+        capsys, "census", "--type", "D", "--rank", "5", "--fixture", str(fixture)
+    )
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: cannot read fixture")
+
+
+def test_census_fixture_line_without_symbols_exits_two(capsys, tmp_path):
+    fixture = tmp_path / "partial.txt"
+    fixture.write_text("sigma=2,1,0 window=2,1,3,4,5 arrows=\n")
+    code, _, err = run(
+        capsys, "census", "--type", "D", "--rank", "5", "--fixture", str(fixture)
+    )
+    assert code == EXIT_INPUT
+    assert err.startswith("error: census line lacks symbols=")
+
+
 def test_hasse_dot(capsys):
     code, out, _ = run(capsys, "hasse", "--type", "A", "--rank", "2")
     assert code == EXIT_OK
@@ -296,6 +322,52 @@ def test_verify_cjr_a3(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "cjr", "--type", "A", "--rank", "3")
     assert code == EXIT_OK
     assert out == "24/24 canonical join representations match oracle\n"
+
+
+def test_verify_cjr_sampled(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--suite", "cjr", "--type", "A", "--rank", "3", "--sample", "5"
+    )
+    assert code == EXIT_OK
+    assert out == "5/5 canonical join representations match oracle\n"
+
+
+@pytest.mark.parametrize(
+    "suite, name, window, corrupt, summary",
+    [
+        (
+            "oracle",
+            "brick_rep",
+            "2,1,3,4",
+            lambda w, rep: brick_rep(parse_window(w.dynkin, "1,3,2,4")),
+            "10/11 bricks match socle oracle",
+        ),
+        (
+            "cjr",
+            "cjr_direct",
+            "4,3,1,2",
+            lambda w, cjr: frozenset(),
+            "23/24 canonical join representations match oracle",
+        ),
+        (
+            "semibrick",
+            "semibrick_direct",
+            "4,3,1,2",
+            lambda w, s: dataclasses.replace(s, summands=s.summands[1:]),
+            "23/24 semibricks verified",
+        ),
+    ],
+    ids=["oracle", "cjr", "semibrick"],
+)
+def test_verify_reports_counterexample(capsys, monkeypatch, suite, name, window, corrupt, summary):
+    # one dependency of the sweep gives a wrong answer for one element only
+    original = getattr(verify, name)
+    monkeypatch.setattr(
+        verify, name, lambda w: corrupt(w, original(w)) if str(w) == window else original(w)
+    )
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--type", "A", "--rank", "3")
+    assert code == EXIT_VERIFY
+    assert out == f"{summary}\ncounterexample: {window}\n"
 
 
 def test_verify_semibrick_with_join(capsys):
