@@ -78,7 +78,7 @@ def jirr_from_R(dynkin: DynkinType, r_values: frozenset[int] | set[int]) -> Coxe
             left[0] = -left[0]
         window = tuple(left + right)
     w = CoxeterElement(dynkin, window)
-    if len(descents(w)) != 1:
+    if join_irreducible_type(w) is None:
         raise ValueError(f"{sorted(r_values)} is not an R-set of any join-irreducible")
     return w
 

@@ -213,14 +213,25 @@ def cmd_hasse(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # the optional flags each suite reads; passing any other is an input error
+    reads = {
+        "oracle": ("sample", "seed"),
+        "cjr": ("sample", "seed"),
+        "semibrick": ("sample", "seed", "join"),
+        "count": (),
+        "census": ("fixture",),
+    }[args.suite]
+    for flag in ("sample", "seed", "join", "fixture"):
+        if getattr(args, flag) is not None and flag not in reads:
+            raise InputError(f"--{flag} does not apply to --suite {args.suite}")
     if args.suite == "count":
         return cmd_count(args)
     if args.suite == "census":
         return _check_census(args)
     dynkin = _dynkin(args)
-    options = {"sample_size": args.sample, "seed": args.seed, "cap": args.cap}
+    options = {"sample_size": args.sample or 0, "seed": args.seed or 0, "cap": args.cap}
     if args.suite == "semibrick":
-        options["join"] = args.join
+        options["join"] = bool(args.join)
     return _report(getattr(verify, args.suite)(dynkin, **options))
 
 
@@ -283,9 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["oracle", "cjr", "semibrick", "count", "census"],
     )
-    p.add_argument("--sample", type=int, default=0, help="sample size (0 = all)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--join", action="store_true", help="also recompute joins")
+    p.add_argument("--sample", type=int, help="sample size (0 = all)")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--join", action="store_true", default=None, help="also recompute joins")
     p.add_argument("--fixture", help="census fixture override")
     p.set_defaults(func=cmd_verify)
     return parser

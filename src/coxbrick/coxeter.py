@@ -303,4 +303,6 @@ def join_irreducibles(
     They are filtered out of `enumerate_group`, so `cap` bounds |W| and
     CapacityError is raised the same way.
     """
-    return tuple(w for w in enumerate_group(dynkin, cap=cap) if len(descents(w)) == 1)
+    return tuple(
+        w for w in enumerate_group(dynkin, cap=cap) if join_irreducible_type(w) is not None
+    )

@@ -16,13 +16,18 @@ from fractions import Fraction
 from coxbrick import ratlinalg as rl
 from coxbrick.coxeter import DynkinType, Family
 from coxbrick.quiver import QuiverRepresentation
-from coxbrick.ratlinalg import Mat, ZERO, ONE
+from coxbrick.ratlinalg import Mat, ZERO
 
 Hom = dict[int, Mat]  # vertex -> block matrix
 
 
 def hom_basis(m: QuiverRepresentation, n: QuiverRepresentation) -> list[Hom]:
-    """Basis of Hom(m, n) as vertex-indexed matrix families."""
+    """Basis of Hom(m, n) as vertex-indexed matrix families.
+
+    The unknowns are the entries of the blocks f_v, row by row and vertex by
+    vertex; each arrow contributes one sparse equation per entry of
+    f_u * m(g) - n(g) * f_v.
+    """
     if m.quiver != n.quiver:
         raise ValueError("representations live over different quivers")
     vertices = m.quiver.vertices
@@ -34,30 +39,22 @@ def hom_basis(m: QuiverRepresentation, n: QuiverRepresentation) -> list[Hom]:
     if total == 0:
         return []
 
-    def unknown(v: int, row: int, col: int) -> int:
-        return offsets[v] + row * m.dims[v] + col
-
-    equations: list[list[Fraction]] = []
+    equations: list[rl.Row] = []
     for arrow in m.quiver.arrows:
         u, v = arrow.src, arrow.tgt
-        am, an = m.mats[arrow.name], n.mats[arrow.name]
-        for r in range(n.dims.get(u, 0)):
-            for c in range(m.dims.get(v, 0)):
-                row = [ZERO] * total
-                for k in range(m.dims.get(u, 0)):
-                    row[unknown(u, r, k)] += am[k][c]
-                for k in range(n.dims.get(v, 0)):
-                    row[unknown(v, k, c)] -= an[r][k]
-                if any(x != 0 for x in row):
+        am, mu, mv = m.mats[arrow.name], m.dims.get(u, 0), m.dims.get(v, 0)
+        am_cols = rl.sparse([[row[c] for row in am] for c in range(mv)])
+        for r, an_row in enumerate(rl.sparse(n.mats[arrow.name])):
+            first = offsets[u] + r * mu
+            for c, am_col in enumerate(am_cols):
+                row = {first + k: x for k, x in am_col.items()}
+                for k, x in an_row.items():
+                    row[offsets[v] + k * mv + c] = -x
+                if row:
                     equations.append(row)
 
-    if equations:
-        solutions = rl.nullspace(tuple(tuple(r) for r in equations))
-    else:
-        solutions = [tuple(ONE if i == k else ZERO for i in range(total)) for k in range(total)]
-
     basis = []
-    for sol in solutions:
+    for sol in rl.nullspace(equations, total):
         f: Hom = {}
         for v in vertices:
             rows_n, cols_m = n.dims.get(v, 0), m.dims.get(v, 0)
@@ -73,39 +70,45 @@ def hom_dim(m: QuiverRepresentation, n: QuiverRepresentation) -> int:
     return len(hom_basis(m, n))
 
 
-def compose_homs(g: Hom, f: Hom) -> Hom:
-    """g after f, blockwise."""
-    return {v: rl.mat_mul(g[v], f[v]) for v in g}
-
-
-def hom_trace(f: Hom) -> Fraction:
-    return sum((f[v][i][i] for v in f for i in range(len(f[v]))), ZERO)
-
-
 def radical_basis(end_basis: list[Hom]) -> list[Hom]:
     """Radical of the endomorphism algebra spanned by `end_basis`.
 
     Trace-form criterion (characteristic zero): the radical is the kernel of
-    the Gram matrix [trace(b_i . b_j)].
+    the Gram matrix [trace(b_i . b_j)].  Each trace is the entry pairing
+    sum over v, r, c of b_i[v][r][c] * b_j[v][c][r], summed over the
+    nonzero entries of b_i; the products themselves are never formed.
     """
-    k = len(end_basis)
-    if k == 0:
+    if not end_basis:
         return []
-    gram = tuple(
-        tuple(hom_trace(compose_homs(end_basis[i], end_basis[j])) for j in range(k))
-        for i in range(k)
-    )
-    combos = rl.nullspace(gram)
+    entries = [
+        {
+            (v, r, c): x
+            for v, block in b.items()
+            for r, row in enumerate(rl.sparse(block))
+            for c, x in row.items()
+        }
+        for b in end_basis
+    ]
+    k = len(entries)
+    gram: list[rl.Row] = [{} for _ in range(k)]
+    for i, ei in enumerate(entries):
+        for j in range(i, k):
+            ej = entries[j]
+            t = sum(x * ej[v, c, r] for (v, r, c), x in ei.items() if (v, c, r) in ej)
+            if t:
+                gram[i][j] = gram[j][i] = t
+
     out = []
-    for coeffs in combos:
-        f: Hom = {}
-        for v in end_basis[0]:
-            acc = None
-            for c, b in zip(coeffs, end_basis):
-                piece = rl.mat_scale(c, b[v])
-                acc = piece if acc is None else rl.mat_add(acc, piece)
-            f[v] = acc
-        out.append(f)
+    for coeffs in rl.nullspace(gram, k):
+        acc: dict = {}
+        for coeff, e in zip(coeffs, entries):
+            if coeff:
+                for key, x in e.items():
+                    acc[key] = acc.get(key, 0) + coeff * x
+        dense = {v: [[ZERO] * len(row) for row in block] for v, block in end_basis[0].items()}
+        for (v, r, c), x in acc.items():
+            dense[v][r][c] = Fraction(x)
+        out.append({v: tuple(map(tuple, rows)) for v, rows in dense.items()})
     return out
 
 
@@ -115,28 +118,28 @@ def subrepresentation(
     """Restrict `rep` to the invariant subspace spanned per vertex.
 
     The subspace basis is canonicalised to reduced echelon form, so equal
-    subspaces yield identical representations.  Raises ValueError if some
-    arrow does not preserve the subspace.
+    subspaces yield identical representations.  A vector of the span has its
+    coordinates in that basis at the basis's pivot columns.  Raises
+    ValueError if some arrow does not preserve the subspace.
     """
-    bases = {v: rl.row_space_rref(basis_rows.get(v, [])) for v in rep.quiver.vertices}
+    bases = {v: rl.sparse(rl.row_space_rref(basis_rows.get(v, []))) for v in rep.quiver.vertices}
     dims = {v: len(bases[v]) for v in rep.quiver.vertices}
     mats = {}
     for arrow in rep.quiver.arrows:
         u, v = arrow.src, arrow.tgt
+        action = rl.sparse(rep.mats[arrow.name])
         cols = []
         for b in bases[v]:
-            image = tuple(
-                sum((rep.mats[arrow.name][r][c] * b[c] for c in range(len(b))), ZERO)
-                for r in range(rep.dims.get(u, 0))
-            )
-            if dims[u] == 0:
-                if any(x != 0 for x in image):
-                    raise ValueError(f"subspace not invariant under {arrow.name}")
-                cols.append(())
-                continue
-            bu = tuple(zip(*bases[u]))  # dims[u] x len(bases[u])
-            coords = rl.solve_exact(bu, image)
-            if coords is None:
+            image = {}
+            for r, a_row in enumerate(action):
+                y = sum(x * b[c] for c, x in a_row.items() if c in b)
+                if y:
+                    image[r] = y
+            coords = tuple(Fraction(image.get(min(e), 0)) for e in bases[u])
+            for y, e in zip(coords, bases[u]):
+                if y:
+                    rl.subtract_multiple(image, y, e)
+            if image:
                 raise ValueError(f"subspace not invariant under {arrow.name}")
             cols.append(coords)
         mats[arrow.name] = tuple(
@@ -154,16 +157,10 @@ def socle_over_end(m: QuiverRepresentation) -> QuiverRepresentation:
     if m.total_dim == 0:
         raise ValueError("socle of the zero module is undefined")
     rad = radical_basis(hom_basis(m, m))
-    basis_rows: dict[int, list] = {}
-    for v in m.quiver.vertices:
-        d = m.dims.get(v, 0)
-        stacked = [f[v][r] for f in rad for r in range(d)]
-        if not stacked:
-            basis_rows[v] = [
-                tuple(ONE if i == k else ZERO for i in range(d)) for k in range(d)
-            ]
-        else:
-            basis_rows[v] = rl.nullspace(tuple(stacked))
+    basis_rows = {
+        v: rl.nullspace(rl.sparse([row for f in rad for row in f[v]]), m.dims.get(v, 0))
+        for v in m.quiver.vertices
+    }
     return subrepresentation(m, basis_rows)
 
 

@@ -1,8 +1,15 @@
-"""Small exact linear algebra kit over the rationals.
+"""Exact linear algebra over the rationals, on one sparse elimination.
 
-Matrices are tuples of tuples of `fractions.Fraction`; everything is
-Gauss-Jordan on exact arithmetic, so there are no tolerances anywhere.
-Sizes in this package stay in the tens, which keeps this comfortably fast.
+`rref` is Gauss-Jordan elimination on sparse rows: lists of dicts
+{column: value} that hold only the nonzero entries.  The Hom systems of this
+package are mostly zeros with 0/+-1 coefficients, so values stay Python
+`int` while every pivot met is +-1 and become `fractions.Fraction` only when
+a pivot is not.  Arithmetic is exact throughout; there are no tolerances.
+
+The rest of the package passes dense matrices around (tuples of tuples of
+`Fraction`).  `nullspace`, `row_space_rref`, `solve_exact`, `rank` and
+`invertible` convert at the boundary, and every vector or matrix they return holds `Fraction`
+entries.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from fractions import Fraction
 
 Mat = tuple[tuple[Fraction, ...], ...]
 Vec = tuple[Fraction, ...]
+Row = dict[int, "int | Fraction"]  # sparse row: column -> nonzero value
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -33,11 +41,16 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     rb, cb = shape(b)
     if ca != rb:
         raise ValueError(f"shape mismatch: {ra}x{ca} times {rb}x{cb}")
-    bt = list(zip(*b)) if b else []
-    return tuple(
-        tuple(sum((a[i][k] * bt[j][k] for k in range(ca)), ZERO) for j in range(cb))
-        for i in range(ra)
-    )
+    out = []
+    for row in a:
+        acc = [ZERO] * cb
+        for x, b_row in zip(row, b):
+            if x:
+                for j, y in enumerate(b_row):
+                    if y:
+                        acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_add(a: Mat, b: Mat) -> Mat:
@@ -55,76 +68,97 @@ def is_zero(a: Mat) -> bool:
     return all(x == 0 for row in a for x in row)
 
 
-def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot columns."""
-    nrows, ncols = shape(a)
-    m = [list(row) for row in a]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot_row is None:
+def sparse(a) -> list[Row]:
+    """Sparse rows of a dense matrix; integral entries become `int`."""
+    return [
+        {c: x.numerator if x.denominator == 1 else x for c, x in enumerate(row) if x}
+        for row in a
+    ]
+
+
+def subtract_multiple(target: Row, f, row: Row) -> None:
+    """target -= f * row, in place, keeping only nonzero entries."""
+    for k, x in row.items():
+        y = target.get(k, 0) - f * x
+        if y:
+            target[k] = y
+        else:
+            del target[k]
+
+
+def rref(rows: list[Row]) -> tuple[list[Row], tuple[int, ...]]:
+    """Reduced row echelon form of sparse rows, and its pivot columns.
+
+    Each row in turn is reduced by the pivot rows found so far; its smallest
+    remaining column becomes a new pivot, which is then cleared from the
+    earlier pivot rows.  Every pivot so chosen leads some vector of the row
+    space, so the pivots are exactly the RREF's and the result is the unique
+    RREF: its nonzero rows in pivot order, each with a 1 at its pivot.  The
+    input rows are left unchanged.
+    """
+    tails: dict[int, Row] = {}  # pivot column -> its row without the pivot 1
+    for row in rows:
+        r = dict(row)
+        for c in [c for c in r if c in tails]:
+            subtract_multiple(r, r.pop(c), tails[c])
+        if not r:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = ONE / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return tuple(tuple(row) for row in m), tuple(pivots)
+        p = min(r)
+        pv = r.pop(p)
+        if pv == -1:
+            r = {k: -x for k, x in r.items()}
+        elif pv != 1:
+            inv = ONE / pv
+            r = {k: x * inv for k, x in r.items()}
+        for t in tails.values():
+            if p in t:
+                subtract_multiple(t, t.pop(p), r)
+        tails[p] = r
+    pivots = tuple(sorted(tails))
+    return [{p: 1, **tails[p]} for p in pivots], pivots
 
 
 def rank(a: Mat) -> int:
-    return len(rref(a)[1])
+    return len(rref(sparse(a))[1])
 
 
-def nullspace(a: Mat) -> list[Vec]:
-    """Basis of {x : a x = 0}, one vector per free column of the RREF."""
-    nrows, ncols = shape(a)
-    if ncols == 0:
-        return []
-    r, pivots = rref(a)
-    pivot_set = set(pivots)
+def nullspace(rows: list[Row], ncols: int) -> list[Vec]:
+    """Basis of {x : rows . x = 0} in `ncols` unknowns, one vector per free
+    column of the RREF."""
+    reduced, pivots = rref(rows)
     basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
+    for free in sorted(set(range(ncols)).difference(pivots)):
         v = [ZERO] * ncols
         v[free] = ONE
-        for row_idx, pc in enumerate(pivots):
-            v[pc] = -r[row_idx][free]
+        for p, row in zip(pivots, reduced):
+            if free in row:
+                v[p] = Fraction(-row[free])
         basis.append(tuple(v))
     return basis
 
 
 def row_space_rref(rows: list[Vec]) -> Mat:
     """Canonical (RREF, zero rows dropped) basis of the span of the given rows."""
-    if not rows:
-        return ()
-    reduced, pivots = rref(tuple(rows))
-    return reduced[: len(pivots)]
-
-
-def same_row_space(rows_a: list[Vec], rows_b: list[Vec]) -> bool:
-    return row_space_rref(rows_a) == row_space_rref(rows_b)
+    ncols = len(rows[0]) if rows else 0
+    return tuple(
+        tuple(Fraction(row.get(c, 0)) for c in range(ncols)) for row in rref(sparse(rows))[0]
+    )
 
 
 def solve_exact(a: Mat, b: Vec) -> Vec | None:
     """One solution of a x = b, or None when inconsistent."""
-    nrows, ncols = shape(a)
-    aug = tuple(tuple(a[i]) + (b[i],) for i in range(nrows))
-    r, pivots = rref(aug)
+    ncols = shape(a)[1]
+    reduced, pivots = rref(sparse(tuple(row) + (y,) for row, y in zip(a, b)))
     if ncols in pivots:
         return None
     x = [ZERO] * ncols
-    for row_idx, pc in enumerate(pivots):
-        x[pc] = r[row_idx][ncols]
+    for row, p in zip(reduced, pivots):
+        x[p] = Fraction(row.get(ncols, 0))
     return tuple(x)
+
+
+def same_row_space(rows_a: list[Vec], rows_b: list[Vec]) -> bool:
+    return row_space_rref(rows_a) == row_space_rref(rows_b)
 
 
 def invertible(a: Mat) -> bool:

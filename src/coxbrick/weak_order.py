@@ -24,6 +24,7 @@ from coxbrick.coxeter import (
     enumerate_group,
     identity,
     inversions,
+    join_irreducible_type,
     multiply,
     simple_reflection,
 )
@@ -89,7 +90,7 @@ class GroupPoset:
         return identity(self.dynkin)
 
     def join_irreducibles(self) -> tuple[CoxeterElement, ...]:
-        return tuple(w for w in self.elements if len(descents(w)) == 1)
+        return tuple(w for w in self.elements if join_irreducible_type(w) is not None)
 
     def _extreme(self, candidates: list[int], want_min: bool) -> int:
         """Index of the unique minimum (or maximum) of a set of indices."""

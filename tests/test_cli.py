@@ -399,3 +399,23 @@ def test_verify_census_suite(capsys):
 def test_unknown_flag_exits_two(capsys):
     code, _, _ = run(capsys, "element", "--type", "A", "--rank", "3")
     assert code == EXIT_INPUT
+
+
+@pytest.mark.parametrize(
+    "suite, args, flag",
+    [
+        ("count", ["--type", "A", "--rank", "5", "--sample", "3"], "--sample"),
+        ("count", ["--type", "A", "--rank", "5", "--seed", "1"], "--seed"),
+        ("count", ["--type", "A", "--rank", "5", "--join"], "--join"),
+        ("census", ["--type", "D", "--rank", "5", "--sample", "0"], "--sample"),
+        ("census", ["--type", "D", "--rank", "5", "--seed", "0"], "--seed"),
+        ("oracle", ["--type", "A", "--rank", "3", "--join"], "--join"),
+        ("cjr", ["--type", "A", "--rank", "3", "--join"], "--join"),
+        ("semibrick", ["--type", "A", "--rank", "3", "--fixture", "x.txt"], "--fixture"),
+    ],
+)
+def test_verify_rejects_flags_it_would_ignore(capsys, suite, args, flag):
+    code, out, err = run(capsys, "verify", "--suite", suite, *args)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == f"error: {flag} does not apply to --suite {suite}\n"

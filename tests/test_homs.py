@@ -7,7 +7,6 @@ import pytest
 from coxbrick.coxeter import DynkinType, Family, join_irreducibles, parse_window
 from coxbrick.grids import j_module
 from coxbrick.homs import (
-    compose_homs,
     hom_basis,
     hom_dim,
     is_brick,
@@ -16,9 +15,12 @@ from coxbrick.homs import (
     iso_bricks,
     radical_basis,
     socle_over_end,
+    subrepresentation,
     tits_form,
 )
 from coxbrick.quiver import double_quiver, rep_from_json, rep_to_json, simple_rep
+import dense_oracle
+from dense_oracle import compose_homs
 
 A4 = DynkinType(Family.A, 4)
 A8 = DynkinType(Family.A, 8)
@@ -98,6 +100,29 @@ def test_radical_is_nilpotent_on_corpus():
                     layer.append(f)
             assert dims[-1] == 0
             assert all(a >= b for a, b in zip(dims, dims[1:]))
+
+
+@pytest.mark.parametrize(
+    "dynkin", [DynkinType(Family.A, n) for n in range(2, 6)] + [D4, D5], ids=str
+)
+def test_end_and_radical_equal_dense_oracle(dynkin):
+    for w in join_irreducibles(dynkin):
+        jw = j_module(w)
+        end = hom_basis(jw, jw)
+        assert end == dense_oracle.hom_basis(jw, jw), w
+        assert all(type(x) is Fraction for f in end for block in f.values() for row in block for x in row)
+        assert radical_basis(end) == dense_oracle.radical_basis(end), w
+
+
+def test_subrepresentation_of_whole_and_of_non_invariant_subspace():
+    rep = j_module(parse_window(D5, "-1,2,-5,-4,-3"))
+    whole = {v: [tuple(Fraction(i == k) for i in range(d)) for k in range(d)] for v, d in rep.dims.items()}
+    assert subrepresentation(rep, whole) == rep
+    arrow = next(a for a in rep.quiver.arrows if any(x for row in rep.mats[a.name] for x in row))
+    column = next(c for c in range(rep.dims[arrow.tgt]) if any(row[c] for row in rep.mats[arrow.name]))
+    vector = tuple(Fraction(i == column) for i in range(rep.dims[arrow.tgt]))
+    with pytest.raises(ValueError, match=f"not invariant under {arrow.name}"):
+        subrepresentation(rep, {arrow.tgt: [vector]})
 
 
 def test_iso_bricks_basic():

@@ -4,19 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coxbrick.ratlinalg as rl
+import dense_oracle as oracle
 
 
 def test_rref_basic():
     m = rl.mat([[2, 4], [1, 2]])
-    reduced, pivots = rl.rref(m)
+    reduced, pivots = rl.rref(rl.sparse(m))
     assert pivots == (0,)
-    assert reduced[0] == (Fraction(1), Fraction(2))
-    assert all(x == 0 for x in reduced[1])
+    assert reduced == [{0: Fraction(1), 1: Fraction(2)}]
 
 
 def test_nullspace_solves():
     m = rl.mat([[1, 2, 3], [4, 5, 6]])
-    basis = rl.nullspace(m)
+    basis = rl.nullspace(rl.sparse(m), 3)
     assert len(basis) == 1
     (v,) = basis
     for row in m:
@@ -38,6 +38,31 @@ def test_row_space_comparison():
     assert not rl.same_row_space(a, [(Fraction(1), Fraction(1))])
 
 
+def test_rref_stays_integral_under_unit_pivots():
+    reduced, pivots = rl.rref([{0: 1, 1: 2, 2: -3}, {0: 1, 1: 3}, {1: -1, 2: -3}])
+    assert pivots == (0, 1)
+    assert reduced == [{0: 1, 2: -9}, {1: 1, 2: 3}]
+    assert all(type(x) is int for row in reduced for x in row.values())
+
+
+def test_rref_promotes_at_a_non_unit_pivot():
+    reduced, pivots = rl.rref([{1: 2, 3: 1}, {0: -1, 1: 1}])
+    assert pivots == (0, 1)
+    assert reduced == [{0: 1, 3: Fraction(1, 2)}, {1: 1, 3: Fraction(1, 2)}]
+    assert type(reduced[1][3]) is Fraction
+
+
+def test_rref_leaves_its_input_unchanged():
+    rows = [{0: 2, 1: 4}, {0: 1, 2: 1}]
+    rl.rref(rows)
+    assert rows == [{0: 2, 1: 4}, {0: 1, 2: 1}]
+
+
+def test_nullspace_without_equations_is_the_standard_basis():
+    assert rl.nullspace([], 0) == []
+    assert rl.nullspace([{}, {}], 2) == [(1, 0), (0, 1)]
+
+
 small_entries = st.integers(min_value=-4, max_value=4)
 
 
@@ -52,13 +77,14 @@ def matrices(draw):
 @given(matrices())
 @settings(max_examples=100, deadline=None)
 def test_rank_nullity(m):
-    assert rl.rank(m) + len(rl.nullspace(m)) == rl.shape(m)[1]
+    ncols = rl.shape(m)[1]
+    assert rl.rank(m) + len(rl.nullspace(rl.sparse(m), ncols)) == ncols
 
 
 @given(matrices())
 @settings(max_examples=100, deadline=None)
 def test_nullspace_vectors_annihilate(m):
-    for v in rl.nullspace(m):
+    for v in rl.nullspace(rl.sparse(m), rl.shape(m)[1]):
         for row in m:
             assert sum(a * b for a, b in zip(row, v)) == 0
 
@@ -66,6 +92,79 @@ def test_nullspace_vectors_annihilate(m):
 @given(matrices())
 @settings(max_examples=100, deadline=None)
 def test_rref_idempotent(m):
-    reduced, _ = rl.rref(m)
-    again, _ = rl.rref(reduced)
-    assert again == reduced
+    reduced, pivots = rl.rref(rl.sparse(m))
+    assert rl.rref(reduced) == (reduced, pivots)
+
+
+# Differential tests: the sparse kernel against dense Gauss-Jordan.
+
+entry_kinds = {
+    "unit": st.sampled_from([0, 0, 0, 1, -1]),
+    "integer": small_entries,
+    "rational": st.builds(
+        Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=4)
+    ),
+}
+
+
+@st.composite
+def shaped_matrices(draw):
+    """(matrix, ncols) with 0-6 rows and 0-6 columns, some rows all zero."""
+    entries = entry_kinds[draw(st.sampled_from(sorted(entry_kinds)))]
+    nrows = draw(st.integers(min_value=0, max_value=6))
+    ncols = draw(st.integers(min_value=0, max_value=6))
+    data = []
+    for _ in range(nrows):
+        if draw(st.integers(min_value=0, max_value=4)) == 0:
+            data.append([0] * ncols)
+        else:
+            data.append([draw(entries) for _ in range(ncols)])
+    return rl.mat(data), ncols
+
+
+def _densify(row: dict, ncols: int) -> tuple:
+    return tuple(row.get(c, 0) for c in range(ncols))
+
+
+@given(shaped_matrices())
+@settings(max_examples=300, deadline=None)
+def test_sparse_rref_equals_dense_oracle(case):
+    m, ncols = case
+    reduced, pivots = rl.rref(rl.sparse(m))
+    dense, dense_pivots = oracle.rref(m)
+    assert pivots == dense_pivots
+    assert [_densify(row, ncols) for row in reduced] == list(dense[: len(pivots)])
+    assert all(x != 0 for row in reduced for x in row.values())
+
+
+@given(shaped_matrices())
+@settings(max_examples=300, deadline=None)
+def test_sparse_nullspace_equals_dense_oracle(case):
+    m, ncols = case
+    basis = rl.nullspace(rl.sparse(m), ncols)
+    assert basis == oracle.nullspace(m, ncols)
+    assert all(type(x) is Fraction for v in basis for x in v)
+
+
+@given(shaped_matrices())
+@settings(max_examples=200, deadline=None)
+def test_row_space_rref_equals_dense_oracle(case):
+    m, _ = case
+    dense, pivots = oracle.rref(m)
+    assert rl.row_space_rref(list(m)) == dense[: len(pivots)]
+    assert rl.rank(m) == len(pivots)
+
+
+@given(shaped_matrices(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_solve_exact_agrees_with_dense_oracle(case, data):
+    m, _ = case
+    ncols = rl.shape(m)[1]  # a dense matrix without rows has no columns
+    b = tuple(Fraction(data.draw(small_entries)) for _ in m)
+    augmented = tuple(row + (y,) for row, y in zip(m, b))
+    consistent = ncols not in oracle.rref(augmented)[1]
+    x = rl.solve_exact(m, b)
+    assert (x is not None) == consistent
+    if x is not None:
+        assert len(x) == ncols and all(type(e) is Fraction for e in x)
+        assert all(sum(a * e for a, e in zip(row, x)) == y for row, y in zip(m, b))
