@@ -2,9 +2,9 @@
 """Run the verification sweeps of `coxbrick.verify` over a range of ranks.
 
 The counts run up to A7/D6 (further with larger --max-a/--max-d), the
-census on D5, canonical join representations on A4 and D4, the socle
-oracle on every rank up to --max-a/--max-d, and the semibrick sweep at
-those top ranks, e.g.
+census on D5, canonical join representations from A4 and D4 and the
+socle oracle from A2 and D4 up to --max-a/--max-d, and the semibrick
+sweep at those top ranks, e.g.
 
     python scripts/run_verification.py --max-a 6 --max-d 5
 """
@@ -23,8 +23,9 @@ def plan(max_a: int, max_d: int):
         for n in range(lo, hi + 1):
             yield "count", DynkinType(family, n)
     yield "census", DynkinType(Family.D, 5)
-    yield "cjr", DynkinType(Family.A, 4)
-    yield "cjr", DynkinType(Family.D, 4)
+    for family, hi in [(Family.A, max_a), (Family.D, max_d)]:
+        for n in range(4, hi + 1):
+            yield "cjr", DynkinType(family, n)
     for family, lo, hi in [(Family.A, 2, max_a), (Family.D, 4, max_d)]:
         for n in range(lo, hi + 1):
             yield "oracle", DynkinType(family, n)

@@ -1,10 +1,18 @@
 """The weak order on an enumerated Coxeter group, as a brute-force lattice.
 
-Everything here is an oracle: join and meet are found by scanning the whole
-group on inversion-set inclusion, the canonical join representation follows
-the cover-reflection recipe, and `verify_cjr_definition` replays the
-lattice-theoretic definition verbatim.  Inversion sets are packed into
-integer bitmasks so the scans stay cheap at the ranks we enumerate.
+Everything here is an oracle.  Inversion sets are integer bitmasks (one
+bit per reflection), and the poset is also stored transposed: for each
+reflection k one integer `_cols[k]` has bit i set iff k is an inversion of
+element i.  A query then tests every element of the group at once with a
+few big-integer ANDs: the upper bounds of an inversion set are the AND of
+the columns of its reflections, its lower bounds the AND of the
+complemented columns of the reflections it lacks, and one bitset per
+length picks out the shortest (or longest) of them.  Join and meet are the
+unique least upper and greatest lower bound found that way, the canonical
+join representation follows the cover-reflection recipe, and
+`verify_cjr_definition` replays the lattice-theoretic definition verbatim.
+No Coxeter combinatorics (closure of inversion sets, the closed-form CJR)
+is used, so the results stay an independent check of `coxbrick.canjoin`.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from coxbrick.coxeter import (
 )
 
 VERIFY_CJR_CAP = 40
+_CHUNK = 1024  # elements transposed per step in GroupPoset.__post_init__
 
 
 class LatticeError(Exception):
@@ -41,7 +50,12 @@ class GroupPoset:
     """An enumerated group with cached inversion bitmasks.
 
     `elements` is lexicographically ordered by window and `masks[i]` has one
-    bit per reflection, so u <= w iff masks[u] & ~masks[w] == 0.
+    bit per reflection, so u <= w iff masks[u] & ~masks[w] == 0.  The masks
+    must be distinct (the weak order is antisymmetric).  `__post_init__`
+    derives the transposed view from them: `_cols[k]` (the elements whose
+    inversion set holds reflection k), `_cocols[k]` (those whose set lacks
+    it) and `_slices[l]` (the elements of length l), bit i standing for
+    `elements[i]`.
     """
 
     dynkin: DynkinType
@@ -50,6 +64,32 @@ class GroupPoset:
     masks: tuple[int, ...] = field(repr=False)
     _index: dict[CoxeterElement, int] = field(repr=False)
     _refl_bit: dict[Reflection, int] = field(repr=False)
+    _cols: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _cocols: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _slices: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _everything: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if any(a == b for a, b in itertools.pairwise(sorted(self.masks))):
+            raise LatticeError("two elements share an inversion set")
+        n, width = len(self.masks), len(self.reflections)
+        self._everything = (1 << n) - 1
+        # Transpose a chunk of elements at a time (small chunks keep the
+        # memory peak down): spell each mask as `width` binary digits, last
+        # element first, so reflection k is every width-th digit from
+        # width - 1 - k and element i lands on bit i.
+        cols = [0] * width
+        for start in range(0, n, _CHUNK):
+            chunk = reversed(self.masks[start : start + _CHUNK])
+            rows = "".join(format(m, f"0{width}b") for m in chunk)
+            for k in range(width):
+                cols[k] |= int(rows[width - 1 - k :: width], 2) << start
+        self._cols = tuple(cols)
+        self._cocols = tuple(self._everything ^ col for col in self._cols)
+        slices = [bytearray((n + 7) // 8) for _ in range(width + 1)]
+        for i, m in enumerate(self.masks):
+            slices[m.bit_count()][i >> 3] |= 1 << (i & 7)
+        self._slices = tuple(int.from_bytes(s, "little") for s in slices)
 
     @classmethod
     def build(cls, dynkin: DynkinType, cap: int = DEFAULT_ENUMERATION_CAP) -> "GroupPoset":
@@ -92,30 +132,47 @@ class GroupPoset:
     def join_irreducibles(self) -> tuple[CoxeterElement, ...]:
         return tuple(w for w in self.elements if join_irreducible_type(w) is not None)
 
-    def _extreme(self, candidates: list[int], want_min: bool) -> int:
-        """Index of the unique minimum (or maximum) of a set of indices."""
-        if not candidates:
-            raise LatticeError("empty candidate set")
-        if want_min:
-            best = min(candidates, key=lambda i: self.masks[i].bit_count())
-            ok = all(self.masks[best] & ~self.masks[i] == 0 for i in candidates)
-        else:
-            best = max(candidates, key=lambda i: self.masks[i].bit_count())
-            ok = all(self.masks[i] & ~self.masks[best] == 0 for i in candidates)
-        if not ok:
+    def _select(self, columns: tuple[int, ...], reflections: int) -> int:
+        """AND of `columns[k]` over the bits k of `reflections`."""
+        out = self._everything
+        while reflections and out:
+            low = reflections & -reflections
+            out &= columns[low.bit_length() - 1]
+            reflections ^= low
+        return out
+
+    def _above(self, mask: int) -> int:
+        """Bitset of the elements whose inversion set contains `mask`."""
+        return self._select(self._cols, mask)
+
+    def _below(self, mask: int) -> int:
+        """Bitset of the elements whose inversion set lies inside `mask`."""
+        return self._select(self._cocols, ~mask & ((1 << len(self._cols)) - 1))
+
+    def _shortest(self, candidates: int, want_min: bool) -> int:
+        """Lowest index among the shortest (or longest) elements of a bitset."""
+        for length_slice in self._slices if want_min else reversed(self._slices):
+            hit = candidates & length_slice
+            if hit:
+                return (hit & -hit).bit_length() - 1
+        raise LatticeError("empty candidate set")
+
+    def _extreme(self, candidates: int, want_min: bool) -> int:
+        """Index of the unique minimum (or maximum) of a bitset of indices."""
+        best = self._shortest(candidates, want_min)
+        bound = self._above if want_min else self._below
+        if candidates & ~bound(self.masks[best]):
             raise LatticeError("no unique extreme element; lattice property violated")
         return best
 
     def join(self, u: CoxeterElement, v: CoxeterElement) -> CoxeterElement:
         """Least upper bound in weak order."""
-        target = self.mask(u) | self.mask(v)
-        ub = [i for i, m in enumerate(self.masks) if target & ~m == 0]
+        ub = self._above(self.mask(u) | self.mask(v))
         return self.elements[self._extreme(ub, want_min=True)]
 
     def meet(self, u: CoxeterElement, v: CoxeterElement) -> CoxeterElement:
         """Greatest lower bound in weak order."""
-        cap = self.mask(u) & self.mask(v)
-        lb = [i for i, m in enumerate(self.masks) if m & ~cap == 0]
+        lb = self._below(self.mask(u) & self.mask(v))
         return self.elements[self._extreme(lb, want_min=False)]
 
     def join_all(self, us: list[CoxeterElement] | tuple[CoxeterElement, ...]) -> CoxeterElement:
@@ -171,25 +228,24 @@ class GroupPoset:
         non-unique minimal element would contradict the semidistributivity
         of the weak order, so it raises LatticeError.
         """
-        wi = self.mask(w)
+        below_w = self._below(self.mask(w))
         out = set()
         for t in cover_reflections(w):
-            tb = 1 << self._refl_bit[t]
-            cand = [
-                i
-                for i, m in enumerate(self.masks)
-                if m & ~wi == 0 and m & tb
-            ]
+            cand = below_w & self._cols[self._refl_bit[t]]
+            # With distinct masks, exactly one minimal element is the same as
+            # the shortest candidate lying below every candidate.
+            if cand:
+                best = self._shortest(cand, want_min=True)
+                if not cand & ~self._above(self.masks[best]):
+                    out.add(self.elements[best])
+                    continue
+            indices = [i for i in range(len(self.masks)) if cand >> i & 1]
             minimal = [
                 i
-                for i in cand
-                if not any(j != i and self.masks[j] & ~self.masks[i] == 0 for j in cand)
+                for i in indices
+                if not any(j != i and self.masks[j] & ~self.masks[i] == 0 for j in indices)
             ]
-            if len(minimal) != 1:
-                raise LatticeError(
-                    f"{len(minimal)} minimal elements below {w} containing {t}"
-                )
-            out.add(self.elements[minimal[0]])
+            raise LatticeError(f"{len(minimal)} minimal elements below {w} containing {t}")
         return frozenset(out)
 
     def verify_cjr_definition(

@@ -66,7 +66,8 @@ def test_socle_oracle_equivalence():
     # type, rank, bricks checked, of which also checked on the kernel route
     for family, n, bricks, kernel in [
         (Family.A, 2, 4, 4), (Family.A, 3, 11, 11), (Family.A, 4, 26, 26),
-        (Family.A, 5, 57, 57), (Family.D, 4, 44, 14), (Family.D, 5, 157, 30),
+        (Family.A, 5, 57, 57), (Family.A, 6, 120, 120), (Family.D, 4, 44, 14),
+        (Family.D, 5, 157, 30),
     ]:
         result = verify.oracle(DynkinType(family, n))
         assert result.failures == [], result.failures
@@ -76,16 +77,21 @@ def test_socle_oracle_equivalence():
 
 
 def test_canonical_join_representations():
-    for family, n, size in [(Family.A, 4, 120), (Family.D, 4, 192)]:
+    totals = []
+    for family, n, size in [
+        (Family.A, 2, 6), (Family.A, 3, 24), (Family.A, 4, 120), (Family.A, 5, 720),
+        (Family.D, 3, 24), (Family.D, 4, 192), (Family.D, 5, 1920),
+    ]:
         result = verify.cjr(DynkinType(family, n))
         assert result.failures == [], result.failures
-        assert result.checked == size
+        assert result.checked == size, result.dynkin
+        totals.append(f"{result.dynkin}:{size}")
     a3 = GroupPoset.build(DynkinType(Family.A, 3))
     for w in a3.elements:
         assert a3.verify_cjr_definition(w, cjr_direct(w)), w
     print(
         "\nPASS canonical join representations: direct formulas match the "
-        "oracle on A4 (120) and D4 (192); definition verified on all of A3"
+        "oracle on " + " ".join(totals) + "; definition verified on all of A3"
     )
 
 

@@ -98,17 +98,6 @@ def test_cjr_of_jirr_is_itself():
     assert cjr_direct(w) == {w}
 
 
-@pytest.mark.parametrize(
-    "dynkin",
-    [A2, DynkinType(Family.A, 3), A4, DynkinType(Family.D, 3), D4],
-    ids=str,
-)
-def test_cjr_direct_equals_oracle(dynkin):
-    poset = GroupPoset.build(dynkin)
-    for w in poset.elements:
-        assert cjr_direct(w) == poset.cjr_oracle(w), w
-
-
 def test_type_a_jirr_value_at_descent_is_at_least_two():
     for w in enumerate_group(A4):
         l = join_irreducible_type(w)

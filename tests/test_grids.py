@@ -175,17 +175,6 @@ def test_kernel_socle_unsupported_for_d_high_type():
         kernel_socle(w)
 
 
-@pytest.mark.parametrize("dynkin", [DynkinType(Family.A, 4), DynkinType(Family.D, 4)], ids=str)
-def test_kernel_equals_socle_exhaustive(dynkin):
-    for w in enumerate_group(dynkin):
-        l = join_irreducible_type(w)
-        if l is None or (dynkin.family is Family.D and l >= 2):
-            continue
-        K = kernel_socle(w)
-        S = socle_over_end(j_module(w))
-        assert K.dims == S.dims and K.mats == S.mats
-
-
 def test_epsilon_prop_and_lemma_agree():
     from coxbrick.bricks import brick_params_d
 

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+import scan_oracle
 from coxbrick.coxeter import (
     CapacityError,
     DynkinType,
@@ -16,10 +17,12 @@ from coxbrick.coxeter import (
     parse_window,
     weak_leq,
 )
-from coxbrick.weak_order import GroupPoset
+from coxbrick.weak_order import GroupPoset, LatticeError
 
 A1 = DynkinType(Family.A, 1)
 A3 = DynkinType(Family.A, 3)
+A4 = DynkinType(Family.A, 4)
+A5 = DynkinType(Family.A, 5)
 D3 = DynkinType(Family.D, 3)
 D4 = DynkinType(Family.D, 4)
 
@@ -60,9 +63,102 @@ def test_join_meet_laws(a3):
         assert a3.join(a3.join(u, v), w) == a3.join(u, a3.join(v, w))
 
 
-@pytest.mark.parametrize("dynkin", [A3, D3], ids=str)
+@pytest.mark.parametrize("dynkin", [A3, D3, A4, D4], ids=str)
 def test_weak_order_is_a_lattice(dynkin):
     GroupPoset.build(dynkin).validate_lattice()
+
+
+@pytest.mark.parametrize("dynkin", [A3, A4, D4], ids=str)
+def test_join_and_meet_equal_scan_oracle(dynkin):
+    poset = GroupPoset.build(dynkin)
+    els = poset.elements
+    for i, u in enumerate(els):
+        for v in els[i:]:
+            assert poset.join(u, v) == scan_oracle.join(poset, u, v), (u, v)
+            assert poset.meet(u, v) == scan_oracle.meet(poset, u, v), (u, v)
+
+
+@pytest.mark.parametrize("dynkin", [A4, D4, A5], ids=str)
+def test_cjr_oracle_equals_scan_oracle(dynkin):
+    poset = GroupPoset.build(dynkin)
+    for w in poset.elements:
+        assert poset.cjr_oracle(w) == scan_oracle.cjr_oracle(poset, w), w
+
+
+def test_columns_transpose_masks():
+    # D5 has 1920 elements, more than one transpose chunk.
+    poset = GroupPoset.build(DynkinType(Family.D, 5))
+    for k, col in enumerate(poset._cols):
+        assert col == sum(1 << i for i, m in enumerate(poset.masks) if m >> k & 1), k
+    for length, members in enumerate(poset._slices):
+        assert members == sum(1 << i for i, m in enumerate(poset.masks) if m.bit_count() == length)
+
+
+def _hand_built(poset, elements, masks):
+    """A GroupPoset on some elements of `poset`'s group with the given masks."""
+    return GroupPoset(
+        dynkin=poset.dynkin,
+        elements=tuple(elements),
+        reflections=poset.reflections,
+        masks=tuple(masks),
+        _index={w: i for i, w in enumerate(elements)},
+        _refl_bit=poset._refl_bit,
+    )
+
+
+def _same_lattice_error(query, reference, message):
+    with pytest.raises(LatticeError) as fast:
+        query()
+    with pytest.raises(LatticeError) as slow:
+        reference()
+    assert str(fast.value) == str(slow.value) == message
+
+
+def test_lattice_errors_on_tampered_masks(a3):
+    u, v, x, y = a3.elements[:4]
+    # x and y are both minimal upper bounds of u and v, and u and v both
+    # maximal lower bounds of x and y; nothing lies above x and y.
+    tampered = _hand_built(a3, [u, v, x, y], [0b0001, 0b0010, 0b0111, 0b1011])
+    _same_lattice_error(
+        lambda: tampered.join(u, v),
+        lambda: scan_oracle.join(tampered, u, v),
+        "no unique extreme element; lattice property violated",
+    )
+    _same_lattice_error(
+        lambda: tampered.meet(x, y),
+        lambda: scan_oracle.meet(tampered, x, y),
+        "no unique extreme element; lattice property violated",
+    )
+    _same_lattice_error(
+        lambda: tampered.join(x, y),
+        lambda: scan_oracle.join(tampered, x, y),
+        "empty candidate set",
+    )
+
+
+def test_cjr_oracle_errors_on_tampered_masks(a3):
+    el = lambda s: parse_window(A3, s)
+    w0, s3 = el("4,3,2,1"), el("1,2,4,3")
+    # Without s3, two minimal elements below w0 contain the reflection (4, 3).
+    keep = [i for i, w in enumerate(a3.elements) if w != s3]
+    pruned = _hand_built(a3, [a3.elements[i] for i in keep], [a3.masks[i] for i in keep])
+    _same_lattice_error(
+        lambda: pruned.cjr_oracle(w0),
+        lambda: scan_oracle.cjr_oracle(pruned, w0),
+        "2 minimal elements below 4,3,2,1 containing Reflection(a=4, b=3)",
+    )
+    # An empty inversion set holds no cover reflection of s3.
+    alone = _hand_built(a3, [s3], [0])
+    _same_lattice_error(
+        lambda: alone.cjr_oracle(s3),
+        lambda: scan_oracle.cjr_oracle(alone, s3),
+        "0 minimal elements below 1,2,4,3 containing Reflection(a=4, b=3)",
+    )
+
+
+def test_poset_rejects_shared_inversion_sets(a3):
+    with pytest.raises(LatticeError, match="share an inversion set"):
+        _hand_built(a3, a3.elements[:2], [0b1, 0b1])
 
 
 def test_weak_leq_is_a_partial_order(a3):
