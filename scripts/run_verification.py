@@ -2,9 +2,9 @@
 """Run the verification sweeps of `coxbrick.verify` over a range of ranks.
 
 The counts run up to A7/D6 (further with larger --max-a/--max-d), the
-census on D5, canonical join representations from A4 and D4 and the
-socle oracle from A2 and D4 up to --max-a/--max-d, and the semibrick
-sweep at those top ranks, e.g.
+census on D5, canonical join representations from A4 and D4, and the
+socle oracle and the semibrick sweep from A2 and D4, each up to
+--max-a/--max-d, e.g.
 
     python scripts/run_verification.py --max-a 6 --max-d 5
 """
@@ -26,11 +26,10 @@ def plan(max_a: int, max_d: int):
     for family, hi in [(Family.A, max_a), (Family.D, max_d)]:
         for n in range(4, hi + 1):
             yield "cjr", DynkinType(family, n)
-    for family, lo, hi in [(Family.A, 2, max_a), (Family.D, 4, max_d)]:
-        for n in range(lo, hi + 1):
-            yield "oracle", DynkinType(family, n)
-    yield "semibrick", DynkinType(Family.A, max_a)
-    yield "semibrick", DynkinType(Family.D, max_d)
+    for suite in ("oracle", "semibrick"):
+        for family, lo, hi in [(Family.A, 2, max_a), (Family.D, 4, max_d)]:
+            for n in range(lo, hi + 1):
+                yield suite, DynkinType(family, n)
 
 
 def main() -> int:

@@ -54,8 +54,12 @@ def jirr_from_R(dynkin: DynkinType, r_values: frozenset[int] | set[int]) -> Coxe
     are the given set in ascending order and the values before it are the
     complement in ascending order; in type D the sign of the leading entry is
     forced by the even-negatives constraint.  Raises ValueError when the
-    resulting window does not have exactly one descent.
+    resulting window does not have exactly one descent.  The result is
+    memoised in `dynkin.memo`; a raising call stores nothing.
     """
+    key = ("jirr", frozenset(r_values))
+    if key in dynkin.memo:
+        return dynkin.memo[key]
     n = dynkin.rank
     right = sorted(r_values)
     if dynkin.family is Family.A:
@@ -80,6 +84,7 @@ def jirr_from_R(dynkin: DynkinType, r_values: frozenset[int] | set[int]) -> Coxe
     w = CoxeterElement(dynkin, window)
     if join_irreducible_type(w) is None:
         raise ValueError(f"{sorted(r_values)} is not an R-set of any join-irreducible")
+    dynkin.memo[key] = w
     return w
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 DEFAULT_ENUMERATION_CAP = 50_000
@@ -31,8 +31,17 @@ class CapacityError(Exception):
 
 @dataclass(frozen=True)
 class DynkinType:
+    """A Dynkin type A_n or D_n.
+
+    `memo` holds values derived from the type alone (join-irreducibles by
+    R-set, the brick table of `coxbrick.semibricks`), filled on first use.
+    It takes no part in equality, hashing or `repr`, so two equal instances
+    keep separate memos and each starts empty.
+    """
+
     family: Family
     rank: int
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.family, Family):

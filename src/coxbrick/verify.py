@@ -7,8 +7,9 @@ fixture lines, `oracle` the socle of J(w) over End(J(w)) with the
 combinatorial brick (and the kernel route with that socle where it
 applies), `cjr` the closed-form canonical join representations with the
 lattice oracle, and `semibrick` runs the structural checks on the direct
-semibrick of every element.  The CLI, `scripts/run_verification.py` and
-the acceptance tests all call these functions.
+semibrick of every element, against the type's brick table.  The CLI,
+`scripts/run_verification.py` and the acceptance tests all call these
+functions.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from coxbrick.coxeter import (
 )
 from coxbrick.grids import UnsupportedCaseError, j_module, kernel_socle
 from coxbrick.homs import iso_bricks, socle_over_end
-from coxbrick.semibricks import semibrick_direct, verify_semibrick
+from coxbrick.semibricks import brick_table, semibrick_direct, verify_semibrick
 from coxbrick.weak_order import GroupPoset
 
 _CLAIMS = {
@@ -46,8 +47,9 @@ class SweepResult:
     `failures` lists the failing elements, except for census (the fixture
     diff messages) and count (one formula-vs-enumeration message).
     `counts` holds the suite's other tallies: the closed-form `formula`
-    (count), the number of `shapes` (census) and the number of bricks also
-    checked on the `kernel` route (oracle).
+    (count), the number of `shapes` (census), the number of bricks also
+    checked on the `kernel` route (oracle), and the sizes of the type's
+    brick table after the sweep, `bricks` and Hom `pairs` (semibrick).
     """
 
     suite: str
@@ -146,4 +148,6 @@ def semibrick(
     elements = sample(enumerate_group(dynkin, cap=cap), sample_size, seed)
     poset = GroupPoset.build(dynkin, cap=cap) if join else None
     failures = [w for w in elements if not verify_semibrick(semibrick_direct(w), poset).ok]
-    return SweepResult("semibrick", dynkin, len(elements), failures)
+    table = brick_table(dynkin)
+    counts = {"bricks": len(table.entries), "pairs": len(table.pairs)}
+    return SweepResult("semibrick", dynkin, len(elements), failures, counts)

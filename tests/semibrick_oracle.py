@@ -1,0 +1,41 @@
+"""Per-summand semibrick verification: the reference for the brick table.
+
+The test oracle for `coxbrick.semibricks.verify_semibrick`: brickness, the
+positive-root flag and every off-diagonal Hom dimension are computed afresh
+on each summand's own representation, with no table and no caching.  It
+consults no table, so its report's `table_flags` is empty.
+"""
+
+from __future__ import annotations
+
+from coxbrick.canjoin import decompose
+from coxbrick.coxeter import descents
+from coxbrick.homs import hom_dim, is_brick, is_positive_root
+from coxbrick.semibricks import Semibrick, SemibrickReport
+from coxbrick.weak_order import GroupPoset
+
+
+def verify_semibrick(s: Semibrick, poset: GroupPoset | None = None) -> SemibrickReport:
+    brick_flags = {sm.d: is_brick(sm.rep) for sm in s.summands}
+    root_flags = {
+        sm.d: is_positive_root(s.element.dynkin, sm.rep.dim_vector())
+        for sm in s.summands
+    }
+    hom_dims = {}
+    for x in s.summands:
+        for y in s.summands:
+            if x.d != y.d:
+                hom_dims[(x.d, y.d)] = hom_dim(x.rep, y.rep)
+    report = SemibrickReport(
+        element=s.element,
+        brick_flags=brick_flags,
+        positive_root_flags=root_flags,
+        hom_dims=hom_dims,
+        table_flags={},
+        summands_match_descents=len(s.summands) == len(descents(s.element)),
+    )
+    if poset is not None:
+        joined = poset.join_all([row.element for row in decompose(s.element)])
+        report.join_window = joined.window
+        report.join_matches = joined == s.element
+    return report

@@ -178,21 +178,28 @@ def test_worked_examples_byte_for_byte(capsys):
 
 
 @pytest.mark.parametrize(
-    "dynkin, size",
-    [(DynkinType(Family.A, 5), 720), (DynkinType(Family.D, 5), 1920)],
-    ids=["A5", "D5"],
+    "dynkin, size, bricks, pairs",
+    [
+        (DynkinType(Family.A, 5), 720, 57, 604),
+        (DynkinType(Family.D, 5), 1920, 157, 1604),
+        (DynkinType(Family.A, 6), 5040, 120, 2382),
+    ],
+    ids=["A5", "D5", "A6"],
 )
-def test_structural_properties_full_sweep(dynkin, size):
+def test_structural_properties_full_sweep(dynkin, size, bricks, pairs):
     # verify_semibrick checks, per element: one summand per descent, every
-    # summand a brick whose dimension vector is a positive root, and zero
-    # Hom between distinct summands; building each summand checks its
-    # preprojective relations.
+    # summand the table brick of its R-set, a brick whose dimension vector
+    # is a positive root, and zero Hom between distinct summands; building
+    # each brick checks its preprojective relations.  The type's brick table
+    # ends with one entry per join-irreducible and one Hom dimension per
+    # ordered pair of distinct summands that occur together.
     result = verify.semibrick(dynkin)
     assert result.failures == [], result.failures
     assert result.checked == size
+    assert (result.counts["bricks"], result.counts["pairs"]) == (bricks, pairs)
     print(
         f"\nPASS structural properties: exhaustive over {dynkin} "
-        f"({result.checked} elements)"
+        f"({result.checked} elements, {bricks} bricks, {pairs} Hom pairs)"
     )
 
 

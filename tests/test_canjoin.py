@@ -31,6 +31,18 @@ def test_jirr_from_R_examples():
     assert jirr_from_R(D9, {6, 7, 9}).window == (1, 2, 3, 4, 5, 8, 6, 7, 9)
 
 
+def test_jirr_from_R_is_memoised_per_type():
+    a4, other = DynkinType(Family.A, 4), DynkinType(Family.A, 4)
+    w = jirr_from_R(a4, {1, 3, 4, 5})
+    assert jirr_from_R(a4, frozenset({1, 3, 4, 5})) is w
+    assert w.dynkin is a4
+    assert jirr_from_R(other, {1, 3, 4, 5}) == w
+    assert jirr_from_R(other, {1, 3, 4, 5}) is not w
+    with pytest.raises(ValueError):
+        jirr_from_R(a4, {2, 3, 4, 5})
+    assert set(a4.memo) == {("jirr", frozenset({1, 3, 4, 5}))}
+
+
 def test_jirr_from_R_rejects_non_jirr_sets():
     with pytest.raises(ValueError):
         jirr_from_R(A4, {2, 3, 4, 5})  # increasing window, no descent

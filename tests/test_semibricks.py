@@ -1,4 +1,6 @@
-"""Semibricks: the two construction routes and the verification report."""
+"""Semibricks: the two construction routes, the brick table and the verification report."""
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +14,15 @@ from coxbrick.coxeter import (
     identity,
     parse_window,
 )
+from coxbrick import semibricks, verify
+from coxbrick.bricks import brick_rep
+from coxbrick.canjoin import decompose, jirr_from_R
 from coxbrick.homs import iso_bricks
+from coxbrick.quiver import QuiverRepresentation, double_quiver, zero_mats
 from coxbrick.semibricks import (
     Semibrick,
     SemibrickSummand,
+    brick_table,
     render_semibrick,
     semibrick,
     semibrick_direct,
@@ -23,6 +30,8 @@ from coxbrick.semibricks import (
     verify_semibrick,
 )
 from coxbrick.weak_order import GroupPoset
+
+import semibrick_oracle
 
 A2 = DynkinType(Family.A, 2)
 A4 = DynkinType(Family.A, 4)
@@ -141,3 +150,129 @@ def sampled_elements(draw):
 def test_semibrick_direct_verifies(w):
     report = verify_semibrick(semibrick_direct(w))
     assert report.ok
+
+
+# --- the brick table against the per-summand reference ----------------------
+#
+# Module-level types such as A4 share one warm table across tests, so every
+# test below that depends on the table's state builds its own DynkinType.
+
+REFERENCE_FIELDS = (
+    "element",
+    "brick_flags",
+    "positive_root_flags",
+    "hom_dims",
+    "summands_match_descents",
+    "join_window",
+    "join_matches",
+)
+
+
+def assert_same_report(got, want):
+    for name in REFERENCE_FIELDS:
+        assert getattr(got, name) == getattr(want, name), (got.element, name)
+    assert got.table_flags == {d: True for d in got.brick_flags}, got.element
+    assert got.ok == want.ok, got.element
+
+
+@pytest.mark.parametrize("family, rank", [("A", 4), ("D", 4), ("A", 5), ("D", 5)])
+def test_verify_semibrick_equals_reference(family, rank):
+    dynkin = DynkinType(Family(family), rank)  # its table starts empty
+    elements = enumerate_group(dynkin)
+    expected = []
+    for w in elements:
+        s = semibrick_direct(w)
+        expected.append(semibrick_oracle.verify_semibrick(s))
+        assert_same_report(verify_semibrick(s), expected[-1])
+    table = brick_table(dynkin)
+    sizes = len(table.entries), len(table.pairs)
+    for w, want in zip(elements, expected):  # warm: every entry and pair cached
+        assert_same_report(verify_semibrick(semibrick_direct(w)), want)
+        assert_same_report(verify_semibrick(semibrick(w)), want)
+    assert (len(table.entries), len(table.pairs)) == sizes
+
+
+def test_summand_not_its_table_brick_is_flagged():
+    a4 = DynkinType(Family.A, 4)
+    w = parse_window(a4, "2,1,4,3,5")
+    x, y = semibrick(w).summands
+    swapped = Semibrick(w, (dataclasses.replace(x, rep=y.rep), dataclasses.replace(y, rep=x.rep)))
+    # still two Hom-orthogonal bricks, so only the table comparison catches it
+    assert semibrick_oracle.verify_semibrick(swapped).ok
+    report = verify_semibrick(swapped)
+    assert report.table_flags == {x.d: False, y.d: False}
+    assert not report.ok
+
+
+def test_wrong_direct_rep_for_one_datum_fails(monkeypatch):
+    d4 = DynkinType(Family.D, 4)
+    w = parse_window(d4, "-2,-1,4,3")
+    rows = decompose(w)
+    assert len(rows) >= 2
+    target = rows[0].r_values
+    other = jirr_from_R(d4, rows[-1].r_values)
+    original = semibricks.rep_from_params_d
+
+    def wrong(dynkin, a, b, r_values):
+        if r_values == target:
+            return brick_rep(other)
+        return original(dynkin, a, b, r_values)
+
+    monkeypatch.setattr(semibricks, "rep_from_params_d", wrong)
+    via_cjr, direct = semibrick(w), semibrick_direct(w)
+    assert via_cjr.summands[0].rep != direct.summands[0].rep
+    report = verify_semibrick(direct)
+    assert report.table_flags[direct.summands[0].d] is False
+    assert not report.ok
+    result = verify.semibrick(d4)
+    assert w in result.failures
+
+
+def test_table_entry_flags_are_checked_once_built(monkeypatch):
+    a4 = DynkinType(Family.A, 4)
+    w = parse_window(a4, "2,1,4,3,5")
+    target = decompose(w)[0].element
+    original = semibricks.brick_rep
+
+    def zero_for_target(v):
+        if v != target:
+            return original(v)
+        dims = {u: 0 for u in a4.vertices}
+        return QuiverRepresentation(double_quiver(a4), dims, zero_mats(double_quiver(a4), dims))
+
+    monkeypatch.setattr(semibricks, "brick_rep", zero_for_target)
+    s = semibrick(w)
+    report = verify_semibrick(s)
+    assert report.brick_flags[s.summands[0].d] is False
+    assert report.positive_root_flags[s.summands[0].d] is False
+    assert_same_report(report, semibrick_oracle.verify_semibrick(s))
+    assert not report.ok
+
+
+@pytest.mark.parametrize(
+    "r_values", [frozenset({7}), frozenset({5})], ids=["out-of-range", "no-descent"]
+)
+def test_invalid_r_set_is_a_mismatch(r_values):
+    a4 = DynkinType(Family.A, 4)
+    w = parse_window(a4, "2,1,4,3,5")
+    x, y = semibrick(w).summands
+    bad = dataclasses.replace(x, diagram=dataclasses.replace(x.diagram, r_values=r_values))
+    report = verify_semibrick(Semibrick(w, (bad, y)))
+    assert report.table_flags == {x.d: False, y.d: True}
+    assert report.brick_flags == {x.d: True, y.d: True}
+    assert not report.ok
+    assert r_values not in brick_table(a4).entries
+    assert ("jirr", r_values) not in a4.memo
+
+
+def test_dynkin_type_memo_is_per_instance():
+    a, b = DynkinType(Family.A, 4), DynkinType(Family.A, 4)
+    semibrick(parse_window(a, "2,1,4,3,5"))
+    assert len(brick_table(a).entries) == 2
+    assert b.memo == {}
+    assert brick_table(b) is not brick_table(a)
+    assert a == b and hash(a) == hash(b) == hash((Family.A, 4))
+    assert a != DynkinType(Family.A, 5) and a != DynkinType(Family.D, 4)
+    assert repr(a) == "DynkinType(family=<Family.A: 'A'>, rank=4)"
+    assert str(a) == "A4"
+    assert {a: 1}[b] == 1
