@@ -360,25 +360,6 @@ def brick_rep(w: CoxeterElement) -> QuiverRepresentation:
     return rep_from_params_d(w.dynkin, p.a, p.b, p.r_values)
 
 
-def rep_nonzero_arrows(rep: QuiverRepresentation, vertex_of: dict) -> set[tuple[int, int]]:
-    """Symbol pairs (s, t) with a nonzero matrix entry from <s> to <t>.
-
-    Matches the abbreviation rule used by the diagrams; the basis inside the
-    representation is sorted per vertex, mirroring `rep_from_basis_action`.
-    """
-    keys_at: dict[int, list] = {}
-    for key in sorted(vertex_of):
-        keys_at.setdefault(vertex_of[key], []).append(key)
-    out = set()
-    for arrow in rep.quiver.arrows:
-        m = rep.mats[arrow.name]
-        for col, s in enumerate(keys_at.get(arrow.tgt, [])):
-            for row, t in enumerate(keys_at.get(arrow.src, [])):
-                if m[row][col] != 0:
-                    out.add((s, t))
-    return out
-
-
 # --- text rendering -------------------------------------------------------
 
 

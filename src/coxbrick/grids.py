@@ -36,7 +36,6 @@ from coxbrick.quiver import (
     double_quiver,
     rep_from_basis_action,
 )
-from coxbrick.ratlinalg import ONE, ZERO
 
 GridKey = tuple[int, int]  # (entry i, row j)
 
@@ -268,17 +267,9 @@ def kernel_socle(w: CoxeterElement) -> QuiverRepresentation:
         nxt2 = _next_row(dynkin, l, nxt) if nxt is not None else None
         return nxt2 is None or (i, nxt2) not in grid.entries
 
-    kernel_keys = {key for key in grid.entries if shifted_out(*key)}
     rep = _grid_rep(grid)
-    order = grid_basis_order(grid)
-    basis_rows = {}
-    for v in rep.quiver.vertices:
-        keys = order.get(v, [])
-        rows = []
-        for key in keys:
-            if key in kernel_keys:
-                rows.append(
-                    tuple(ONE if other == key else ZERO for other in keys)
-                )
-        basis_rows[v] = rows
+    basis_rows = {
+        v: [{i: 1} for i, key in enumerate(keys) if shifted_out(*key)]
+        for v, keys in grid_basis_order(grid).items()
+    }
     return subrepresentation(rep, basis_rows)

@@ -11,14 +11,12 @@ characteristic is deliberately out of scope.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from coxbrick import ratlinalg as rl
 from coxbrick.coxeter import DynkinType, Family
 from coxbrick.quiver import QuiverRepresentation
-from coxbrick.ratlinalg import Mat, ZERO
+from coxbrick.ratlinalg import Mat
 
-Hom = dict[int, Mat]  # vertex -> block matrix
+Hom = dict[int, Mat]  # vertex -> block matrix, in the sparse rows of `coxbrick.quiver`
 
 
 def hom_basis(m: QuiverRepresentation, n: QuiverRepresentation) -> list[Hom]:
@@ -26,7 +24,8 @@ def hom_basis(m: QuiverRepresentation, n: QuiverRepresentation) -> list[Hom]:
 
     The unknowns are the entries of the blocks f_v, row by row and vertex by
     vertex; each arrow contributes one sparse equation per entry of
-    f_u * m(g) - n(g) * f_v.
+    f_u * m(g) - n(g) * f_v, read off the columns of m(g) and the rows of
+    n(g).  Block f_v has n.dims[v] rows and m.dims[v] columns.
     """
     if m.quiver != n.quiver:
         raise ValueError("representations live over different quivers")
@@ -42,9 +41,12 @@ def hom_basis(m: QuiverRepresentation, n: QuiverRepresentation) -> list[Hom]:
     equations: list[rl.Row] = []
     for arrow in m.quiver.arrows:
         u, v = arrow.src, arrow.tgt
-        am, mu, mv = m.mats[arrow.name], m.dims.get(u, 0), m.dims.get(v, 0)
-        am_cols = rl.sparse([[row[c] for row in am] for c in range(mv)])
-        for r, an_row in enumerate(rl.sparse(n.mats[arrow.name])):
+        mu, mv = m.dims.get(u, 0), m.dims.get(v, 0)
+        am_cols: list[rl.Row] = [{} for _ in range(mv)]
+        for k, am_row in enumerate(m.mats[arrow.name]):
+            for c, x in am_row.items():
+                am_cols[c][k] = x
+        for r, an_row in enumerate(n.mats[arrow.name]):
             first = offsets[u] + r * mu
             for c, am_col in enumerate(am_cols):
                 row = {first + k: x for k, x in am_col.items()}
@@ -53,16 +55,22 @@ def hom_basis(m: QuiverRepresentation, n: QuiverRepresentation) -> list[Hom]:
                 if row:
                     equations.append(row)
 
+    solutions = rl.nullspace(equations, total)
+    if not solutions:
+        return []
+    unknown = [
+        (v, r, c)
+        for v in vertices
+        for r in range(n.dims.get(v, 0))
+        for c in range(m.dims.get(v, 0))
+    ]
     basis = []
-    for sol in rl.nullspace(equations, total):
-        f: Hom = {}
-        for v in vertices:
-            rows_n, cols_m = n.dims.get(v, 0), m.dims.get(v, 0)
-            f[v] = tuple(
-                tuple(sol[offsets[v] + r * cols_m + c] for c in range(cols_m))
-                for r in range(rows_n)
-            )
-        basis.append(f)
+    for sol in solutions:
+        f = {v: [{} for _ in range(n.dims.get(v, 0))] for v in vertices}
+        for i, x in sol.items():
+            v, r, c = unknown[i]
+            f[v][r][c] = x
+        basis.append({v: tuple(rows) for v, rows in f.items()})
     return basis
 
 
@@ -84,7 +92,7 @@ def radical_basis(end_basis: list[Hom]) -> list[Hom]:
         {
             (v, r, c): x
             for v, block in b.items()
-            for r, row in enumerate(rl.sparse(block))
+            for r, row in enumerate(block)
             for c, x in row.items()
         }
         for b in end_basis
@@ -101,50 +109,51 @@ def radical_basis(end_basis: list[Hom]) -> list[Hom]:
     out = []
     for coeffs in rl.nullspace(gram, k):
         acc: dict = {}
-        for coeff, e in zip(coeffs, entries):
-            if coeff:
-                for key, x in e.items():
-                    acc[key] = acc.get(key, 0) + coeff * x
-        dense = {v: [[ZERO] * len(row) for row in block] for v, block in end_basis[0].items()}
+        for i, coeff in coeffs.items():
+            for key, x in entries[i].items():
+                acc[key] = acc.get(key, 0) + coeff * x
+        f = {v: [{} for _ in block] for v, block in end_basis[0].items()}
         for (v, r, c), x in acc.items():
-            dense[v][r][c] = Fraction(x)
-        out.append({v: tuple(map(tuple, rows)) for v, rows in dense.items()})
+            if x:
+                f[v][r][c] = rl.integral(x)
+        out.append({v: tuple(rows) for v, rows in f.items()})
     return out
 
 
 def subrepresentation(
-    rep: QuiverRepresentation, basis_rows: dict[int, list[tuple[Fraction, ...]]]
+    rep: QuiverRepresentation, basis_rows: dict[int, list[rl.Row]]
 ) -> QuiverRepresentation:
     """Restrict `rep` to the invariant subspace spanned per vertex.
 
-    The subspace basis is canonicalised to reduced echelon form, so equal
+    `basis_rows[v]` lists sparse vectors spanning the subspace at v.  The
+    spanning set is canonicalised to reduced echelon form, so equal
     subspaces yield identical representations.  A vector of the span has its
     coordinates in that basis at the basis's pivot columns.  Raises
     ValueError if some arrow does not preserve the subspace.
     """
-    bases = {v: rl.sparse(rl.row_space_rref(basis_rows.get(v, []))) for v in rep.quiver.vertices}
-    dims = {v: len(bases[v]) for v in rep.quiver.vertices}
+    bases = {v: rl.rref(basis_rows.get(v, [])) for v in rep.quiver.vertices}
+    dims = {v: len(bases[v][0]) for v in rep.quiver.vertices}
     mats = {}
     for arrow in rep.quiver.arrows:
         u, v = arrow.src, arrow.tgt
-        action = rl.sparse(rep.mats[arrow.name])
-        cols = []
-        for b in bases[v]:
-            image = {}
-            for r, a_row in enumerate(action):
-                y = sum(x * b[c] for c, x in a_row.items() if c in b)
-                if y:
-                    image[r] = y
-            coords = tuple(Fraction(image.get(min(e), 0)) for e in bases[u])
-            for y, e in zip(coords, bases[u]):
+        action_cols: list[rl.Row] = [{} for _ in range(rep.dims.get(v, 0))]
+        for r, a_row in enumerate(rep.mats[arrow.name]):
+            for c, x in a_row.items():
+                action_cols[c][r] = x
+        target, pivots = bases[u]
+        m: list[rl.Row] = [{} for _ in range(dims[u])]
+        for col, b in enumerate(bases[v][0]):
+            image: rl.Row = {}
+            for c, y in b.items():
+                rl.subtract_multiple(image, -y, action_cols[c])
+            coords = [image.get(p, 0) for p in pivots]
+            for i, (y, e) in enumerate(zip(coords, target)):
                 if y:
                     rl.subtract_multiple(image, y, e)
+                    m[i][col] = rl.integral(y)
             if image:
                 raise ValueError(f"subspace not invariant under {arrow.name}")
-            cols.append(coords)
-        mats[arrow.name] = tuple(
-            tuple(col[r] for col in cols) for r in range(dims[u])
-        )
+        mats[arrow.name] = tuple(m)
     return QuiverRepresentation(rep.quiver, dims, mats)
 
 
@@ -158,7 +167,7 @@ def socle_over_end(m: QuiverRepresentation) -> QuiverRepresentation:
         raise ValueError("socle of the zero module is undefined")
     rad = radical_basis(hom_basis(m, m))
     basis_rows = {
-        v: rl.nullspace(rl.sparse([row for f in rad for row in f[v]]), m.dims.get(v, 0))
+        v: rl.nullspace([row for f in rad for row in f[v]], m.dims.get(v, 0))
         for v in m.quiver.vertices
     }
     return subrepresentation(m, basis_rows)
@@ -169,21 +178,11 @@ def is_brick(m: QuiverRepresentation) -> bool:
     return m.total_dim > 0 and hom_dim(m, m) == 1
 
 
-def is_semibrick(mods: list[QuiverRepresentation]) -> bool:
-    if not all(is_brick(m) for m in mods):
-        return False
-    for i, m in enumerate(mods):
-        for j, n in enumerate(mods):
-            if i != j and hom_dim(m, n) != 0:
-                return False
-    return True
-
-
 def iso_bricks(m: QuiverRepresentation, n: QuiverRepresentation) -> bool:
     """Whether two bricks are isomorphic.
 
     Equal dimension vectors plus a one-dimensional Hom space whose generator
-    is invertible at every vertex.
+    is invertible at every vertex: its square block there has full rank.
     """
     if not is_brick(m) or not is_brick(n):
         raise ValueError("iso_bricks expects bricks")
@@ -193,7 +192,7 @@ def iso_bricks(m: QuiverRepresentation, n: QuiverRepresentation) -> bool:
     if len(basis) != 1:
         return False
     f = basis[0]
-    return all(rl.invertible(f[v]) for v in f if len(f[v]) > 0)
+    return all(rl.rank(block) == len(block) for block in f.values() if block)
 
 
 def diagram_edges(dynkin: DynkinType) -> list[tuple[int, int]]:

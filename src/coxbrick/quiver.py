@@ -3,10 +3,14 @@
 Modules are left modules over the path algebra with paths composed left to
 right (alpha beta = first alpha, then beta).  Under that convention an arrow
 g: u -> v acts on a module by a linear map from the coordinate block at v
-into the block at u, so the matrix stored for g has shape dims[u] x dims[v]
-(rows indexed by the map's target block, columns by its source block).  A
-relation word g1 g2 ... gk therefore evaluates to the matrix product
-mats[g1] * mats[g2] * ... * mats[gk] in word order.
+into the block at u, so the matrix stored for g has dims[u] rows and dims[v]
+columns (rows indexed by the map's target block, columns by its source
+block).  Each matrix is a tuple of sparse rows (`coxbrick.ratlinalg`): one
+{column: value} dict per row, holding `int` values, or `Fraction` where a
+value is not integral, and never a stored zero, so equal maps are equal
+matrices.  A relation word g1 g2 ... gk therefore evaluates to the matrix
+product mats[g1] * mats[g2] * ... * mats[gk] in word order.  Dense matrices
+appear only in the JSON form (`rep_to_json`, `rep_from_json`).
 """
 
 from __future__ import annotations
@@ -100,9 +104,10 @@ class RelationError(Exception):
 class QuiverRepresentation:
     """Dimensions per vertex plus one exact rational matrix per arrow.
 
-    For an arrow g: u -> v, `mats[g]` has shape dims[u] x dims[v] and gives
-    the action of g (block at v mapped into block at u); see the module
-    docstring for the composition convention.
+    For an arrow g: u -> v, `mats[g]` has dims[u] sparse rows with columns in
+    range(dims[v]) and gives the action of g (block at v mapped into block at
+    u); see the module docstring for the layout and the composition
+    convention.
     """
 
     quiver: DoubleQuiver
@@ -116,10 +121,15 @@ class QuiverRepresentation:
         for arrow in self.quiver.arrows:
             m = self.mats[arrow.name]
             rows, cols = self.dims.get(arrow.src, 0), self.dims.get(arrow.tgt, 0)
-            if len(m) != rows or any(len(row) != cols for row in m):
-                raise ValueError(
-                    f"matrix for {arrow.name} has shape {rl.shape(m)}, expected {(rows, cols)}"
-                )
+            if len(m) != rows:
+                raise ValueError(f"matrix for {arrow.name} has {len(m)} rows, expected {rows}")
+            for row in m:
+                if row and (min(row) < 0 or max(row) >= cols):
+                    raise ValueError(
+                        f"matrix for {arrow.name} has a column outside range({cols})"
+                    )
+                if 0 in row.values():
+                    raise ValueError(f"matrix for {arrow.name} stores a zero")
 
     @property
     def total_dim(self) -> int:
@@ -129,41 +139,32 @@ class QuiverRepresentation:
         return {v: self.dims.get(v, 0) for v in self.quiver.vertices}
 
     def word_action(self, word: tuple[str, ...]) -> Mat:
-        """Action matrix of a path word, multiplied left to right.
-
-        Words passing through a zero-dimensional block collapse to an
-        explicit zero matrix of the right shape.
-        """
+        """Action matrix of a path word, multiplied left to right."""
         if not word:
             raise ValueError("empty word")
-        arrows = [self.quiver.arrow(name) for name in word]
-        blocks = [arrows[0].src] + [a.tgt for a in arrows]
-        rows, cols = self.dims.get(blocks[0], 0), self.dims.get(blocks[-1], 0)
-        if any(self.dims.get(b, 0) == 0 for b in blocks):
-            return rl.zeros(rows, cols)
         out = self.mats[word[0]]
         for name in word[1:]:
             out = rl.mat_mul(out, self.mats[name])
         return out
 
     def check_relations(self) -> None:
-        """Raise RelationError unless every preprojective relation vanishes."""
+        """Raise RelationError unless every preprojective relation vanishes.
+
+        Each relation's words start at one vertex, so their actions share a
+        row count; the weighted sum is accumulated row by row.
+        """
         for relation in self.quiver.relations:
             first_arrow = self.quiver.arrow(relation[0][1][0])
-            last_arrow = self.quiver.arrow(relation[0][1][-1])
-            total = rl.zeros(
-                self.dims.get(first_arrow.src, 0), self.dims.get(last_arrow.tgt, 0)
-            )
+            total: list[rl.Row] = [{} for _ in range(self.dims.get(first_arrow.src, 0))]
             for coeff, word in relation:
-                total = rl.mat_add(total, rl.mat_scale(coeff, self.word_action(word)))
-            if not rl.is_zero(total):
+                for t, row in zip(total, self.word_action(word)):
+                    rl.subtract_multiple(t, -coeff, row)
+            if any(total):
                 raise RelationError(f"relation {relation} fails")
 
 
 def zero_mats(quiver: DoubleQuiver, dims: dict[int, int]) -> dict[str, Mat]:
-    return {
-        a.name: rl.zeros(dims.get(a.src, 0), dims.get(a.tgt, 0)) for a in quiver.arrows
-    }
+    return {a.name: tuple({} for _ in range(dims.get(a.src, 0))) for a in quiver.arrows}
 
 
 def simple_rep(quiver: DoubleQuiver, vertex: int) -> QuiverRepresentation:
@@ -181,7 +182,8 @@ def rep_from_basis_action(
 
     `vertex_of` maps a basis key to its vertex; `action[arrow][key]` is a
     list of (coefficient, key) pairs giving the image of that basis vector
-    under the arrow (keys at the arrow's target vertex only).
+    under the arrow (keys at the arrow's target vertex only).  Coefficients
+    are integers, and so are the matrix entries built from them.
     """
     keys_at: dict[int, list] = {v: [] for v in quiver.vertices}
     for key, v in vertex_of.items():
@@ -192,37 +194,49 @@ def rep_from_basis_action(
     dims = {v: len(keys_at[v]) for v in quiver.vertices}
     mats: dict[str, Mat] = {}
     for arrow in quiver.arrows:
-        rows, cols = dims[arrow.src], dims[arrow.tgt]
-        m = [[Fraction(0)] * cols for _ in range(rows)]
-        for key in keys_at[arrow.tgt]:
-            for coeff, image_key in action.get(arrow.name, {}).get(key, []):
+        m: list[rl.Row] = [{} for _ in range(dims[arrow.src])]
+        images = action.get(arrow.name, {})
+        for col, key in enumerate(keys_at[arrow.tgt]):
+            for coeff, image_key in images.get(key, []):
                 if vertex_of[image_key] != arrow.src:
                     raise ValueError(
                         f"{arrow.name} must land at vertex {arrow.src}, got {image_key}"
                     )
-                m[coord[image_key]][coord[key]] += Fraction(coeff)
-        mats[arrow.name] = tuple(tuple(row) for row in m)
+                row = m[coord[image_key]]
+                y = row.get(col, 0) + coeff
+                if y:
+                    row[col] = y
+                else:
+                    row.pop(col, None)
+        mats[arrow.name] = tuple(m)
     return QuiverRepresentation(quiver, dims, mats)
 
 
 def rep_to_json(rep: QuiverRepresentation) -> dict:
-    """JSON form: {dims: {vertex: int}, mats: {arrow: [["p/q", ...], ...]}}."""
+    """JSON form: {dims: {vertex: int}, mats: {arrow: [["p/q", ...], ...]}},
+    every matrix written out dense."""
+    cols = {a.name: rep.dims.get(a.tgt, 0) for a in rep.quiver.arrows}
+
+    def text(m: Mat, ncols: int) -> list[list[str]]:
+        dense = ([row.get(c, 0) for c in range(ncols)] for row in m)
+        return [[f"{x.numerator}/{x.denominator}" for x in row] for row in dense]
+
     return {
         "dims": {str(v): rep.dims.get(v, 0) for v in rep.quiver.vertices},
-        "mats": {
-            name: [[f"{x.numerator}/{x.denominator}" for x in row] for row in m]
-            for name, m in sorted(rep.mats.items())
-        },
+        "mats": {name: text(m, cols[name]) for name, m in sorted(rep.mats.items())},
     }
 
 
 def rep_from_json(quiver: DoubleQuiver, data: dict) -> QuiverRepresentation:
+    """Read the JSON form back; every row must have the dense length."""
     dims = {int(v): int(d) for v, d in data["dims"].items()}
-    mats = {
-        name: tuple(tuple(Fraction(x) for x in row) for row in m)
+    cols = {a.name: dims.get(a.tgt, 0) for a in quiver.arrows}
+    for name, m in data["mats"].items():
+        if any(len(row) != cols.get(name) for row in m):
+            raise ValueError(f"matrix for {name} has a row whose length is not {cols.get(name)}")
+    mats = zero_mats(quiver, dims) | {
+        name: tuple(rl.sparse([Fraction(x) for x in row] for row in m))
         for name, m in data["mats"].items()
+        if m
     }
-    for arrow in quiver.arrows:
-        if arrow.name not in mats or not mats[arrow.name]:
-            mats[arrow.name] = rl.zeros(dims.get(arrow.src, 0), dims.get(arrow.tgt, 0))
     return QuiverRepresentation(quiver, dims, mats)

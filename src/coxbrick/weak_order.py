@@ -31,7 +31,6 @@ from coxbrick.coxeter import (
     descents,
     enumerate_group,
     identity,
-    inversions,
     join_irreducible_type,
     multiply,
     simple_reflection,
@@ -93,14 +92,29 @@ class GroupPoset:
 
     @classmethod
     def build(cls, dynkin: DynkinType, cap: int = DEFAULT_ENUMERATION_CAP) -> "GroupPoset":
+        """Enumerate the group and read each inversion mask off its window.
+
+        Reflection (a b) is an inversion of w iff pos(a) < pos(b), where
+        pos(v) is the position of v in the window and, in type D, pos(-v) =
+        -pos(v) (the criterion of `coxeter.inversions`, which stays the
+        reference).  `pos` is one list per element, indexed by the signed
+        value: a negative value -v lands at index len(pos) - v, clear of
+        the positive ones.
+        """
         elements = enumerate_group(dynkin, cap=cap)
         refl = all_reflections(dynkin)
         bit = {t: k for k, t in enumerate(refl)}
+        tests = [(t.a, t.b, 1 << k) for k, t in enumerate(refl)]
+        pos = [0] * (2 * dynkin.rank + 3)
         masks = []
         for w in elements:
+            for i, v in enumerate(w.window, start=1):
+                pos[v] = i
+                pos[-v] = -i
             m = 0
-            for t in inversions(w):
-                m |= 1 << bit[t]
+            for a, b, k in tests:
+                if pos[a] < pos[b]:
+                    m |= k
             masks.append(m)
         return cls(
             dynkin=dynkin,

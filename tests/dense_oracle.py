@@ -1,22 +1,87 @@
-"""Dense Gauss-Jordan elimination and the dense Hom computations built on it.
+"""Dense matrices, dense Gauss-Jordan elimination and the dense Hom
+computations built on them.
 
-The test oracle for the sparse kernel in `coxbrick.ratlinalg`: matrices are
-tuples of tuples of `Fraction`, every entry is carried through every row
-operation, and the Hom system and the radical's Gram matrix are formed
-literally (dense equation rows, products of basis elements).
+The test oracle for the sparse layer in `coxbrick.ratlinalg`, `quiver` and
+`homs`: matrices are tuples of tuples of `Fraction`, every entry is carried
+through every row operation, and the Hom system and the radical's Gram
+matrix are formed literally (dense equation rows, products of basis
+elements).  `dense`, `dense_mats` and `dense_hom` give the dense view of the
+package's sparse rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from coxbrick import ratlinalg as rl
-from coxbrick.ratlinalg import ONE, ZERO, Mat, Vec
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+Mat = tuple[tuple[Fraction, ...], ...]
+Vec = tuple[Fraction, ...]
+
+
+def mat(rows: list[list]) -> Mat:
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
+def shape(a: Mat) -> tuple[int, int]:
+    return (len(a), len(a[0]) if a else 0)
+
+
+def dense(rows, ncols: int) -> Mat:
+    """Dense view of sparse rows with `ncols` columns."""
+    return tuple(tuple(Fraction(row.get(c, 0)) for c in range(ncols)) for row in rows)
+
+
+def dense_mats(rep) -> dict[str, Mat]:
+    """Dense view of every arrow matrix of a representation."""
+    return {a.name: dense(rep.mats[a.name], rep.dims.get(a.tgt, 0)) for a in rep.quiver.arrows}
+
+
+def dense_hom(f: dict, m) -> dict[int, Mat]:
+    """Dense view of a homomorphism out of `m` (block v has m.dims[v] columns)."""
+    return {v: dense(block, m.dims.get(v, 0)) for v, block in f.items()}
+
+
+def zeros(nrows: int, ncols: int) -> Mat:
+    return tuple((ZERO,) * ncols for _ in range(nrows))
+
+
+def is_zero(a: Mat) -> bool:
+    return all(x == 0 for row in a for x in row)
+
+
+def mat_mul(a: Mat, b: Mat) -> Mat:
+    ra, ca = shape(a)
+    rb, cb = shape(b)
+    if ca != rb:
+        raise ValueError(f"shape mismatch: {ra}x{ca} times {rb}x{cb}")
+    out = []
+    for row in a:
+        acc = [ZERO] * cb
+        for x, b_row in zip(row, b):
+            if x:
+                for j, y in enumerate(b_row):
+                    if y:
+                        acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+def mat_add(a: Mat, b: Mat) -> Mat:
+    if shape(a) != shape(b):
+        raise ValueError("shape mismatch in addition")
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_scale(c, a: Mat) -> Mat:
+    c = Fraction(c)
+    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form (zero rows kept at the bottom) and the pivot columns."""
-    nrows, ncols = rl.shape(a)
+    nrows, ncols = shape(a)
     m = [list(row) for row in a]
     pivots: list[int] = []
     r = 0
@@ -55,9 +120,31 @@ def nullspace(a: Mat, ncols: int) -> list[Vec]:
     return basis
 
 
+def relation_vanishes(rep, relation) -> bool:
+    """Whether sum(coeff * word action) over a relation is the zero matrix,
+    each word multiplied out densely in word order.  A word through a
+    zero-dimensional block acts as an explicit zero matrix of the right
+    shape."""
+    mats = dense_mats(rep)
+    arrows = {a.name: a for a in rep.quiver.arrows}
+    total = None
+    for coeff, word in relation:
+        blocks = [arrows[word[0]].src] + [arrows[name].tgt for name in word]
+        rows, cols = rep.dims.get(blocks[0], 0), rep.dims.get(blocks[-1], 0)
+        if any(rep.dims.get(b, 0) == 0 for b in blocks):
+            product = zeros(rows, cols)
+        else:
+            product = mats[word[0]]
+            for name in word[1:]:
+                product = mat_mul(product, mats[name])
+        term = mat_scale(coeff, product)
+        total = term if total is None else mat_add(total, term)
+    return is_zero(total)
+
+
 def compose_homs(g: dict, f: dict) -> dict:
     """g after f, blockwise."""
-    return {v: rl.mat_mul(g[v], f[v]) for v in g}
+    return {v: mat_mul(g[v], f[v]) for v in g}
 
 
 def hom_trace(f: dict) -> Fraction:
@@ -65,7 +152,8 @@ def hom_trace(f: dict) -> Fraction:
 
 
 def hom_basis(m, n) -> list[dict]:
-    """Basis of Hom(m, n) from dense equation rows."""
+    """Basis of Hom(m, n) from dense equation rows, on the dense view of the
+    arrow matrices."""
     vertices = m.quiver.vertices
     offsets: dict[int, int] = {}
     total = 0
@@ -78,10 +166,11 @@ def hom_basis(m, n) -> list[dict]:
     def unknown(v: int, row: int, col: int) -> int:
         return offsets[v] + row * m.dims[v] + col
 
+    m_mats, n_mats = dense_mats(m), dense_mats(n)
     equations = []
     for arrow in m.quiver.arrows:
         u, v = arrow.src, arrow.tgt
-        am, an = m.mats[arrow.name], n.mats[arrow.name]
+        am, an = m_mats[arrow.name], n_mats[arrow.name]
         for r in range(n.dims.get(u, 0)):
             for c in range(m.dims.get(v, 0)):
                 row = [ZERO] * total
@@ -120,8 +209,8 @@ def radical_basis(end_basis: list[dict]) -> list[dict]:
         for v in end_basis[0]:
             acc = None
             for c, b in zip(coeffs, end_basis):
-                piece = rl.mat_scale(c, b[v])
-                acc = piece if acc is None else rl.mat_add(acc, piece)
+                piece = mat_scale(c, b[v])
+                acc = piece if acc is None else mat_add(acc, piece)
             f[v] = acc
         out.append(f)
     return out

@@ -3,7 +3,8 @@
 The test oracle for `coxbrick.semibricks.verify_semibrick`: brickness, the
 positive-root flag and every off-diagonal Hom dimension are computed afresh
 on each summand's own representation, with no table and no caching.  It
-consults no table, so its report's `table_flags` is empty.
+consults no table, so its report's `table_flags` is empty.  `is_semibrick`
+is the same predicate on a bare list of representations.
 """
 
 from __future__ import annotations
@@ -11,8 +12,20 @@ from __future__ import annotations
 from coxbrick.canjoin import decompose
 from coxbrick.coxeter import descents
 from coxbrick.homs import hom_dim, is_brick, is_positive_root
+from coxbrick.quiver import QuiverRepresentation
 from coxbrick.semibricks import Semibrick, SemibrickReport
 from coxbrick.weak_order import GroupPoset
+
+
+def is_semibrick(mods: list[QuiverRepresentation]) -> bool:
+    """Every module a brick, and no nonzero Hom between two different ones."""
+    if not all(is_brick(m) for m in mods):
+        return False
+    for i, m in enumerate(mods):
+        for j, n in enumerate(mods):
+            if i != j and hom_dim(m, n) != 0:
+                return False
+    return True
 
 
 def verify_semibrick(s: Semibrick, poset: GroupPoset | None = None) -> SemibrickReport:

@@ -66,8 +66,8 @@ def test_socle_oracle_equivalence():
     # type, rank, bricks checked, of which also checked on the kernel route
     for family, n, bricks, kernel in [
         (Family.A, 2, 4, 4), (Family.A, 3, 11, 11), (Family.A, 4, 26, 26),
-        (Family.A, 5, 57, 57), (Family.A, 6, 120, 120), (Family.D, 4, 44, 14),
-        (Family.D, 5, 157, 30),
+        (Family.A, 5, 57, 57), (Family.A, 6, 120, 120), (Family.A, 7, 247, 247),
+        (Family.D, 4, 44, 14), (Family.D, 5, 157, 30),
     ]:
         result = verify.oracle(DynkinType(family, n))
         assert result.failures == [], result.failures

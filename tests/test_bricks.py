@@ -14,7 +14,6 @@ from coxbrick.bricks import (
     diagram_from_json,
     diagram_to_json,
     render_diagram,
-    rep_nonzero_arrows,
     symbol_vertex,
 )
 from coxbrick.coxeter import (
@@ -26,6 +25,26 @@ from coxbrick.coxeter import (
 )
 from coxbrick.grids import j_module
 from coxbrick.homs import hom_dim, is_brick, is_positive_root, iso_bricks, socle_over_end
+from coxbrick.quiver import QuiverRepresentation
+from dense_oracle import dense_mats
+
+
+def rep_nonzero_arrows(rep: QuiverRepresentation, vertex_of: dict) -> set[tuple[int, int]]:
+    """Symbol pairs (s, t) with a nonzero matrix entry from <s> to <t>.
+
+    Matches the abbreviation rule used by the diagrams; the basis inside the
+    representation is sorted per vertex, mirroring `rep_from_basis_action`.
+    """
+    keys_at: dict[int, list] = {}
+    for key in sorted(vertex_of):
+        keys_at.setdefault(vertex_of[key], []).append(key)
+    out = set()
+    for arrow in rep.quiver.arrows:
+        sources = keys_at.get(arrow.tgt, [])
+        for row, t in zip(rep.mats[arrow.name], keys_at.get(arrow.src, [])):
+            out.update((sources[col], t) for col in row)
+    return out
+
 
 A4 = DynkinType(Family.A, 4)
 A6 = DynkinType(Family.A, 6)
@@ -147,7 +166,7 @@ def test_brick_diagram_d5_appendix_entry():
 def test_brick_rep_a_matrices_are_unit_entries():
     w = parse_window(A8, "2,5,8,1,3,4,6,7,9")
     rep = brick_rep(w)
-    entries = {x for m in rep.mats.values() for row in m for x in row}
+    entries = {x for m in dense_mats(rep).values() for row in m for x in row}
     assert entries <= {Fraction(0), Fraction(1)}
     assert is_brick(rep)
 
@@ -159,14 +178,14 @@ def test_brick_rep_d_signed_entries():
     keys_at_5 = sorted(s for s in brick_diagram(w).symbols if symbol_vertex(s) == 5)
     keys_at_6 = sorted(s for s in brick_diagram(w).symbols if symbol_vertex(s) == 6)
     col = keys_at_5.index(-5)
-    m = rep.mats["beta6"]
+    m = dense_mats(rep)["beta6"]
     assert m[keys_at_6.index(6)][col] == 1
     assert m[keys_at_6.index(-6)][col] == -1
 
     # beta2+ <1> = +<-2> in the other rank-9 example
     w1 = parse_window(D9, "9,-7,-6,-4,-1,2,3,5,8")
     rep1 = brick_rep(w1)
-    m = rep1.mats["beta2+"]
+    m = dense_mats(rep1)["beta2+"]
     keys_at_2 = sorted(s for s in brick_diagram(w1).symbols if symbol_vertex(s) == 2)
     assert m[keys_at_2.index(-2)][0] == 1
 

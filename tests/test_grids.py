@@ -61,7 +61,7 @@ def test_relation_checker_catches_corruption():
     rep = projective_rep(DynkinType(Family.A, 3), 2)
     bad_mats = dict(rep.mats)
     bad_mats["alpha1"] = tuple(
-        tuple(-x for x in row) for row in bad_mats["alpha1"]
+        {c: -x for c, x in row.items()} for row in bad_mats["alpha1"]
     )
     # the mesh at vertex 2 (alpha2 beta3 = beta2 alpha1) now fails by a sign
     from coxbrick.quiver import QuiverRepresentation

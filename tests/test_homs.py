@@ -11,7 +11,6 @@ from coxbrick.homs import (
     hom_dim,
     is_brick,
     is_positive_root,
-    is_semibrick,
     iso_bricks,
     radical_basis,
     socle_over_end,
@@ -20,7 +19,8 @@ from coxbrick.homs import (
 )
 from coxbrick.quiver import double_quiver, rep_from_json, rep_to_json, simple_rep
 import dense_oracle
-from dense_oracle import compose_homs
+from dense_oracle import compose_homs, dense_hom, dense_mats
+from semibrick_oracle import is_semibrick
 
 A4 = DynkinType(Family.A, 4)
 A8 = DynkinType(Family.A, 8)
@@ -63,11 +63,13 @@ def test_socle_example_d5():
 def test_radical_is_nilpotent_on_corpus():
     for dynkin in (A4, D4):
         for w in join_irreducibles(dynkin):
-            end = hom_basis(j_module(w), j_module(w))
-            layer = radical_basis(end)
+            jw = j_module(w)
+            end = hom_basis(jw, jw)
+            radical = [dense_hom(f, jw) for f in radical_basis(end)]
+            layer = radical
             dims = [len(layer)]
             while layer:
-                products = [compose_homs(f, g) for f in layer for g in radical_basis(end)]
+                products = [compose_homs(f, g) for f in layer for g in radical]
                 span_rows = []
                 vertices = sorted(products[0]) if products else []
                 for f in products:
@@ -75,16 +77,15 @@ def test_radical_is_nilpotent_on_corpus():
                     for v in vertices:
                         row.extend(x for r in f[v] for x in r)
                     span_rows.append(tuple(row))
-                import coxbrick.ratlinalg as rl
-
-                layer_rank = len(rl.row_space_rref(span_rows)) if span_rows else 0
+                reduced, pivots = dense_oracle.rref(tuple(span_rows))
+                layer_rank = len(pivots)
                 dims.append(layer_rank)
                 if layer_rank == 0:
                     break
                 if len(dims) > 20:
                     pytest.fail(f"radical of End(J({w})) does not vanish")
                 # rebuild an explicit basis for the next power
-                basis_rows = rl.row_space_rref(span_rows)
+                basis_rows = reduced[:layer_rank]
                 layer = []
                 for row in basis_rows:
                     f = {}
@@ -109,20 +110,41 @@ def test_end_and_radical_equal_dense_oracle(dynkin):
     for w in join_irreducibles(dynkin):
         jw = j_module(w)
         end = hom_basis(jw, jw)
-        assert end == dense_oracle.hom_basis(jw, jw), w
-        assert all(type(x) is Fraction for f in end for block in f.values() for row in block for x in row)
-        assert radical_basis(end) == dense_oracle.radical_basis(end), w
+        dense_end = [dense_hom(f, jw) for f in end]
+        assert dense_end == dense_oracle.hom_basis(jw, jw), w
+        # int, or Fraction where not integral, and never a stored zero
+        assert all(
+            x != 0 and (type(x) is int or (type(x) is Fraction and x.denominator != 1))
+            for f in end
+            for block in f.values()
+            for row in block
+            for x in row.values()
+        )
+        radical = [dense_hom(f, jw) for f in radical_basis(end)]
+        assert radical == dense_oracle.radical_basis(dense_end), w
+
+
+def test_radical_basis_keeps_the_canonical_form():
+    # End spanned by b1 = 2(E11 + E12) and b2 = E11 on a 2-dimensional block:
+    # the Gram matrix [[4, 2], [2, 1]] has kernel (-1/2, 1), so the radical
+    # is -1/2 b1 + b2 = -E12, whose E11 entry cancels and whose E12 entry is
+    # the integral Fraction -1, stored as int -1.
+    b1 = {1: ({0: 2, 1: 2}, {})}
+    b2 = {1: ({0: 1}, {})}
+    (r,) = radical_basis([b1, b2])
+    assert r == {1: ({1: -1}, {})}
+    assert type(r[1][0][1]) is int
 
 
 def test_subrepresentation_of_whole_and_of_non_invariant_subspace():
     rep = j_module(parse_window(D5, "-1,2,-5,-4,-3"))
-    whole = {v: [tuple(Fraction(i == k) for i in range(d)) for k in range(d)] for v, d in rep.dims.items()}
+    whole = {v: [{k: 1} for k in range(d)] for v, d in rep.dims.items()}
     assert subrepresentation(rep, whole) == rep
-    arrow = next(a for a in rep.quiver.arrows if any(x for row in rep.mats[a.name] for x in row))
-    column = next(c for c in range(rep.dims[arrow.tgt]) if any(row[c] for row in rep.mats[arrow.name]))
-    vector = tuple(Fraction(i == column) for i in range(rep.dims[arrow.tgt]))
+    mats = dense_mats(rep)
+    arrow = next(a for a in rep.quiver.arrows if any(x for row in mats[a.name] for x in row))
+    column = next(c for c in range(rep.dims[arrow.tgt]) if any(row[c] for row in mats[arrow.name]))
     with pytest.raises(ValueError, match=f"not invariant under {arrow.name}"):
-        subrepresentation(rep, {arrow.tgt: [vector]})
+        subrepresentation(rep, {arrow.tgt: [{column: 1}]})
 
 
 def test_iso_bricks_basic():
@@ -160,4 +182,5 @@ def test_hom_respects_scalars():
     q = double_quiver(A4)
     s1 = simple_rep(q, 1)
     (f,) = hom_basis(s1, s1)
-    assert f[1] in ((Fraction(1),),) or f[1][0][0] != 0
+    block = dense_hom(f, s1)[1]
+    assert block in ((Fraction(1),),) or block[0][0] != 0

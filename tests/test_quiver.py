@@ -1,0 +1,105 @@
+"""Sparse arrow matrices: shape checks, the relation checker, and JSON."""
+
+import re
+
+import pytest
+
+from coxbrick.bricks import brick_rep
+from coxbrick.coxeter import DynkinType, Family, join_irreducibles
+from coxbrick.grids import projective_rep
+from coxbrick.quiver import (
+    QuiverRepresentation,
+    RelationError,
+    double_quiver,
+    rep_from_basis_action,
+    rep_from_json,
+    rep_to_json,
+    zero_mats,
+)
+from dense_oracle import relation_vanishes
+
+A4 = DynkinType(Family.A, 4)
+A5 = DynkinType(Family.A, 5)
+D4 = DynkinType(Family.D, 4)
+D5 = DynkinType(Family.D, 5)
+
+
+def _reps(dynkin):
+    yield from (brick_rep(w) for w in join_irreducibles(dynkin))
+    yield from (projective_rep(dynkin, l) for l in dynkin.vertices)
+
+
+def _check_agrees_with_dense(rep) -> bool:
+    """check_relations raises exactly when some relation fails densely."""
+    expected = all(relation_vanishes(rep, relation) for relation in rep.quiver.relations)
+    try:
+        rep.check_relations()
+    except RelationError:
+        return not expected
+    return expected
+
+
+@pytest.mark.parametrize("dynkin", [A5, D5], ids=str)
+def test_check_relations_equals_dense_evaluator(dynkin):
+    for rep in _reps(dynkin):
+        assert all(relation_vanishes(rep, relation) for relation in rep.quiver.relations)
+        assert _check_agrees_with_dense(rep)
+        # each arrow with its sign flipped, the other arrows unchanged
+        for arrow in rep.quiver.arrows:
+            m = rep.mats[arrow.name]
+            if not any(m):
+                continue
+            flipped = tuple({c: -x for c, x in row.items()} for row in m)
+            bad = QuiverRepresentation(rep.quiver, rep.dims, {**rep.mats, arrow.name: flipped})
+            assert _check_agrees_with_dense(bad), (rep.dim_vector(), arrow.name)
+
+
+def test_sign_flipped_arrow_raises_relation_error():
+    rep = projective_rep(D5, 2)
+    flipped = tuple({c: -x for c, x in row.items()} for row in rep.mats["beta3"])
+    bad = QuiverRepresentation(rep.quiver, rep.dims, {**rep.mats, "beta3": flipped})
+    with pytest.raises(RelationError):
+        bad.check_relations()
+
+
+def test_post_init_rejects_malformed_rows():
+    q = double_quiver(A4)
+    dims = {1: 1, 2: 2, 3: 0, 4: 0}
+    mats = zero_mats(q, dims)
+    QuiverRepresentation(q, dims, {**mats, "alpha1": ({1: 1},)})
+    with pytest.raises(ValueError, match="stores a zero"):
+        QuiverRepresentation(q, dims, {**mats, "alpha1": ({0: 1, 1: 0},)})
+    with pytest.raises(ValueError, match="column outside range"):
+        QuiverRepresentation(q, dims, {**mats, "alpha1": ({2: 1},)})
+    with pytest.raises(ValueError, match="column outside range"):
+        QuiverRepresentation(q, dims, {**mats, "alpha1": ({-1: 1},)})
+    with pytest.raises(ValueError, match="has 2 rows, expected 1"):
+        QuiverRepresentation(q, dims, {**mats, "alpha1": ({}, {})})
+
+
+def test_rep_from_basis_action_sums_images_and_drops_cancelled_entries():
+    q = double_quiver(A4)
+    vertex_of = {"x": 1, "y": 2, "z": 2}
+    action = {"alpha1": {"y": [(1, "x"), (1, "x")], "z": [(1, "x"), (-1, "x")]}}
+    rep = rep_from_basis_action(q, vertex_of, action)
+    assert rep.mats["alpha1"] == ({0: 2},)
+    assert all(type(x) is int for m in rep.mats.values() for row in m for x in row.values())
+
+
+@pytest.mark.parametrize("dynkin", [A4, D4], ids=str)
+def test_rep_json_round_trips_on_every_brick(dynkin):
+    for w in join_irreducibles(dynkin):
+        rep = brick_rep(w)
+        data = rep_to_json(rep)
+        back = rep_from_json(rep.quiver, data)
+        assert back == rep, w
+        assert rep_to_json(back) == data, w
+
+
+def test_rep_from_json_rejects_a_row_of_the_wrong_length():
+    rep = brick_rep(next(iter(join_irreducibles(D4))))
+    data = rep_to_json(rep)
+    name, m = next((name, m) for name, m in data["mats"].items() if m and m[0])
+    short = {**data, "mats": {**data["mats"], name: [row[:-1] for row in m]}}
+    with pytest.raises(ValueError, match=re.escape(f"matrix for {name} has a row")):
+        rep_from_json(rep.quiver, short)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,35 +8,61 @@ import coxbrick.ratlinalg as rl
 import dense_oracle as oracle
 
 
+# Dense-input conveniences over the sparse kernel, kept here as the tests'
+# own: the package itself only ever passes sparse rows.
+
+
+def row_space_rref(rows: list[tuple]) -> oracle.Mat:
+    """Canonical (RREF, zero rows dropped) basis of the span of dense rows."""
+    ncols = len(rows[0]) if rows else 0
+    return oracle.dense(rl.rref(rl.sparse(rows))[0], ncols)
+
+
+def same_row_space(rows_a: list[tuple], rows_b: list[tuple]) -> bool:
+    return row_space_rref(rows_a) == row_space_rref(rows_b)
+
+
+def solve_exact(a: oracle.Mat, b: tuple) -> tuple | None:
+    """One solution of a x = b, or None when inconsistent."""
+    ncols = oracle.shape(a)[1]
+    reduced, pivots = rl.rref(rl.sparse(tuple(row) + (y,) for row, y in zip(a, b)))
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for row, p in zip(reduced, pivots):
+        x[p] = Fraction(row.get(ncols, 0))
+    return tuple(x)
+
+
 def test_rref_basic():
-    m = rl.mat([[2, 4], [1, 2]])
+    m = oracle.mat([[2, 4], [1, 2]])
     reduced, pivots = rl.rref(rl.sparse(m))
     assert pivots == (0,)
     assert reduced == [{0: Fraction(1), 1: Fraction(2)}]
 
 
 def test_nullspace_solves():
-    m = rl.mat([[1, 2, 3], [4, 5, 6]])
+    m = oracle.mat([[1, 2, 3], [4, 5, 6]])
     basis = rl.nullspace(rl.sparse(m), 3)
     assert len(basis) == 1
-    (v,) = basis
+    (v,) = oracle.dense(basis, 3)
     for row in m:
         assert sum(a * b for a, b in zip(row, v)) == 0
 
 
 def test_solve_exact():
-    m = rl.mat([[1, 1], [1, -1]])
-    x = rl.solve_exact(m, (Fraction(3), Fraction(1)))
+    m = oracle.mat([[1, 1], [1, -1]])
+    x = solve_exact(m, (Fraction(3), Fraction(1)))
     assert x == (Fraction(2), Fraction(1))
-    inconsistent = rl.mat([[1, 1], [2, 2]])
-    assert rl.solve_exact(inconsistent, (Fraction(1), Fraction(3))) is None
+    inconsistent = oracle.mat([[1, 1], [2, 2]])
+    assert solve_exact(inconsistent, (Fraction(1), Fraction(3))) is None
 
 
 def test_row_space_comparison():
     a = [(Fraction(1), Fraction(0)), (Fraction(1), Fraction(1))]
     b = [(Fraction(0), Fraction(2)), (Fraction(3), Fraction(0))]
-    assert rl.same_row_space(a, b)
-    assert not rl.same_row_space(a, [(Fraction(1), Fraction(1))])
+    assert same_row_space(a, b)
+    assert not same_row_space(a, [(Fraction(1), Fraction(1))])
 
 
 def test_rref_stays_integral_under_unit_pivots():
@@ -60,7 +87,7 @@ def test_rref_leaves_its_input_unchanged():
 
 def test_nullspace_without_equations_is_the_standard_basis():
     assert rl.nullspace([], 0) == []
-    assert rl.nullspace([{}, {}], 2) == [(1, 0), (0, 1)]
+    assert rl.nullspace([{}, {}], 2) == [{0: 1}, {1: 1}]
 
 
 small_entries = st.integers(min_value=-4, max_value=4)
@@ -71,20 +98,21 @@ def matrices(draw):
     rows = draw(st.integers(min_value=1, max_value=5))
     cols = draw(st.integers(min_value=1, max_value=5))
     data = [[draw(small_entries) for _ in range(cols)] for _ in range(rows)]
-    return rl.mat(data)
+    return oracle.mat(data)
 
 
 @given(matrices())
 @settings(max_examples=100, deadline=None)
 def test_rank_nullity(m):
-    ncols = rl.shape(m)[1]
-    assert rl.rank(m) + len(rl.nullspace(rl.sparse(m), ncols)) == ncols
+    ncols = oracle.shape(m)[1]
+    assert rl.rank(rl.sparse(m)) + len(rl.nullspace(rl.sparse(m), ncols)) == ncols
 
 
 @given(matrices())
 @settings(max_examples=100, deadline=None)
 def test_nullspace_vectors_annihilate(m):
-    for v in rl.nullspace(rl.sparse(m), rl.shape(m)[1]):
+    ncols = oracle.shape(m)[1]
+    for v in oracle.dense(rl.nullspace(rl.sparse(m), ncols), ncols):
         for row in m:
             assert sum(a * b for a, b in zip(row, v)) == 0
 
@@ -119,7 +147,7 @@ def shaped_matrices(draw):
             data.append([0] * ncols)
         else:
             data.append([draw(entries) for _ in range(ncols)])
-    return rl.mat(data), ncols
+    return oracle.mat(data), ncols
 
 
 def _densify(row: dict, ncols: int) -> tuple:
@@ -142,8 +170,13 @@ def test_sparse_rref_equals_dense_oracle(case):
 def test_sparse_nullspace_equals_dense_oracle(case):
     m, ncols = case
     basis = rl.nullspace(rl.sparse(m), ncols)
-    assert basis == oracle.nullspace(m, ncols)
-    assert all(type(x) is Fraction for v in basis for x in v)
+    assert list(oracle.dense(basis, ncols)) == oracle.nullspace(m, ncols)
+    # int, or Fraction where not integral, and never a stored zero
+    assert all(
+        x != 0 and (type(x) is int or (type(x) is Fraction and x.denominator != 1))
+        for v in basis
+        for x in v.values()
+    )
 
 
 @given(shaped_matrices())
@@ -151,20 +184,51 @@ def test_sparse_nullspace_equals_dense_oracle(case):
 def test_row_space_rref_equals_dense_oracle(case):
     m, _ = case
     dense, pivots = oracle.rref(m)
-    assert rl.row_space_rref(list(m)) == dense[: len(pivots)]
-    assert rl.rank(m) == len(pivots)
+    assert row_space_rref(list(m)) == dense[: len(pivots)]
+    assert rl.rank(rl.sparse(m)) == len(pivots)
 
 
 @given(shaped_matrices(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_solve_exact_agrees_with_dense_oracle(case, data):
     m, _ = case
-    ncols = rl.shape(m)[1]  # a dense matrix without rows has no columns
+    ncols = oracle.shape(m)[1]  # a dense matrix without rows has no columns
     b = tuple(Fraction(data.draw(small_entries)) for _ in m)
     augmented = tuple(row + (y,) for row, y in zip(m, b))
     consistent = ncols not in oracle.rref(augmented)[1]
-    x = rl.solve_exact(m, b)
+    x = solve_exact(m, b)
     assert (x is not None) == consistent
     if x is not None:
         assert len(x) == ncols and all(type(e) is Fraction for e in x)
         assert all(sum(a * e for a, e in zip(row, x)) == y for row, y in zip(m, b))
+
+
+@st.composite
+def product_cases(draw):
+    """(a, b): dense matrices of shapes r x k and k x c, 1 <= r, k, c <= 6,
+    with entries of one kind and some rows all zero."""
+    entries = entry_kinds[draw(st.sampled_from(sorted(entry_kinds)))]
+    r, k, c = (draw(st.integers(min_value=1, max_value=6)) for _ in range(3))
+
+    def matrix(nrows, ncols):
+        rows = []
+        for _ in range(nrows):
+            zero = draw(st.integers(min_value=0, max_value=4)) == 0
+            rows.append([0 if zero else draw(entries) for _ in range(ncols)])
+        return oracle.mat(rows)
+
+    return matrix(r, k), matrix(k, c)
+
+
+@given(product_cases())
+@settings(max_examples=300, deadline=None)
+def test_sparse_mat_mul_equals_dense_product(case):
+    a, b = case
+    product = rl.mat_mul(tuple(rl.sparse(a)), tuple(rl.sparse(b)))
+    assert oracle.dense(product, oracle.shape(b)[1]) == oracle.mat_mul(a, b)
+    assert all(x != 0 for row in product for x in row.values())
+
+
+def test_mat_mul_rejects_a_column_past_the_rows_of_the_right_factor():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        rl.mat_mul(({0: 1, 2: 1},), ({0: 1}, {1: 1}))

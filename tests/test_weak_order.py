@@ -270,3 +270,11 @@ def test_poset_rejects_foreign_elements(a3):
 def test_lengths_match_inversions(d4):
     for w in d4.elements:
         assert d4.length(w) == len(inversions(w))
+
+
+@pytest.mark.parametrize("dynkin", [A5, DynkinType(Family.D, 5)], ids=str)
+def test_build_masks_equal_the_inversion_sets(dynkin):
+    poset = GroupPoset.build(dynkin)
+    for w, mask in zip(poset.elements, poset.masks):
+        expected = sum(1 << poset._refl_bit[t] for t in inversions(w))
+        assert mask == expected, w
