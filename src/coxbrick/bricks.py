@@ -22,7 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from coxbrick.canjoin import r_set
-from coxbrick.coxeter import CoxeterElement, DynkinType, Family, join_irreducible_type
+from coxbrick.coxeter import (
+    CoxeterElement,
+    DynkinType,
+    Family,
+    join_irreducible_type,
+    per_join_irreducible,
+)
 from coxbrick.quiver import QuiverRepresentation, double_quiver, rep_from_basis_action
 
 
@@ -79,6 +85,7 @@ def v_sets(a: int, b: int, c: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return v_minus, v_plus
 
 
+@per_join_irreducible
 def brick_params_a(w: CoxeterElement) -> BrickParamsA:
     l = join_irreducible_type(w)
     if l is None:
@@ -86,6 +93,7 @@ def brick_params_a(w: CoxeterElement) -> BrickParamsA:
     return BrickParamsA(l, w(l), w(l + 1), r_set(w))
 
 
+@per_join_irreducible
 def brick_params_d(w: CoxeterElement) -> BrickParamsD:
     l = join_irreducible_type(w)
     if l is None:
@@ -242,7 +250,10 @@ def brick_diagram_d(w: CoxeterElement) -> BrickDiagram:
     )
 
 
+@per_join_irreducible
 def brick_diagram(w: CoxeterElement) -> BrickDiagram:
+    """The diagram of S(w), memoised per join-irreducible w; raises
+    ValueError on any other element."""
     if w.dynkin.family is Family.A:
         return brick_diagram_a(w)
     return brick_diagram_d(w)

@@ -27,6 +27,7 @@ from coxbrick.coxeter import (
     Family,
     descents,
     join_irreducible_type,
+    per_join_irreducible,
 )
 
 
@@ -39,8 +40,12 @@ def pm(values: set[int]) -> set[int]:
     return values | {-v for v in values}
 
 
+@per_join_irreducible
 def r_set(w: CoxeterElement) -> frozenset[int]:
-    """R(w) = w([l+1, n+1]) (type A) or w([|l|+1, n]) (type D) for join-irreducible w."""
+    """R(w) = w([l+1, n+1]) (type A) or w([|l|+1, n]) (type D) for join-irreducible w.
+
+    Memoised per join-irreducible; raises ValueError on any other element.
+    """
     l = join_irreducible_type(w)
     if l is None:
         raise ValueError(f"{w} is not join-irreducible")
@@ -101,11 +106,16 @@ class DescentDatum:
     element: CoxeterElement  # the join-irreducible w_d
 
 
-def _left_values(w: CoxeterElement) -> set[int]:
-    """Absolute window values before the unique descent (positions [1, |l|])."""
+@per_join_irreducible
+def _left_values(w: CoxeterElement) -> frozenset[int]:
+    """Absolute window values before the unique descent (positions [1, |l|]).
+
+    Memoised per join-irreducible; raises ValueError on any other element.
+    """
     l = join_irreducible_type(w)
-    assert l is not None
-    return {abs(v) for v in w.window[: abs(l)]}
+    if l is None:
+        raise ValueError(f"{w} is not join-irreducible")
+    return frozenset(abs(v) for v in w.window[: abs(l)])
 
 
 def _decompose_a(w: CoxeterElement) -> list[DescentDatum]:
@@ -117,7 +127,7 @@ def _decompose_a(w: CoxeterElement) -> list[DescentDatum]:
         r = (interval(b, a - 1) & x) | interval(a + 1, n + 1)
         wd = jirr_from_R(w.dynkin, r)
         expected_left = interval(1, b - 1) | (interval(b + 1, a) - x)
-        if set(wd.window[: join_irreducible_type(wd)]) != expected_left:
+        if _left_values(wd) != expected_left:
             raise AssertionError(f"left-value cross-check failed for {w} at d={d}")
         out.append(DescentDatum(d, a, b, None, frozenset(x), frozenset(r), wd))
     return out

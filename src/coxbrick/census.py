@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from coxbrick.bricks import BrickDiagram, arrow_sort_key, brick_diagram_d, brick_params_d
+from coxbrick.bricks import BrickDiagram, arrow_sort_key, brick_diagram, brick_params_d
 from coxbrick.coxeter import (
     DEFAULT_ENUMERATION_CAP,
     CoxeterElement,
@@ -20,6 +20,7 @@ from coxbrick.coxeter import (
     Family,
     format_window,
     join_irreducibles,
+    per_join_irreducible,
 )
 
 
@@ -33,8 +34,12 @@ class ShapeSigma:
         return f"{self.a},{self.b},{self.rp}"
 
 
+@per_join_irreducible
 def sigma(w: CoxeterElement) -> ShapeSigma:
-    """Shape (a, b, r') with r' = 0 when b >= -1 and min(r, |b|-1) otherwise."""
+    """Shape (a, b, r') with r' = 0 when b >= -1 and min(r, |b|-1) otherwise.
+
+    Memoised per join-irreducible; raises ValueError on any other element.
+    """
     p = brick_params_d(w)
     rp = 0 if p.b >= -1 else min(p.r, abs(p.b) - 1)
     return ShapeSigma(p.a, p.b, rp)
@@ -54,7 +59,10 @@ def chi_values(r_values: frozenset[int] | set[int], n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@per_join_irreducible
 def chi(w: CoxeterElement) -> tuple[int, ...]:
+    """Character of R(w), memoised per join-irreducible; raises ValueError on
+    any other element."""
     return chi_values(brick_params_d(w).r_values, w.dynkin.rank)
 
 
@@ -119,7 +127,7 @@ def census(
     out: dict[ShapeSigma, list[tuple[CoxeterElement, BrickDiagram]]] = {}
     for s in sorted(groups):
         ws = sorted(groups[s], key=chi)
-        out[s] = [(w, brick_diagram_d(w)) for w in ws]
+        out[s] = [(w, brick_diagram(w)) for w in ws]
     return out
 
 

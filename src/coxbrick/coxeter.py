@@ -12,6 +12,7 @@ simple reflection on the right permutes window positions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -33,10 +34,20 @@ class CapacityError(Exception):
 class DynkinType:
     """A Dynkin type A_n or D_n.
 
-    `memo` holds values derived from the type alone (join-irreducibles by
-    R-set, the brick table of `coxbrick.semibricks`), filled on first use.
-    It takes no part in equality, hashing or `repr`, so two equal instances
-    keep separate memos and each starts empty.
+    `memo` holds values derived from the type alone, filled on first use:
+
+    - ``("jirr", R)``: the join-irreducible with R-set R (`canjoin.jirr_from_R`);
+    - ``(name, window)``: the value of the function `name` on the
+      join-irreducible with that window, for the functions decorated with
+      `per_join_irreducible` (`canjoin.r_set` and `_left_values`,
+      `bricks.brick_params_a`, `brick_params_d` and `brick_diagram`,
+      `census.sigma` and `chi`);
+    - ``"quiver"``: the double quiver (`quiver.double_quiver`);
+    - ``"bricks"``: the brick table (`semibricks.brick_table`).
+
+    Every value but the brick table, which fills itself, is immutable.  The
+    memo takes no part in equality, hashing or `repr`, so two equal
+    instances keep separate memos and each starts empty.
     """
 
     family: Family
@@ -241,6 +252,28 @@ def descents(w: CoxeterElement) -> frozenset[int]:
         if -w.window[0] > w.window[1]:
             out.add(-1)
     return frozenset(out)
+
+
+def per_join_irreducible(fn):
+    """Memoise a function of one join-irreducible in its type's `memo`.
+
+    The key is (function name, window).  The function must raise on an
+    element that is not join-irreducible and return an immutable value other
+    than None.  A call that raises stores nothing, so only join-irreducibles
+    get entries: a sweep over the whole group keeps no per-element value.
+    """
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def memoised(w: CoxeterElement):
+        key = (name, w.window)
+        memo = w.dynkin.memo
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = fn(w)
+        return value
+
+    return memoised
 
 
 def join_irreducible_type(w: CoxeterElement) -> int | None:

@@ -15,7 +15,7 @@ appear only in the JSON form (`rep_to_json`, `rep_from_json`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from coxbrick import ratlinalg as rl
@@ -40,19 +40,30 @@ class DoubleQuiver:
     dynkin: DynkinType
     arrows: tuple[Arrow, ...]
     relations: tuple[tuple[tuple[int, tuple[str, ...]], ...], ...]
+    _by_name: dict[str, Arrow] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_by_name", {a.name: a for a in self.arrows})
 
     @property
     def vertices(self) -> tuple[int, ...]:
         return self.dynkin.vertices
 
     def arrow(self, name: str) -> Arrow:
-        for a in self.arrows:
-            if a.name == name:
-                return a
-        raise KeyError(name)
+        """The arrow of this name; KeyError for an unknown name."""
+        return self._by_name[name]
 
 
 def double_quiver(dynkin: DynkinType) -> DoubleQuiver:
+    """The double quiver of a type, built once per `DynkinType` instance and
+    kept in its `memo`."""
+    quiver = dynkin.memo.get("quiver")
+    if quiver is None:
+        quiver = dynkin.memo["quiver"] = _build_double_quiver(dynkin)
+    return quiver
+
+
+def _build_double_quiver(dynkin: DynkinType) -> DoubleQuiver:
     n = dynkin.rank
     arrows: list[Arrow] = []
     relations: list[Relation] = []

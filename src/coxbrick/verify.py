@@ -6,8 +6,9 @@ join-irreducibles with enumeration, `census` the type-D shape census with
 fixture lines, `oracle` the socle of J(w) over End(J(w)) with the
 combinatorial brick (and the kernel route with that socle where it
 applies), `cjr` the closed-form canonical join representations with the
-lattice oracle, and `semibrick` runs the structural checks on the direct
-semibrick of every element, against the type's brick table.  The CLI,
+lattice oracle (each must also join back to its element), and
+`semibrick` runs the structural checks on the direct semibrick of every
+element, against the type's brick table.  The CLI,
 `scripts/run_verification.py` and the acceptance tests all call these
 functions.
 """
@@ -134,7 +135,11 @@ def cjr(
 ) -> SweepResult:
     poset = GroupPoset.build(dynkin, cap=cap)
     elements = sample(poset.elements, sample_size, seed)
-    failures = [w for w in elements if cjr_direct(w) != poset.cjr_oracle(w)]
+    failures = []
+    for w in elements:
+        cjr = cjr_direct(w)
+        if cjr != poset.cjr_oracle(w) or poset.join_all(cjr) != w:
+            failures.append(w)
     return SweepResult("cjr", dynkin, len(elements), failures)
 
 

@@ -8,8 +8,9 @@ few big-integer ANDs: the upper bounds of an inversion set are the AND of
 the columns of its reflections, its lower bounds the AND of the
 complemented columns of the reflections it lacks, and one bitset per
 length picks out the shortest (or longest) of them.  Join and meet are the
-unique least upper and greatest lower bound found that way, the canonical
-join representation follows the cover-reflection recipe, and
+unique least upper and greatest lower bound found that way (a join of any
+number of elements is one query on the union of their inversion sets),
+the canonical join representation follows the cover-reflection recipe, and
 `verify_cjr_definition` replays the lattice-theoretic definition verbatim.
 No Coxeter combinatorics (closure of inversion sets, the closed-form CJR)
 is used, so the results stay an independent check of `coxbrick.canjoin`.
@@ -18,6 +19,7 @@ is used, so the results stay an independent check of `coxbrick.canjoin`.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from coxbrick.coxeter import (
@@ -179,22 +181,27 @@ class GroupPoset:
             raise LatticeError("no unique extreme element; lattice property violated")
         return best
 
-    def join(self, u: CoxeterElement, v: CoxeterElement) -> CoxeterElement:
-        """Least upper bound in weak order."""
-        ub = self._above(self.mask(u) | self.mask(v))
-        return self.elements[self._extreme(ub, want_min=True)]
+    def join(self, *us: CoxeterElement) -> CoxeterElement:
+        """Least upper bound in weak order of any number of elements.
+
+        One query: the upper bounds of the union of their inversion sets,
+        then the unique shortest of them.  The empty join is the identity
+        (the minimum of the lattice).
+        """
+        mask = 0
+        for u in us:
+            mask |= self.mask(u)
+        return self.elements[self._extreme(self._above(mask), want_min=True)]
 
     def meet(self, u: CoxeterElement, v: CoxeterElement) -> CoxeterElement:
         """Greatest lower bound in weak order."""
         lb = self._below(self.mask(u) & self.mask(v))
         return self.elements[self._extreme(lb, want_min=False)]
 
-    def join_all(self, us: list[CoxeterElement] | tuple[CoxeterElement, ...]) -> CoxeterElement:
-        """Join of a finite set; the empty join is the identity (min of the lattice)."""
-        out = self.identity_element()
-        for u in us:
-            out = self.join(out, u)
-        return out
+    def join_all(self, us: Iterable[CoxeterElement]) -> CoxeterElement:
+        """Join of a finite collection, as one `join` query; the empty join is
+        the identity."""
+        return self.join(*us)
 
     def _join_table(self) -> list[list[int]]:
         """Pairwise join table (indices), built once per poset."""

@@ -1,8 +1,9 @@
 """List-scan join, meet and CJR on a `GroupPoset`: the reference for its bitsets.
 
 The test oracle for the bit-sliced queries in `coxbrick.weak_order`: every
-query walks the tuple of inversion masks one element at a time, and the CJR
-keeps the quadratic minimal-element scan.  Results and `LatticeError`
+query walks the tuple of inversion masks one element at a time, a join of
+many elements folds the pairwise join from the identity, and the CJR keeps
+the quadratic minimal-element scan.  Results and `LatticeError`
 messages are the ones `GroupPoset` must reproduce.
 """
 
@@ -32,6 +33,14 @@ def join(poset: GroupPoset, u: CoxeterElement, v: CoxeterElement) -> CoxeterElem
     target = poset.mask(u) | poset.mask(v)
     ub = [i for i, m in enumerate(poset.masks) if target & ~m == 0]
     return poset.elements[extreme(poset, ub, want_min=True)]
+
+
+def join_all(poset: GroupPoset, us) -> CoxeterElement:
+    """The pairwise scan `join` folded over `us`, starting from the identity."""
+    out = poset.identity_element()
+    for u in us:
+        out = join(poset, out, u)
+    return out
 
 
 def meet(poset: GroupPoset, u: CoxeterElement, v: CoxeterElement) -> CoxeterElement:

@@ -8,7 +8,8 @@ import pytest
 from coxbrick import verify
 from coxbrick.bricks import brick_rep
 from coxbrick.cli import element_from_json, main
-from coxbrick.coxeter import parse_window
+from coxbrick.coxeter import DynkinType, Family, enumerate_group, identity, parse_window
+from coxbrick.weak_order import GroupPoset
 
 EXIT_OK, EXIT_VERIFY, EXIT_INPUT, EXIT_CAPACITY = 0, 1, 2, 3
 
@@ -368,6 +369,19 @@ def test_verify_reports_counterexample(capsys, monkeypatch, suite, name, window,
     code, out, _ = run(capsys, "verify", "--suite", suite, "--type", "A", "--rank", "3")
     assert code == EXIT_VERIFY
     assert out == f"{summary}\ncounterexample: {window}\n"
+
+
+def test_verify_cjr_reports_every_element_that_does_not_join_back(capsys, monkeypatch):
+    # the closed-form CJR still matches the oracle, but no join gives back w
+    monkeypatch.setattr(GroupPoset, "join_all", lambda poset, us: poset.identity_element())
+    code, out, _ = run(capsys, "verify", "--suite", "cjr", "--type", "A", "--rank", "3")
+    assert code == EXIT_VERIFY
+    a3 = DynkinType(Family.A, 3)
+    expected = [w for w in enumerate_group(a3) if w != identity(a3)]
+    assert out.splitlines() == [
+        "1/24 canonical join representations match oracle",
+        *(f"counterexample: {w}" for w in expected),
+    ]
 
 
 def test_verify_semibrick_with_join(capsys):

@@ -39,6 +39,18 @@ def _check_agrees_with_dense(rep) -> bool:
     return expected
 
 
+def test_double_quiver_is_built_once_per_type():
+    a5 = DynkinType(Family.A, 5)
+    quiver = double_quiver(a5)
+    assert double_quiver(a5) is quiver
+    assert a5.memo["quiver"] is quiver
+    other = double_quiver(DynkinType(Family.A, 5))
+    assert other == quiver and other is not quiver
+    assert quiver.arrow("alpha2") == next(a for a in quiver.arrows if a.name == "alpha2")
+    with pytest.raises(KeyError):
+        quiver.arrow("gamma1")
+
+
 @pytest.mark.parametrize("dynkin", [A5, D5], ids=str)
 def test_check_relations_equals_dense_evaluator(dynkin):
     for rep in _reps(dynkin):

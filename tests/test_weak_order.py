@@ -1,6 +1,7 @@
 """Lattice structure of the weak order and the brute-force CJR oracle."""
 
 import itertools
+import random
 
 import pytest
 
@@ -17,6 +18,7 @@ from coxbrick.coxeter import (
     parse_window,
     weak_leq,
 )
+from coxbrick.canjoin import cjr_direct
 from coxbrick.weak_order import GroupPoset, LatticeError
 
 A1 = DynkinType(Family.A, 1)
@@ -78,6 +80,33 @@ def test_join_and_meet_equal_scan_oracle(dynkin):
             assert poset.meet(u, v) == scan_oracle.meet(poset, u, v), (u, v)
 
 
+@pytest.mark.parametrize(
+    "dynkin",
+    [DynkinType(Family.A, n) for n in range(2, 6)] + [DynkinType(Family.D, n) for n in range(3, 6)],
+    ids=str,
+)
+def test_join_of_every_cjr_equals_scan_fold(dynkin):
+    poset = GroupPoset.build(dynkin)
+    for w in poset.elements:
+        cjr = sorted(cjr_direct(w))
+        expected = scan_oracle.join_all(poset, cjr)
+        assert poset.join(*cjr) == poset.join_all(cjr) == expected == w, w
+
+
+def test_join_of_random_subsets_equals_scan_fold(d4):
+    rng = random.Random(4)
+    for _ in range(500):
+        us = rng.sample(d4.elements, rng.choice((3, 4)))
+        expected = scan_oracle.join_all(d4, us)
+        assert d4.join(*us) == d4.join_all(us) == expected, us
+
+
+def test_empty_and_single_joins(a3):
+    assert a3.join() == a3.join_all([]) == identity(A3)
+    for u in a3.elements:
+        assert a3.join(u) == a3.join_all([u]) == u
+
+
 @pytest.mark.parametrize("dynkin", [A4, D4, A5], ids=str)
 def test_cjr_oracle_equals_scan_oracle(dynkin):
     poset = GroupPoset.build(dynkin)
@@ -133,6 +162,18 @@ def test_lattice_errors_on_tampered_masks(a3):
         lambda: tampered.join(x, y),
         lambda: scan_oracle.join(tampered, x, y),
         "empty candidate set",
+    )
+
+
+def test_three_element_join_errors_on_tampered_masks(a3):
+    e, u, v, z, x, y = a3.elements[:6]
+    assert e == identity(A3)
+    # x and y are both minimal upper bounds of u, v and z.
+    tampered = _hand_built(a3, [e, u, v, z, x, y], [0, 0b1, 0b10, 0b100, 0b10111, 0b1111])
+    _same_lattice_error(
+        lambda: tampered.join(u, v, z),
+        lambda: scan_oracle.join_all(tampered, [u, v, z]),
+        "no unique extreme element; lattice property violated",
     )
 
 
