@@ -11,10 +11,19 @@ The type-D R_d splits into two cases:
   (A)  a_d + b_d < 0 and w([1,|d|]) lies in +/-[a_d, n];
   (B)  otherwise,
 
-with different interval formulas for each; `decompose` also recomputes the
-left-value sets L(w_d) from their own closed forms and checks them against
-the reconstructed windows, so a formula transcription error cannot pass
-silently.
+with different interval formulas for each.  Each row also recomputes the
+left-value set L(w_d) from its own closed form and checks it against the
+reconstructed window, and checks that R(w_d) gives back R_d, so a formula
+transcription error cannot pass silently.
+
+The row of descent d depends on w only through d, a_d = w(d),
+b_d = w(|d|+1) and the value set X = w([|d|+1, n]) (n+1 in type A): in
+type D the absolute values of w([1,|d|]) are the complement of |X|.  The
+row functions `_row_a` and `_row_d` take exactly those arguments, and
+`decompose` keeps each row in a table on the type, keyed by (d, a, b, X),
+so a row is computed and checked once per key.  Both sides of each check
+are functions of the key, so a check that passed once would pass on every
+later element with that key: the table skips no check that could fail.
 """
 
 from __future__ import annotations
@@ -25,7 +34,6 @@ from coxbrick.coxeter import (
     CoxeterElement,
     DynkinType,
     Family,
-    descents,
     join_irreducible_type,
     per_join_irreducible,
 )
@@ -93,7 +101,7 @@ def jirr_from_R(dynkin: DynkinType, r_values: frozenset[int] | set[int]) -> Coxe
     return w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DescentDatum:
     """Per-descent data of the canonical join representation of one element."""
 
@@ -101,8 +109,7 @@ class DescentDatum:
     a: int
     b: int
     case: str | None  # "A"/"B" for type D, None for type A
-    x_values: frozenset[int]
-    r_values: frozenset[int]
+    r_values: frozenset[int]  # r_set(element), shared by every row of that w_d
     element: CoxeterElement  # the join-irreducible w_d
 
 
@@ -118,75 +125,111 @@ def _left_values(w: CoxeterElement) -> frozenset[int]:
     return frozenset(abs(v) for v in w.window[: abs(l)])
 
 
-def _decompose_a(w: CoxeterElement) -> list[DescentDatum]:
-    n = w.dynkin.rank
-    out = []
-    for d in sorted(descents(w)):
-        a, b = w(d), w(d + 1)
-        x = set(w.window[d:])
-        r = (interval(b, a - 1) & x) | interval(a + 1, n + 1)
-        wd = jirr_from_R(w.dynkin, r)
-        expected_left = interval(1, b - 1) | (interval(b + 1, a) - x)
-        if _left_values(wd) != expected_left:
-            raise AssertionError(f"left-value cross-check failed for {w} at d={d}")
-        out.append(DescentDatum(d, a, b, None, frozenset(x), frozenset(r), wd))
-    return out
+def _datum(
+    dynkin: DynkinType,
+    d: int,
+    a: int,
+    b: int,
+    case: str | None,
+    r: set[int],
+    expected_left: set[int],
+) -> DescentDatum:
+    """The row for R-set r, after both cross-checks on w_d = jirr_from_R(r):
+    its left values must be `expected_left` and its R-set must be r."""
+    wd = jirr_from_R(dynkin, r)
+    if _left_values(wd) != expected_left:
+        raise AssertionError(f"left-value cross-check failed at d={d}, a={a}, b={b}")
+    r_values = r_set(wd)
+    if r_values != r:
+        raise AssertionError(f"R-set round trip failed at d={d}, a={a}, b={b}")
+    return DescentDatum(d, a, b, case, r_values, wd)
 
 
-def _decompose_d(w: CoxeterElement) -> list[DescentDatum]:
-    n = w.dynkin.rank
-    out = []
-    for d in sorted(descents(w)):
-        a, b = w(d), w(abs(d) + 1)
-        x = set(w.window[abs(d):])
-        neg_x = {-v for v in x}
-        prefix = {w(k) for k in range(1, abs(d) + 1)}
-        case_a = a + b < 0 and prefix <= pm(interval(a, n))
-        if case_a:
-            if a > 0:
-                r = (
-                    {-a}
-                    | (pm(interval(1, a - 1)) & x)
-                    | (interval(a + 1, -b - 1) - neg_x)
-                    | interval(-b + 1, n)
-                )
-            else:
-                r = (interval(-a, -b - 1) - neg_x) | interval(-b + 1, n)
+def _row_a(dynkin: DynkinType, d: int, a: int, b: int, x: set[int]) -> DescentDatum:
+    """Type-A row of the descent d with a = w(d), b = w(d+1), x = w([d+1, n+1])."""
+    n = dynkin.rank
+    r = (interval(b, a - 1) & x) | interval(a + 1, n + 1)
+    expected_left = interval(1, b - 1) | (interval(b + 1, a) - x)
+    return _datum(dynkin, d, a, b, None, r, expected_left)
+
+
+def _row_d(dynkin: DynkinType, d: int, a: int, b: int, x: set[int]) -> DescentDatum:
+    """Type-D row of the descent d with a = w(d), b = w(|d|+1), x = w([|d|+1, n]).
+
+    The absolute values of the prefix w([1, |d|]) are the complement of |x|,
+    and membership in +/-[a, n] depends on the absolute value alone, so the
+    case-(A) test needs nothing of w beyond x.
+    """
+    n = dynkin.rank
+    neg_x = {-v for v in x}
+    prefix_abs = interval(1, n) - {abs(v) for v in x}
+    case_a = a + b < 0 and prefix_abs <= pm(interval(a, n))
+    if case_a:
+        if a > 0:
+            r = (
+                {-a}
+                | (pm(interval(1, a - 1)) & x)
+                | (interval(a + 1, -b - 1) - neg_x)
+                | interval(-b + 1, n)
+            )
+            expected_left = interval(a + 1, -b) & neg_x
         else:
-            if a + b > 0:
-                r = (interval(b, a - 1) & x) | interval(a + 1, n)
-            else:
-                r = (
-                    (interval(b, a - 1) & x)
-                    | (interval(a + 1, -b - 1) - neg_x)
-                    | interval(-b + 1, n)
-                )
-        wd = jirr_from_R(w.dynkin, r)
-        if case_a:
-            if a > 0:
-                expected_left = interval(a + 1, -b) & neg_x
-            else:
-                expected_left = interval(1, -a - 1) | (interval(-a + 1, -b) & neg_x)
+            r = (interval(-a, -b - 1) - neg_x) | interval(-b + 1, n)
+            expected_left = interval(1, -a - 1) | (interval(-a + 1, -b) & neg_x)
+    else:
+        if a + b > 0:
+            r = (interval(b, a - 1) & x) | interval(a + 1, n)
         else:
-            if b > 0:
-                expected_left = interval(1, b - 1) | (interval(b + 1, a) - x)
-            elif a + b > 0:
-                expected_left = (interval(1, -b - 1) - pm(x)) | (interval(-b + 1, a) - x)
-            else:
-                expected_left = interval(1, a) - pm(x)
-        if _left_values(wd) != expected_left:
-            raise AssertionError(f"left-value cross-check failed for {w} at d={d}")
-        out.append(
-            DescentDatum(d, a, b, "A" if case_a else "B", frozenset(x), frozenset(r), wd)
-        )
-    return out
+            r = (
+                (interval(b, a - 1) & x)
+                | (interval(a + 1, -b - 1) - neg_x)
+                | interval(-b + 1, n)
+            )
+        if b > 0:
+            expected_left = interval(1, b - 1) | (interval(b + 1, a) - x)
+        elif a + b > 0:
+            expected_left = (interval(1, -b - 1) - pm(x)) | (interval(-b + 1, a) - x)
+        else:
+            expected_left = interval(1, a) - pm(x)
+    return _datum(dynkin, d, a, b, "A" if case_a else "B", r, expected_left)
 
 
 def decompose(w: CoxeterElement) -> list[DescentDatum]:
-    """Canonical join representation data, one row per descent (d ascending)."""
-    if w.dynkin.family is Family.A:
-        return _decompose_a(w)
-    return _decompose_d(w)
+    """Canonical join representation data, one row per descent (-1 first, then
+    d ascending).
+
+    Each row is looked up in the type's row table under (d, a, b, mask of
+    X), the mask having bit v (type A) or v + n (type D) for each value v of
+    X, and computed by `_row_a`/`_row_d` on a miss; a row that raises is
+    not stored.
+    """
+    dynkin, window = w.dynkin, w.window
+    rows = dynkin.memo.get("cjr_rows")
+    if rows is None:
+        rows = dynkin.memo["cjr_rows"] = {}
+    type_d = dynkin.family is Family.D
+    shift = dynkin.rank if type_d else 0
+    keys = []
+    mask = 0
+    for d in range(len(window) - 1, 0, -1):
+        mask |= 1 << (window[d] + shift)  # the values window[d:]
+        if window[d - 1] > window[d]:
+            keys.append((d, window[d - 1], window[d], mask))
+    if type_d and -window[0] > window[1]:
+        keys.append((-1, -window[0], window[1], mask))
+    keys.reverse()
+    out = []
+    for key in keys:
+        row = rows.get(key)
+        if row is None:
+            d, a, b, _ = key
+            row_fn = _row_d if type_d else _row_a
+            try:
+                row = rows[key] = row_fn(dynkin, d, a, b, set(window[abs(d) :]))
+            except AssertionError as err:
+                raise AssertionError(f"{err} (element {w})") from None
+        out.append(row)
+    return out
 
 
 def cjr_direct(w: CoxeterElement) -> frozenset[CoxeterElement]:

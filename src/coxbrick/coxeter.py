@@ -42,6 +42,10 @@ class DynkinType:
       `per_join_irreducible` (`canjoin.r_set` and `_left_values`,
       `bricks.brick_params_a`, `brick_params_d` and `brick_diagram`,
       `census.sigma` and `chi`);
+    - ``"cjr_rows"``: the rows of canonical join representations
+      (`canjoin.decompose`), one per key (d, a, b, X), X the value set
+      after the descent stored as a bitmask (bit v in type A, v + n in
+      type D);
     - ``"quiver"``: the double quiver (`quiver.double_quiver`);
     - ``"bricks"``: the brick table (`semibricks.brick_table`).
 

@@ -53,7 +53,8 @@ class GroupPoset:
     `elements` is lexicographically ordered by window and `masks[i]` has one
     bit per reflection, so u <= w iff masks[u] & ~masks[w] == 0.  The masks
     must be distinct (the weak order is antisymmetric).  `__post_init__`
-    derives the transposed view from them: `_cols[k]` (the elements whose
+    derives `_index` (window to position) from `elements` and the
+    transposed view from the masks: `_cols[k]` (the elements whose
     inversion set holds reflection k), `_cocols[k]` (those whose set lacks
     it) and `_slices[l]` (the elements of length l), bit i standing for
     `elements[i]`.
@@ -63,8 +64,8 @@ class GroupPoset:
     elements: tuple[CoxeterElement, ...]
     reflections: tuple[Reflection, ...]
     masks: tuple[int, ...] = field(repr=False)
-    _index: dict[CoxeterElement, int] = field(repr=False)
     _refl_bit: dict[Reflection, int] = field(repr=False)
+    _index: dict[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
     _cols: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _cocols: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _slices: tuple[int, ...] = field(init=False, repr=False, compare=False)
@@ -73,6 +74,7 @@ class GroupPoset:
     def __post_init__(self) -> None:
         if any(a == b for a, b in itertools.pairwise(sorted(self.masks))):
             raise LatticeError("two elements share an inversion set")
+        self._index = {w.window: i for i, w in enumerate(self.elements)}
         n, width = len(self.masks), len(self.reflections)
         self._everything = (1 << n) - 1
         # Transpose a chunk of elements at a time (small chunks keep the
@@ -123,13 +125,16 @@ class GroupPoset:
             elements=elements,
             reflections=refl,
             masks=tuple(masks),
-            _index={w: i for i, w in enumerate(elements)},
             _refl_bit=bit,
         )
 
     def index(self, w: CoxeterElement) -> int:
+        """Position of w in `elements`; ValueError when w is not there, also
+        for an element of another type (a window can belong to two types)."""
+        if w.dynkin is not self.dynkin and w.dynkin != self.dynkin:
+            raise ValueError(f"{w} is not in the enumerated group {self.dynkin}")
         try:
-            return self._index[w]
+            return self._index[w.window]
         except KeyError:
             raise ValueError(f"{w} is not in the enumerated group {self.dynkin}") from None
 

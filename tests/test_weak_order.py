@@ -130,7 +130,6 @@ def _hand_built(poset, elements, masks):
         elements=tuple(elements),
         reflections=poset.reflections,
         masks=tuple(masks),
-        _index={w: i for i, w in enumerate(elements)},
         _refl_bit=poset._refl_bit,
     )
 
@@ -306,6 +305,22 @@ def test_join_irreducible_counts(a3, d4):
 def test_poset_rejects_foreign_elements(a3):
     with pytest.raises(ValueError):
         a3.leq(identity(A3), identity(DynkinType(Family.A, 2)))
+
+
+def test_index_rejects_an_element_of_another_type_with_a_shared_window(d4):
+    # The window (1,2,3,4) is the identity of both A3 and D4.
+    assert identity(A3).window == identity(D4).window
+    with pytest.raises(ValueError):
+        d4.index(identity(A3))
+    assert d4.index(identity(DynkinType(Family.D, 4))) == d4.index(identity(D4))
+
+
+def test_hand_built_poset_derives_its_index(a3):
+    elements = a3.elements[3:7]
+    poset = _hand_built(a3, elements, a3.masks[3:7])
+    assert [poset.index(w) for w in elements] == [0, 1, 2, 3]
+    with pytest.raises(ValueError):
+        poset.index(a3.elements[0])
 
 
 def test_lengths_match_inversions(d4):
