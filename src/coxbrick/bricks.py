@@ -15,11 +15,18 @@ are -1 (the cross arrow out of the +-1 column when r = 0, and the arrow at
 depth |i| = r).  All constructions here take the parameter tuple
 (a, b, R) as input, so the same code serves both the per-element brick maps
 and the direct semibrick formulas that bypass the intermediate elements.
+
+`BrickDiagram` is the one record of a brick's parameters (a, b, R, and r, c
+in type D); `brick_diagram` memoises it per join-irreducible.  `brick_rep`
+reads the parameters off w without building a diagram.  The matrix
+realisations list each symbol's images and name no arrow: the double quiver
+finds the arrow from the two symbols' vertices (`quiver.symbol_vertex`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from coxbrick.canjoin import r_set
 from coxbrick.coxeter import (
@@ -29,30 +36,12 @@ from coxbrick.coxeter import (
     join_irreducible_type,
     per_join_irreducible,
 )
-from coxbrick.quiver import QuiverRepresentation, double_quiver, rep_from_basis_action
-
-
-def symbol_vertex(s: int) -> int:
-    """Symbols +-1 sit at the fork vertices; others at their absolute value."""
-    return s if s >= -1 else -s
-
-
-@dataclass(frozen=True)
-class BrickParamsA:
-    l: int
-    a: int
-    b: int
-    r_values: frozenset[int]
-
-
-@dataclass(frozen=True)
-class BrickParamsD:
-    l: int
-    a: int
-    b: int
-    r: int
-    c: int
-    r_values: frozenset[int]
+from coxbrick.quiver import (
+    QuiverRepresentation,
+    double_quiver,
+    rep_from_basis_action,
+    symbol_vertex,
+)
 
 
 def depth_r(r_values: frozenset[int]) -> int:
@@ -85,28 +74,22 @@ def v_sets(a: int, b: int, c: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return v_minus, v_plus
 
 
-@per_join_irreducible
-def brick_params_a(w: CoxeterElement) -> BrickParamsA:
+def _params(w: CoxeterElement) -> tuple[int, int, int, frozenset[int]]:
+    """(l, a, b, R) of a join-irreducible w with descent l; ValueError on any
+    other element."""
     l = join_irreducible_type(w)
     if l is None:
         raise ValueError(f"{w} is not join-irreducible")
-    return BrickParamsA(l, w(l), w(l + 1), r_set(w))
-
-
-@per_join_irreducible
-def brick_params_d(w: CoxeterElement) -> BrickParamsD:
-    l = join_irreducible_type(w)
-    if l is None:
-        raise ValueError(f"{w} is not join-irreducible")
-    r_vals = r_set(w)
-    return BrickParamsD(
-        l, w(l), w(abs(l) + 1), depth_r(r_vals), sign_c(r_vals), r_vals
-    )
+    return l, w(l), w(abs(l) + 1), r_set(w)
 
 
 @dataclass(frozen=True)
 class BrickDiagram:
-    """Abbreviated form of a brick: symbols plus plain arrows between them."""
+    """Abbreviated form of a brick: symbols plus plain arrows between them.
+
+    The one record of a brick's parameters: a, b, R, and in type D also r
+    and c (None in type A).
+    """
 
     dynkin: DynkinType
     window: tuple[int, ...] | None
@@ -120,7 +103,7 @@ class BrickDiagram:
     v_minus: tuple[int, ...]
     arrows: frozenset[tuple[int, int]]
 
-    @property
+    @cached_property
     def symbols(self) -> frozenset[int]:
         return frozenset(self.v_plus) | frozenset(self.v_minus)
 
@@ -142,7 +125,11 @@ def _diagram_arrows_a(a: int, b: int, r_values: frozenset[int]) -> set[tuple[int
 
 
 def _diagram_arrows_d(
-    a: int, b: int, r: int, c: int, r_values: frozenset[int]
+    v_minus: tuple[int, ...],
+    v_plus: tuple[int, ...],
+    r: int,
+    c: int,
+    r_values: frozenset[int],
 ) -> set[tuple[int, int]]:
     """Arrow rules (i)-(iv); arrows whose endpoint is not a symbol are dropped.
 
@@ -152,7 +139,6 @@ def _diagram_arrows_d(
     the coefficient tables define actions on every existing basis vector, so
     the arrow c -> -2 exists even when V+ = {c}.
     """
-    v_minus, v_plus = v_sets(a, b, c)
     symbols = set(v_plus) | set(v_minus)
     arrows = set()
 
@@ -210,13 +196,6 @@ def diagram_from_params_a(
     )
 
 
-def brick_diagram_a(w: CoxeterElement) -> BrickDiagram:
-    p = brick_params_a(w)
-    return diagram_from_params_a(
-        w.dynkin, p.a, p.b, p.r_values, window=w.window, type_l=p.l
-    )
-
-
 def diagram_from_params_d(
     dynkin: DynkinType,
     a: int,
@@ -239,14 +218,7 @@ def diagram_from_params_d(
         r_values=r_values,
         v_plus=v_plus,
         v_minus=v_minus,
-        arrows=frozenset(_diagram_arrows_d(a, b, r, c, r_values)),
-    )
-
-
-def brick_diagram_d(w: CoxeterElement) -> BrickDiagram:
-    p = brick_params_d(w)
-    return diagram_from_params_d(
-        w.dynkin, p.a, p.b, p.r_values, window=w.window, type_l=p.l
+        arrows=frozenset(_diagram_arrows_d(v_minus, v_plus, r, c, r_values)),
     )
 
 
@@ -254,31 +226,25 @@ def brick_diagram_d(w: CoxeterElement) -> BrickDiagram:
 def brick_diagram(w: CoxeterElement) -> BrickDiagram:
     """The diagram of S(w), memoised per join-irreducible w; raises
     ValueError on any other element."""
+    l, a, b, r_values = _params(w)
     if w.dynkin.family is Family.A:
-        return brick_diagram_a(w)
-    return brick_diagram_d(w)
+        return diagram_from_params_a(w.dynkin, a, b, r_values, window=w.window, type_l=l)
+    return diagram_from_params_d(w.dynkin, a, b, r_values, window=w.window, type_l=l)
 
 
 def rep_from_params_a(
     dynkin: DynkinType, a: int, b: int, r_values: frozenset[int]
 ) -> QuiverRepresentation:
-    """The type-A brick on basis <i>, i in [b, a-1]."""
-    quiver = double_quiver(dynkin)
-    symbols = list(range(b, a))
-    vertex_of = {s: s for s in symbols}
-    action: dict[str, dict[int, list[tuple[int, int]]]] = {}
-
-    def put(name: str, key: int, images: list[tuple[int, int]]) -> None:
-        action.setdefault(name, {})[key] = [
-            (coeff, s) for coeff, s in images if s in vertex_of
-        ]
-
-    for y in symbols:
-        if y >= 2 and y - 1 >= b:
-            put(f"alpha{y - 1}", y, [] if y in r_values else [(1, y - 1)])
-        if y + 1 <= dynkin.rank:
-            put(f"beta{y + 1}", y, [(1, y + 1)] if y + 1 in r_values else [])
-    rep = rep_from_basis_action(quiver, vertex_of, action)
+    """The type-A brick on basis <i>, i in [b, a-1]: <y> maps to <y-1>
+    unless y lies in R, and to <y+1> when y+1 lies in R."""
+    images: dict[int, list[tuple[int, int]]] = {}
+    for y in range(b, a):
+        images[y] = []
+        if y not in r_values:
+            images[y].append((1, y - 1))
+        if y + 1 in r_values:
+            images[y].append((1, y + 1))
+    rep = rep_from_basis_action(double_quiver(dynkin), {s: s for s in images}, images)
     rep.check_relations()
     return rep
 
@@ -288,87 +254,58 @@ def rep_from_params_d(
 ) -> QuiverRepresentation:
     """The type-D brick from the four coefficient tables.
 
-    Basis <s> for s in V+ u V-; every arrow action on every basis vector is
-    given below, with <x> read as zero when x is not a symbol.
+    Basis <s> for s in V+ u V-; the images of every basis vector are given
+    below, with <x> read as zero when x is not a symbol.
     """
-    n = dynkin.rank
     r = depth_r(r_values)
     c = sign_c(r_values)
     v_minus, v_plus = v_sets(a, b, c)
-    quiver = double_quiver(dynkin)
-    vertex_of = {s: symbol_vertex(s) for s in list(v_plus) + list(v_minus)}
-    action: dict[str, dict[int, list[tuple[int, int]]]] = {}
-
-    def put(name: str, key: int, images: list[tuple[int, int]]) -> None:
-        action.setdefault(name, {})[key] = [
-            (coeff, s) for coeff, s in images if coeff != 0 and s in vertex_of
-        ]
-
-    def alpha_into(s: int) -> str:
-        # the alpha arrow landing at the vertex of symbol s (|s| = 1)
-        return "alpha1+" if s == 1 else "alpha1-"
-
-    def beta_from(s: int) -> str:
-        return "beta2+" if s == 1 else "beta2-"
-
+    images: dict[int, list[tuple[int, int]]] = {}
     for y in v_plus:
         ay = abs(y)
-        # action of alpha_{ay-1} on <y>: table (i) with |i| = ay - 1
+        out = images[y] = []
+        # alpha_{ay-1} on <y>: table (i) with |i| = ay - 1
+        xi_plus = 0 if ay in r_values else 1
         if ay >= 3:
-            xi_plus = 0 if ay in r_values else 1
-            put(f"alpha{ay - 1}", y, [(xi_plus, y - 1)])
+            out.append((xi_plus, y - 1))
         elif ay == 2:
-            xi_plus = 0 if 2 in r_values else 1
             xi_minus = 1 if (r == 0 and 2 not in r_values) else 0
-            put(alpha_into(c), y, [(xi_plus, c)])
-            put(alpha_into(-c), y, [(xi_minus, -c)])
-        # action of beta_{ay+1} on <y>: table (ii) with i = y
-        if ay + 1 <= n - 1:
-            eta_plus = 1 if ay + 1 in r_values else 0
-            eta_minus = -1 if (ay == 1 and r == 0 and -2 not in r_values) else 0
-            images = [(eta_plus, ay + 1), (eta_minus, -(ay + 1))]
-            if ay == 1:
-                put(beta_from(y), y, images)
-            else:
-                put(f"beta{ay + 1}", y, images)
+            out += [(xi_plus, c), (xi_minus, -c)]
+        # beta_{ay+1} on <y>: table (ii) with i = y
+        eta_plus = 1 if ay + 1 in r_values else 0
+        eta_minus = -1 if (ay == 1 and r == 0 and -2 not in r_values) else 0
+        out += [(eta_plus, ay + 1), (eta_minus, -(ay + 1))]
     for y in v_minus:
         ay = abs(y)
-        # action of alpha_{ay-1} on <y> (= <-(|i|+1)>): table (iii) with |i| = ay - 1
+        out = images[y] = []
+        # alpha_{ay-1} on <y> (= <-(|i|+1)>): table (iii) with |i| = ay - 1
         if ay >= 2:
             i = -c if ay == 2 else -(ay - 1)
             xi_plus = 1 if (abs(i) <= r and ay in r_values) else 0
             xi_minus = 1 if -ay in r_values else 0
-            if ay == 2:
-                put(alpha_into(c), y, [(xi_plus, c)])
-                put(alpha_into(-c), y, [(xi_minus, -c)])
-            else:
-                put(f"alpha{ay - 1}", y, [(xi_plus, -i), (xi_minus, i)])
-        # action of beta_{ay+1} on <y>: table (iv) with i = y
-        if ay + 1 <= n - 1:
-            eta_plus = 1 if (ay <= r and ay + 1 not in r_values) else 0
-            if ay == r:
-                eta_minus = -1
-            elif -(ay + 1) not in r_values:
-                eta_minus = 1
-            else:
-                eta_minus = 0
-            images = [(eta_plus, ay + 1), (eta_minus, -(ay + 1))]
-            if ay == 1:
-                put(beta_from(y), y, images)
-            else:
-                put(f"beta{ay + 1}", y, images)
-    rep = rep_from_basis_action(quiver, vertex_of, action)
+            out += [(xi_plus, -i), (xi_minus, i)]
+        # beta_{ay+1} on <y>: table (iv) with i = y
+        eta_plus = 1 if (ay <= r and ay + 1 not in r_values) else 0
+        if ay == r:
+            eta_minus = -1
+        elif -(ay + 1) not in r_values:
+            eta_minus = 1
+        else:
+            eta_minus = 0
+        out += [(eta_plus, ay + 1), (eta_minus, -(ay + 1))]
+    vertex_of = {s: symbol_vertex(s) for s in images}
+    rep = rep_from_basis_action(double_quiver(dynkin), vertex_of, images)
     rep.check_relations()
     return rep
 
 
 def brick_rep(w: CoxeterElement) -> QuiverRepresentation:
-    """The brick S(w) as an exact quiver representation."""
+    """The brick S(w) as an exact quiver representation, built from its
+    parameters without a diagram."""
+    _, a, b, r_values = _params(w)
     if w.dynkin.family is Family.A:
-        p = brick_params_a(w)
-        return rep_from_params_a(w.dynkin, p.a, p.b, p.r_values)
-    p = brick_params_d(w)
-    return rep_from_params_d(w.dynkin, p.a, p.b, p.r_values)
+        return rep_from_params_a(w.dynkin, a, b, r_values)
+    return rep_from_params_d(w.dynkin, a, b, r_values)
 
 
 # --- text rendering -------------------------------------------------------
@@ -423,29 +360,16 @@ def diagram_to_json(diag: BrickDiagram) -> dict:
 
 
 def diagram_from_json(data: dict) -> BrickDiagram:
+    """Rebuild a diagram from the parameters of its JSON form; the symbols
+    and arrows are recomputed, not read."""
     dynkin = DynkinType(Family(data["family"]), data["rank"])
-    r_values = frozenset(data["params"]["R"])
-    window = tuple(data["window"]) if data["window"] is not None else None
-    if dynkin.family is Family.A:
-        a, b = data["params"]["a"], data["params"]["b"]
-        return BrickDiagram(
-            dynkin=dynkin,
-            window=window,
-            type_l=data["type_l"],
-            a=a,
-            b=b,
-            r=None,
-            c=None,
-            r_values=r_values,
-            v_plus=tuple(range(b, a)),
-            v_minus=(),
-            arrows=frozenset((s, t) for s, t in data["arrows"]),
-        )
-    return diagram_from_params_d(
+    params = data["params"]
+    build = diagram_from_params_a if dynkin.family is Family.A else diagram_from_params_d
+    return build(
         dynkin,
-        data["params"]["a"],
-        data["params"]["b"],
-        r_values,
-        window=window,
+        params["a"],
+        params["b"],
+        frozenset(params["R"]),
+        window=tuple(data["window"]) if data["window"] is not None else None,
         type_l=data["type_l"],
     )

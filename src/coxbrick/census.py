@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from coxbrick.bricks import BrickDiagram, arrow_sort_key, brick_diagram, brick_params_d
+from coxbrick.bricks import BrickDiagram, arrow_sort_key, brick_diagram
 from coxbrick.coxeter import (
     DEFAULT_ENUMERATION_CAP,
     CoxeterElement,
@@ -40,9 +40,9 @@ def sigma(w: CoxeterElement) -> ShapeSigma:
 
     Memoised per join-irreducible; raises ValueError on any other element.
     """
-    p = brick_params_d(w)
-    rp = 0 if p.b >= -1 else min(p.r, abs(p.b) - 1)
-    return ShapeSigma(p.a, p.b, rp)
+    d = brick_diagram(w)
+    rp = 0 if d.b >= -1 else min(d.r, abs(d.b) - 1)
+    return ShapeSigma(d.a, d.b, rp)
 
 
 def chi_values(r_values: frozenset[int] | set[int], n: int) -> tuple[int, ...]:
@@ -63,7 +63,7 @@ def chi_values(r_values: frozenset[int] | set[int], n: int) -> tuple[int, ...]:
 def chi(w: CoxeterElement) -> tuple[int, ...]:
     """Character of R(w), memoised per join-irreducible; raises ValueError on
     any other element."""
-    return chi_values(brick_params_d(w).r_values, w.dynkin.rank)
+    return chi_values(brick_diagram(w).r_values, w.dynkin.rank)
 
 
 def feasible(shape: ShapeSigma, n: int) -> bool:

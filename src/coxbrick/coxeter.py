@@ -40,8 +40,7 @@ class DynkinType:
     - ``(name, window)``: the value of the function `name` on the
       join-irreducible with that window, for the functions decorated with
       `per_join_irreducible` (`canjoin.r_set` and `_left_values`,
-      `bricks.brick_params_a`, `brick_params_d` and `brick_diagram`,
-      `census.sigma` and `chi`);
+      `bricks.brick_diagram`, `census.sigma` and `chi`);
     - ``"cjr_rows"``: the rows of canonical join representations
       (`canjoin.decompose`), one per key (d, a, b, X), X the value set
       after the descent stored as a bitmask (bit v in type A, v + n in

@@ -21,7 +21,10 @@ Index conventions per pattern:
   to upper(j) = epsilon*(-1)^(j-l+1) maps straight to (-2, j) while its twin
   picks up a -1 and an extra vertical term.
 
-Entry (i, j) sits at vertex i when |i| = 1 and at vertex |i| otherwise.
+Entry (i, j) sits at vertex `quiver.symbol_vertex(i)`: at i when |i| = 1
+and at |i| otherwise.  `_grid_images` lists each entry's shifted neighbours
+and names no arrow; `quiver.rep_from_basis_action` finds each arrow from
+the two vertices and reads a deleted neighbour as zero.
 """
 
 from __future__ import annotations
@@ -31,10 +34,10 @@ from dataclasses import dataclass
 from coxbrick.coxeter import CoxeterElement, DynkinType, Family, join_irreducible_type
 from coxbrick.homs import subrepresentation
 from coxbrick.quiver import (
-    DoubleQuiver,
     QuiverRepresentation,
     double_quiver,
     rep_from_basis_action,
+    symbol_vertex,
 )
 
 GridKey = tuple[int, int]  # (entry i, row j)
@@ -52,10 +55,6 @@ class GammaGrid:
     l: int
     entries: frozenset[GridKey]
     eps: int = 1
-
-    def vertex_of(self, key: GridKey) -> int:
-        i = key[0]
-        return i if abs(i) == 1 else abs(i)
 
 
 def _rows(dynkin: DynkinType, l: int) -> list[int]:
@@ -139,86 +138,45 @@ def gamma_of(w: CoxeterElement) -> GammaGrid:
     return GammaGrid(dynkin, l, kept, eps)
 
 
-def _grid_action(
-    quiver: DoubleQuiver, grid: GammaGrid
-) -> dict[str, dict[GridKey, list[tuple[int, GridKey]]]]:
-    """Arrow actions on the grid basis, restricted to kept entries."""
+def _grid_images(grid: GammaGrid) -> dict[GridKey, list[tuple[int, GridKey]]]:
+    """The images of each grid entry under the arrows into its vertex."""
     dynkin, l, eps = grid.dynkin, grid.l, grid.eps
-    family_d = dynkin.family is Family.D
-    entries = grid.entries
-
-    def img(coeff: int, key: GridKey) -> list[tuple[int, GridKey]]:
-        return [(coeff, key)] if key in entries else []
-
-    action: dict[str, dict[GridKey, list[tuple[int, GridKey]]]] = {
-        a.name: {} for a in quiver.arrows
-    }
 
     def upper(j: int) -> int:
         return eps * (-1 if (j - l + 1) % 2 else 1)
 
-    for (i, j) in sorted(entries):
+    twins = dynkin.family is Family.D and l >= 2
+    images: dict[GridKey, list[tuple[int, GridKey]]] = {}
+    for (i, j) in grid.entries:
         nxt = _next_row(dynkin, l, j)
-        if not family_d:
-            # alpha_{i-1} walks left in the row, beta_{i+1} drops a row.
-            if i >= 2:
-                action[f"alpha{i - 1}"][(i, j)] = img(1, (i - 1, j))
-            if i <= dynkin.rank - 1 and nxt is not None:
-                action[f"beta{i + 1}"][(i, j)] = img(1, (i + 1, nxt))
-            elif i <= dynkin.rank - 1:
-                action[f"beta{i + 1}"][(i, j)] = []
-        elif abs(l) == 1:
+        out = images[i, j] = []
+        if i >= 2 or not twins:
+            # alpha_{i-1} walks left in the row (to both of +-1 from i = 2),
+            # beta_{i+1} drops a row.
             if i >= 3:
-                action[f"alpha{i - 1}"][(i, j)] = img(1, (i - 1, j))
+                out.append((1, (i - 1, j)))
             elif i == 2:
-                for s in (1, -1):
-                    name = "alpha1+" if s == 1 else "alpha1-"
-                    action[name][(i, j)] = img(1, (s, j))
-            if abs(i) == 1:
-                name = "beta2+" if i == 1 else "beta2-"
-                action[name][(i, j)] = img(1, (2, nxt)) if nxt is not None else []
-            elif i <= dynkin.rank - 2 and nxt is not None:
-                action[f"beta{i + 1}"][(i, j)] = img(1, (i + 1, nxt))
-            elif i <= dynkin.rank - 2:
-                action[f"beta{i + 1}"][(i, j)] = []
-        else:
-            if i >= 2:
-                if i >= 3:
-                    action[f"alpha{i - 1}"][(i, j)] = img(1, (i - 1, j))
-                else:
-                    for s in (1, -1):
-                        name = "alpha1+" if s == 1 else "alpha1-"
-                        action[name][(i, j)] = img(1, (s, j))
-                if i <= dynkin.rank - 2 and nxt is not None:
-                    action[f"beta{i + 1}"][(i, j)] = img(1, (i + 1, nxt))
-            elif abs(i) == 1:
-                name = "beta2+" if i == 1 else "beta2-"
-                if i == upper(j):
-                    action[name][(i, j)] = img(1, (-2, j))
-                else:
-                    terms = img(-1, (-2, j))
-                    if nxt is not None:
-                        terms += img(1, (2, nxt))
-                    action[name][(i, j)] = terms
-            elif i == -2:
+                out += [(1, (1, j)), (1, (-1, j))]
+            if nxt is not None:
+                out.append((1, (abs(i) + 1, nxt)))
+        elif abs(i) == 1:
+            # of the twin entries +-1 of a row only upper(j) maps straight down
+            if i == upper(j):
+                out.append((1, (-2, j)))
+            else:
+                out.append((-1, (-2, j)))
                 if nxt is not None:
-                    s = upper(nxt)
-                    name = "alpha1+" if s == 1 else "alpha1-"
-                    action[name][(i, j)] = img(1, (s, nxt))
-                if abs(i) <= dynkin.rank - 2:
-                    action[f"beta{abs(i) + 1}"][(i, j)] = img(1, (i - 1, j))
-            else:  # i <= -3
-                if nxt is not None:
-                    action[f"alpha{abs(i) - 1}"][(i, j)] = img(1, (i + 1, nxt))
-                if abs(i) <= dynkin.rank - 2:
-                    action[f"beta{abs(i) + 1}"][(i, j)] = img(1, (i - 1, j))
-    return action
+                    out.append((1, (2, nxt)))
+        else:  # i <= -2
+            if nxt is not None:
+                out.append((1, (upper(nxt) if i == -2 else i + 1, nxt)))
+            out.append((1, (i - 1, j)))
+    return images
 
 
 def _grid_rep(grid: GammaGrid) -> QuiverRepresentation:
-    quiver = double_quiver(grid.dynkin)
-    vertex_of = {key: grid.vertex_of(key) for key in grid.entries}
-    rep = rep_from_basis_action(quiver, vertex_of, _grid_action(quiver, grid))
+    vertex_of = {key: symbol_vertex(key[0]) for key in grid.entries}
+    rep = rep_from_basis_action(double_quiver(grid.dynkin), vertex_of, _grid_images(grid))
     rep.check_relations()
     return rep
 
@@ -237,7 +195,7 @@ def grid_basis_order(grid: GammaGrid) -> dict[int, list[GridKey]]:
     """Basis order per vertex, matching the representation's coordinates."""
     order: dict[int, list[GridKey]] = {}
     for key in sorted(grid.entries):
-        order.setdefault(grid.vertex_of(key), []).append(key)
+        order.setdefault(symbol_vertex(key[0]), []).append(key)
     return order
 
 

@@ -11,6 +11,12 @@ value is not integral, and never a stored zero, so equal maps are equal
 matrices.  A relation word g1 g2 ... gk therefore evaluates to the matrix
 product mats[g1] * mats[g2] * ... * mats[gk] in word order.  Dense matrices
 appear only in the JSON form (`rep_to_json`, `rep_from_json`).
+
+The double quiver has exactly one arrow u -> v for each ordered pair of
+adjacent vertices, so callers never name arrows: `rep_from_basis_action`
+takes each basis vector's images and finds the arrow from their vertices.
+Signed indices (brick symbols, grid entries) sit at vertices by one rule,
+`symbol_vertex`.
 """
 
 from __future__ import annotations
@@ -24,6 +30,11 @@ from coxbrick.ratlinalg import Mat
 
 # a relation is a list of (coefficient, word) pairs summing to zero
 Relation = list[tuple[int, tuple[str, ...]]]
+
+
+def symbol_vertex(s: int) -> int:
+    """Indices +-1 sit at the fork vertices; others at their absolute value."""
+    return s if s >= -1 else -s
 
 
 @dataclass(frozen=True)
@@ -41,9 +52,11 @@ class DoubleQuiver:
     arrows: tuple[Arrow, ...]
     relations: tuple[tuple[tuple[int, tuple[str, ...]], ...], ...]
     _by_name: dict[str, Arrow] = field(init=False, repr=False, compare=False)
+    _by_ends: dict[tuple[int, int], Arrow] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_by_name", {a.name: a for a in self.arrows})
+        object.__setattr__(self, "_by_ends", {(a.src, a.tgt): a for a in self.arrows})
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -187,14 +200,17 @@ def simple_rep(quiver: DoubleQuiver, vertex: int) -> QuiverRepresentation:
 def rep_from_basis_action(
     quiver: DoubleQuiver,
     vertex_of: dict,
-    action: dict[str, dict],
+    images: dict[object, list[tuple[int, object]]],
 ) -> QuiverRepresentation:
     """Build a representation from a basis indexed by arbitrary keys.
 
-    `vertex_of` maps a basis key to its vertex; `action[arrow][key]` is a
-    list of (coefficient, key) pairs giving the image of that basis vector
-    under the arrow (keys at the arrow's target vertex only).  Coefficients
-    are integers, and so are the matrix entries built from them.
+    `vertex_of` maps a basis key to its vertex; `images[key]` lists the
+    (coefficient, key) pairs of that basis vector's images under the arrows
+    into its vertex.  An image at vertex u of a key at vertex v belongs to
+    the arrow u -> v; an image key outside the basis reads as zero, and an
+    image at a vertex not adjacent to v raises ValueError.  Images under one
+    arrow are summed.  Coefficients are integers, and so are the matrix
+    entries built from them.
     """
     keys_at: dict[int, list] = {v: [] for v in quiver.vertices}
     for key, v in vertex_of.items():
@@ -203,24 +219,25 @@ def rep_from_basis_action(
         keys_at[v].sort()
     coord = {key: i for v in quiver.vertices for i, key in enumerate(keys_at[v])}
     dims = {v: len(keys_at[v]) for v in quiver.vertices}
-    mats: dict[str, Mat] = {}
-    for arrow in quiver.arrows:
-        m: list[rl.Row] = [{} for _ in range(dims[arrow.src])]
-        images = action.get(arrow.name, {})
-        for col, key in enumerate(keys_at[arrow.tgt]):
-            for coeff, image_key in images.get(key, []):
-                if vertex_of[image_key] != arrow.src:
-                    raise ValueError(
-                        f"{arrow.name} must land at vertex {arrow.src}, got {image_key}"
-                    )
-                row = m[coord[image_key]]
+    mats: dict[str, list[rl.Row]] = {
+        a.name: [{} for _ in range(dims[a.src])] for a in quiver.arrows
+    }
+    for v in quiver.vertices:
+        for col, key in enumerate(keys_at[v]):
+            for coeff, image_key in images.get(key, ()):
+                u = vertex_of.get(image_key)
+                if u is None:
+                    continue
+                arrow = quiver._by_ends.get((u, v))
+                if arrow is None:
+                    raise ValueError(f"no arrow from vertex {u} to vertex {v} for {image_key}")
+                row = mats[arrow.name][coord[image_key]]
                 y = row.get(col, 0) + coeff
                 if y:
                     row[col] = y
                 else:
                     row.pop(col, None)
-        mats[arrow.name] = tuple(m)
-    return QuiverRepresentation(quiver, dims, mats)
+    return QuiverRepresentation(quiver, dims, {name: tuple(m) for name, m in mats.items()})
 
 
 def rep_to_json(rep: QuiverRepresentation) -> dict:

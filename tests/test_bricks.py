@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from coxbrick.bricks import (
     brick_diagram,
-    brick_params_d,
     brick_rep,
     diagram_from_json,
     diagram_to_json,
@@ -100,7 +99,7 @@ def test_brick_diagram_d9_figures():
     w2 = parse_window(D9, "-6,9,-7,-4,-1,2,3,5,8")
     d2 = brick_diagram(w2)
     assert d2.arrows == EXPECTED_D9_TYPE2
-    assert brick_params_d(w2).r == 5 and brick_params_d(w2).c == -1
+    assert d2.r == 5 and d2.c == -1
 
 
 def test_brick_diagram_d9_more_examples():
@@ -141,9 +140,8 @@ def test_brick_diagram_d9_more_examples():
 def test_brick_diagram_d9_intro_element():
     # same shape as the section example but with c = +1: the +-1 column swaps
     w = parse_window(D9, "6,9,-7,-4,1,2,3,5,8")
-    p = brick_params_d(w)
-    assert (p.l, p.a, p.b, p.r, p.c) == (2, 9, -7, 5, 1)
     diag = brick_diagram(w)
+    assert (diag.type_l, diag.a, diag.b, diag.r, diag.c) == (2, 9, -7, 5, 1)
     assert diag.v_minus == (-1, -2, -3, -4, -5, -6)
     assert diag.v_plus == (1, 2, 3, 4, 5, 6, 7, 8)
     assert diag.arrows == {
@@ -284,14 +282,17 @@ def test_high_rank_bricks_are_bricks_on_positive_roots(w):
 
 
 def test_diagram_json_roundtrip():
-    for window, dynkin in [
-        ("2,5,8,1,3,4,6,7,9", A8),
-        ("9,-7,-6,-4,-1,2,3,5,8", D9),
-        ("-1,2,-5,-4,-3", D5),
-    ]:
-        diag = brick_diagram(parse_window(dynkin, window))
-        back = diagram_from_json(diagram_to_json(diag))
-        assert back == diag
+    examples = [
+        parse_window(A8, "2,5,8,1,3,4,6,7,9"),
+        parse_window(D9, "9,-7,-6,-4,-1,2,3,5,8"),
+        parse_window(D5, "-1,2,-5,-4,-3"),
+    ]
+    for w in [*examples, *join_irreducibles(DynkinType(Family.A, 5)), *join_irreducibles(D5)]:
+        diag = brick_diagram(w)
+        data = diagram_to_json(diag)
+        back = diagram_from_json(data)
+        assert back == diag, w
+        assert diagram_to_json(back) == data, w
 
 
 def test_diagram_rejects_non_jirr():

@@ -176,7 +176,7 @@ def test_kernel_socle_unsupported_for_d_high_type():
 
 
 def test_epsilon_prop_and_lemma_agree():
-    from coxbrick.bricks import brick_params_d
+    from coxbrick.bricks import brick_diagram
 
     for dynkin in (DynkinType(Family.D, 4), D5):
         for w in enumerate_group(dynkin):
@@ -186,6 +186,6 @@ def test_epsilon_prop_and_lemma_agree():
             if w(l + 1) <= 1:
                 m = max(k for k in range(l + 1, dynkin.rank + 1) if w(k) <= 1)
                 sign = -1 if (m - (l + 1)) % 2 else 1
-                assert epsilon_for(w) == sign * brick_params_d(w).c
+                assert epsilon_for(w) == sign * brick_diagram(w).c
             else:
                 assert epsilon_for(w) == 1

@@ -3,7 +3,7 @@
 import pytest
 
 from coxbrick import canjoin, verify
-from coxbrick.bricks import brick_diagram, brick_params_a, brick_params_d
+from coxbrick.bricks import brick_diagram
 from coxbrick.canjoin import _left_values, decompose, r_set
 from coxbrick.census import chi, sigma
 from coxbrick.coxeter import (
@@ -15,8 +15,8 @@ from coxbrick.coxeter import (
 )
 
 MEMOISED = {
-    Family.A: (r_set, _left_values, brick_params_a, brick_diagram),
-    Family.D: (r_set, _left_values, brick_params_d, brick_diagram, sigma, chi),
+    Family.A: (r_set, _left_values, brick_diagram),
+    Family.D: (r_set, _left_values, brick_diagram, sigma, chi),
 }
 NAMES = {fn.__name__ for fns in MEMOISED.values() for fn in fns}
 

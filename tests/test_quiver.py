@@ -1,12 +1,14 @@
 """Sparse arrow matrices: shape checks, the relation checker, and JSON."""
 
+import hashlib
+import json
 import re
 
 import pytest
 
 from coxbrick.bricks import brick_rep
 from coxbrick.coxeter import DynkinType, Family, join_irreducibles
-from coxbrick.grids import projective_rep
+from coxbrick.grids import j_module, projective_rep
 from coxbrick.quiver import (
     QuiverRepresentation,
     RelationError,
@@ -92,10 +94,55 @@ def test_post_init_rejects_malformed_rows():
 def test_rep_from_basis_action_sums_images_and_drops_cancelled_entries():
     q = double_quiver(A4)
     vertex_of = {"x": 1, "y": 2, "z": 2}
-    action = {"alpha1": {"y": [(1, "x"), (1, "x")], "z": [(1, "x"), (-1, "x")]}}
-    rep = rep_from_basis_action(q, vertex_of, action)
+    images = {"y": [(1, "x"), (1, "x")], "z": [(1, "x"), (-1, "x")]}
+    rep = rep_from_basis_action(q, vertex_of, images)
     assert rep.mats["alpha1"] == ({0: 2},)
     assert all(type(x) is int for m in rep.mats.values() for row in m for x in row.values())
+
+
+def test_rep_from_basis_action_reads_an_image_outside_the_basis_as_zero():
+    q = double_quiver(A4)
+    rep = rep_from_basis_action(q, {"x": 1, "y": 2}, {"y": [(1, "x"), (5, "gone")]})
+    assert rep.mats == {**zero_mats(q, rep.dims), "alpha1": ({0: 1},)}
+
+
+def test_rep_from_basis_action_rejects_an_image_at_a_non_adjacent_vertex():
+    q = double_quiver(A4)
+    with pytest.raises(ValueError, match="no arrow from vertex 3 to vertex 1"):
+        rep_from_basis_action(q, {"x": 1, "z": 3}, {"x": [(1, "z")]})
+
+
+def test_rep_from_basis_action_finds_the_fork_arrows_by_their_end_points():
+    q = double_quiver(D4)
+    vertex_of = {"p": 1, "m": -1, "q": 2}
+    images = {"p": [(2, "q")], "m": [(3, "q")], "q": [(5, "p"), (7, "m")]}
+    rep = rep_from_basis_action(q, vertex_of, images)
+    assert rep.mats["beta2+"] == ({0: 2},)
+    assert rep.mats["beta2-"] == ({0: 3},)
+    assert rep.mats["alpha1+"] == ({0: 5},)
+    assert rep.mats["alpha1-"] == ({0: 7},)
+
+
+# sha256 of the JSON forms of every projective, and of J(w) and S(w) for
+# every join-irreducible w, of A5 and of D5: any change to a matrix entry,
+# a basis order or an arrow shows here.
+GOLDEN = {
+    A5: "d4455272ca8142c44eba0c6b036d19ed2017183e9d8af11b20934969fa712ddd",
+    D5: "8063b53563ef16d85eeb09cb4ab99269af0ab94c66499f3356e732e2b8863ddc",
+}
+
+
+@pytest.mark.parametrize("dynkin", [A5, D5], ids=str)
+def test_grid_and_brick_reps_are_byte_identical_to_the_golden_digest(dynkin):
+    t = DynkinType(dynkin.family, dynkin.rank)
+    h = hashlib.sha256()
+    for l in t.vertices:
+        line = json.dumps(["P", l, rep_to_json(projective_rep(t, l))], sort_keys=True)
+        h.update((line + "\n").encode())
+    for w in join_irreducibles(t):
+        reps = [rep_to_json(j_module(w)), rep_to_json(brick_rep(w))]
+        h.update((json.dumps([list(w.window), *reps], sort_keys=True) + "\n").encode())
+    assert h.hexdigest() == GOLDEN[dynkin]
 
 
 @pytest.mark.parametrize("dynkin", [A4, D4], ids=str)
