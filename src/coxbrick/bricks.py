@@ -239,11 +239,11 @@ def rep_from_params_a(
     unless y lies in R, and to <y+1> when y+1 lies in R."""
     images: dict[int, list[tuple[int, int]]] = {}
     for y in range(b, a):
-        images[y] = []
+        out = images[y] = []
         if y not in r_values:
-            images[y].append((1, y - 1))
+            out.append((1, y - 1))
         if y + 1 in r_values:
-            images[y].append((1, y + 1))
+            out.append((1, y + 1))
     rep = rep_from_basis_action(double_quiver(dynkin), {s: s for s in images}, images)
     rep.check_relations()
     return rep
