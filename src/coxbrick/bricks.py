@@ -1,18 +1,20 @@
 """Combinatorial bricks attached to join-irreducible elements.
 
-Every join-irreducible w with descent l yields a brick S(w) whose basis is a
-set V of signed symbols.  In type A, V is the integer interval [b, a-1] with
-a = w(l), b = w(l+1), and consecutive symbols are joined by one arrow whose
-direction is decided by membership of the larger symbol in R = w([l+1, n+1]).
-In type D the symbol set splits as V+ and V-, governed by
+Every join-irreducible w with descent l yields a brick S(w) with a = w(l),
+b = w(|l|+1) and R the values after the descent, whose basis is a set of
+signed symbols V = V+ u V-, governed by
 
     r = max{k >= 0 : [1, k] inside +-R},
     c = the sign with which 1 occurs in the window (+1 when some w(i) = 1,
-        -1 when some w(i) = -1) if r >= 1, else 1,
+        -1 when some w(i) = -1) if r >= 1, else 1.
 
-and the arrows carry coefficients from four sign tables; two of the entries
-are -1 (the cross arrow out of the +-1 column when r = 0, and the arrow at
-depth |i| = r).  All constructions here take the parameter tuple
+Four coefficient tables give the image of every basis vector; two of their
+entries are -1 (the cross arrow out of the +-1 column when r = 0, and the
+arrow at depth |i| = r).  The tables (`_tables`) are the one statement of a
+brick in both families: type A_n is their slice b >= 1, R positive, where V
+is the interval [b, a-1] and every image outside it reads as zero.  The
+diagram draws an arrow s -> t exactly where the action sends <s> to a
+nonzero multiple of <t>.  All constructions here take the parameter tuple
 (a, b, R) as input, so the same code serves both the per-element brick maps
 and the direct semibrick formulas that bypass the intermediate elements.
 
@@ -114,149 +116,13 @@ class BrickDiagram:
         return dims
 
 
-def _diagram_arrows_a(a: int, b: int, r_values: frozenset[int]) -> set[tuple[int, int]]:
-    arrows = set()
-    for i in range(b, a - 1):
-        if i + 1 in r_values:
-            arrows.add((i, i + 1))
-        else:
-            arrows.add((i + 1, i))
-    return arrows
-
-
-def _diagram_arrows_d(
-    v_minus: tuple[int, ...],
-    v_plus: tuple[int, ...],
-    r: int,
-    c: int,
-    r_values: frozenset[int],
-) -> set[tuple[int, int]]:
-    """Arrow rules (i)-(iv); arrows whose endpoint is not a symbol are dropped.
-
-    The r = 0 cross arrows in (iv) are keyed directly to the sign-table
-    conditions 2 not in R and -2 not in R rather than to the phrasing of the
-    abbreviated rules, and they are not subject to any "max V+" exclusion:
-    the coefficient tables define actions on every existing basis vector, so
-    the arrow c -> -2 exists even when V+ = {c}.
-    """
-    symbols = set(v_plus) | set(v_minus)
-    arrows = set()
-
-    def add(src: int, tgt: int) -> None:
-        if src in symbols and tgt in symbols:
-            arrows.add((src, tgt))
-
-    for i in v_plus:
-        up = abs(i) + 1
-        if up in r_values:
-            add(i, up)
-        else:
-            add(up, i)
-    for i in v_minus:
-        down = -(abs(i) + 1)
-        if down in r_values:
-            add(down, i)
-        else:
-            add(i, down)
-    if r >= 1:
-        for i in v_minus:
-            if abs(i) <= r:
-                if abs(i) + 1 in r_values:
-                    add(-(abs(i) + 1), -i)
-                else:
-                    add(i, abs(i) + 1)
-    else:
-        if 2 not in r_values:
-            add(2, -c)
-        if -2 not in r_values:
-            add(c, -2)
-    return arrows
-
-
-def diagram_from_params_a(
-    dynkin: DynkinType,
-    a: int,
-    b: int,
-    r_values: frozenset[int],
-    window: tuple[int, ...] | None = None,
-    type_l: int | None = None,
-) -> BrickDiagram:
-    return BrickDiagram(
-        dynkin=dynkin,
-        window=window,
-        type_l=type_l,
-        a=a,
-        b=b,
-        r=None,
-        c=None,
-        r_values=r_values,
-        v_plus=tuple(range(b, a)),
-        v_minus=(),
-        arrows=frozenset(_diagram_arrows_a(a, b, r_values)),
-    )
-
-
-def diagram_from_params_d(
-    dynkin: DynkinType,
-    a: int,
-    b: int,
-    r_values: frozenset[int],
-    window: tuple[int, ...] | None = None,
-    type_l: int | None = None,
-) -> BrickDiagram:
-    r = depth_r(r_values)
-    c = sign_c(r_values)
-    v_minus, v_plus = v_sets(a, b, c)
-    return BrickDiagram(
-        dynkin=dynkin,
-        window=window,
-        type_l=type_l,
-        a=a,
-        b=b,
-        r=r,
-        c=c,
-        r_values=r_values,
-        v_plus=v_plus,
-        v_minus=v_minus,
-        arrows=frozenset(_diagram_arrows_d(v_minus, v_plus, r, c, r_values)),
-    )
-
-
-@per_join_irreducible
-def brick_diagram(w: CoxeterElement) -> BrickDiagram:
-    """The diagram of S(w), memoised per join-irreducible w; raises
-    ValueError on any other element."""
-    l, a, b, r_values = _params(w)
-    if w.dynkin.family is Family.A:
-        return diagram_from_params_a(w.dynkin, a, b, r_values, window=w.window, type_l=l)
-    return diagram_from_params_d(w.dynkin, a, b, r_values, window=w.window, type_l=l)
-
-
-def rep_from_params_a(
-    dynkin: DynkinType, a: int, b: int, r_values: frozenset[int]
-) -> QuiverRepresentation:
-    """The type-A brick on basis <i>, i in [b, a-1]: <y> maps to <y-1>
-    unless y lies in R, and to <y+1> when y+1 lies in R."""
-    images: dict[int, list[tuple[int, int]]] = {}
-    for y in range(b, a):
-        out = images[y] = []
-        if y not in r_values:
-            out.append((1, y - 1))
-        if y + 1 in r_values:
-            out.append((1, y + 1))
-    rep = rep_from_basis_action(double_quiver(dynkin), {s: s for s in images}, images)
-    rep.check_relations()
-    return rep
-
-
-def rep_from_params_d(
-    dynkin: DynkinType, a: int, b: int, r_values: frozenset[int]
-) -> QuiverRepresentation:
-    """The type-D brick from the four coefficient tables.
-
-    Basis <s> for s in V+ u V-; the images of every basis vector are given
-    below, with <x> read as zero when x is not a symbol.
-    """
+def _tables(
+    a: int, b: int, r_values: frozenset[int]
+) -> tuple[int, int, tuple[int, ...], tuple[int, ...], dict[int, list[tuple[int, int]]]]:
+    """r, c, V-, V+ and the images of each basis vector <s>, s in V+ u V-,
+    from the four coefficient tables; <x> reads as zero when x is not a
+    symbol.  Type A is the slice b >= 1, R positive, where every image
+    outside [b, a-1] drops out."""
     r = depth_r(r_values)
     c = sign_c(r_values)
     v_minus, v_plus = v_sets(a, b, c)
@@ -293,10 +159,90 @@ def rep_from_params_d(
         else:
             eta_minus = 0
         out += [(eta_plus, ay + 1), (eta_minus, -(ay + 1))]
+    return r, c, v_minus, v_plus, images
+
+
+def _diagram(
+    dynkin: DynkinType,
+    a: int,
+    b: int,
+    r_values: frozenset[int],
+    window: tuple[int, ...] | None,
+    type_l: int | None,
+) -> BrickDiagram:
+    """The diagram of the tables: an arrow s -> t wherever <s> has a nonzero
+    multiple of <t> among its images."""
+    r, c, v_minus, v_plus, images = _tables(a, b, r_values)
+    if dynkin.family is Family.A:
+        r = c = None
+    return BrickDiagram(
+        dynkin=dynkin,
+        window=window,
+        type_l=type_l,
+        a=a,
+        b=b,
+        r=r,
+        c=c,
+        r_values=r_values,
+        v_plus=v_plus,
+        v_minus=v_minus,
+        arrows=frozenset(
+            (s, t) for s, out in images.items() for coeff, t in out if coeff and t in images
+        ),
+    )
+
+
+def diagram_from_params_a(
+    dynkin: DynkinType,
+    a: int,
+    b: int,
+    r_values: frozenset[int],
+    window: tuple[int, ...] | None = None,
+    type_l: int | None = None,
+) -> BrickDiagram:
+    return _diagram(dynkin, a, b, r_values, window, type_l)
+
+
+def diagram_from_params_d(
+    dynkin: DynkinType,
+    a: int,
+    b: int,
+    r_values: frozenset[int],
+    window: tuple[int, ...] | None = None,
+    type_l: int | None = None,
+) -> BrickDiagram:
+    return _diagram(dynkin, a, b, r_values, window, type_l)
+
+
+@per_join_irreducible
+def brick_diagram(w: CoxeterElement) -> BrickDiagram:
+    """The diagram of S(w), memoised per join-irreducible w; raises
+    ValueError on any other element."""
+    l, a, b, r_values = _params(w)
+    if w.dynkin.family is Family.A:
+        return diagram_from_params_a(w.dynkin, a, b, r_values, window=w.window, type_l=l)
+    return diagram_from_params_d(w.dynkin, a, b, r_values, window=w.window, type_l=l)
+
+
+def _rep(dynkin: DynkinType, a: int, b: int, r_values: frozenset[int]) -> QuiverRepresentation:
+    """The brick on basis <s>, s in V+ u V-, acting by the tables."""
+    images = _tables(a, b, r_values)[4]
     vertex_of = {s: symbol_vertex(s) for s in images}
     rep = rep_from_basis_action(double_quiver(dynkin), vertex_of, images)
     rep.check_relations()
     return rep
+
+
+def rep_from_params_a(
+    dynkin: DynkinType, a: int, b: int, r_values: frozenset[int]
+) -> QuiverRepresentation:
+    return _rep(dynkin, a, b, r_values)
+
+
+def rep_from_params_d(
+    dynkin: DynkinType, a: int, b: int, r_values: frozenset[int]
+) -> QuiverRepresentation:
+    return _rep(dynkin, a, b, r_values)
 
 
 def brick_rep(w: CoxeterElement) -> QuiverRepresentation:

@@ -18,12 +18,14 @@ transcription error cannot pass silently.
 
 The row of descent d depends on w only through d, a_d = w(d),
 b_d = w(|d|+1) and the value set X = w([|d|+1, n]) (n+1 in type A): in
-type D the absolute values of w([1,|d|]) are the complement of |X|.  The
-row functions `_row_a` and `_row_d` take exactly those arguments, and
-`decompose` keeps each row in a table on the type, keyed by (d, a, b, X),
-so a row is computed and checked once per key.  Both sides of each check
-are functions of the key, so a check that passed once would pass on every
-later element with that key: the table skips no check that could fail.
+type D the absolute values of w([1,|d|]) are the complement of |X|.  One
+row function, `_row`, takes exactly those arguments in both families: a
+type-A window is a type-D one with n+1 positive values, whose rows are the
+case-(B) rows.  `decompose` keeps each row in a table on the type, keyed
+by (d, a, b, X), so a row is computed and checked once per key.  Both
+sides of each check are functions of the key, so a check that passed once
+would pass on every later element with that key: the table skips no check
+that could fail.
 """
 
 from __future__ import annotations
@@ -145,22 +147,16 @@ def _datum(
     return DescentDatum(d, a, b, case, r_values, wd)
 
 
-def _row_a(dynkin: DynkinType, d: int, a: int, b: int, x: set[int]) -> DescentDatum:
-    """Type-A row of the descent d with a = w(d), b = w(d+1), x = w([d+1, n+1])."""
-    n = dynkin.rank
-    r = (interval(b, a - 1) & x) | interval(a + 1, n + 1)
-    expected_left = interval(1, b - 1) | (interval(b + 1, a) - x)
-    return _datum(dynkin, d, a, b, None, r, expected_left)
-
-
-def _row_d(dynkin: DynkinType, d: int, a: int, b: int, x: set[int]) -> DescentDatum:
-    """Type-D row of the descent d with a = w(d), b = w(|d|+1), x = w([|d|+1, n]).
+def _row(dynkin: DynkinType, d: int, a: int, b: int, x: set[int]) -> DescentDatum:
+    """The row of the descent d with a = w(d), b = w(|d|+1), x = w([|d|+1, n]),
+    n the window size.
 
     The absolute values of the prefix w([1, |d|]) are the complement of |x|,
     and membership in +/-[a, n] depends on the absolute value alone, so the
-    case-(A) test needs nothing of w beyond x.
+    case-(A) test needs nothing of w beyond x.  A type-A row (all values
+    positive) takes the case-(B) formulas and keeps case None.
     """
-    n = dynkin.rank
+    n = dynkin.window_size
     neg_x = {-v for v in x}
     prefix_abs = interval(1, n) - {abs(v) for v in x}
     case_a = a + b < 0 and prefix_abs <= pm(interval(a, n))
@@ -191,7 +187,8 @@ def _row_d(dynkin: DynkinType, d: int, a: int, b: int, x: set[int]) -> DescentDa
             expected_left = (interval(1, -b - 1) - pm(x)) | (interval(-b + 1, a) - x)
         else:
             expected_left = interval(1, a) - pm(x)
-    return _datum(dynkin, d, a, b, "A" if case_a else "B", r, expected_left)
+    case = None if dynkin.family is Family.A else "A" if case_a else "B"
+    return _datum(dynkin, d, a, b, case, r, expected_left)
 
 
 def decompose(w: CoxeterElement) -> list[DescentDatum]:
@@ -200,7 +197,7 @@ def decompose(w: CoxeterElement) -> list[DescentDatum]:
 
     Each row is looked up in the type's row table under (d, a, b, mask of
     X), the mask having bit v (type A) or v + n (type D) for each value v of
-    X, and computed by `_row_a`/`_row_d` on a miss; a row that raises is
+    X, and computed by `_row` on a miss; a row that raises is
     not stored.
     """
     dynkin, window = w.dynkin, w.window
@@ -223,9 +220,8 @@ def decompose(w: CoxeterElement) -> list[DescentDatum]:
         row = rows.get(key)
         if row is None:
             d, a, b, _ = key
-            row_fn = _row_d if type_d else _row_a
             try:
-                row = rows[key] = row_fn(dynkin, d, a, b, set(window[abs(d) :]))
+                row = rows[key] = _row(dynkin, d, a, b, set(window[abs(d) :]))
             except AssertionError as err:
                 raise AssertionError(f"{err} (element {w})") from None
         out.append(row)

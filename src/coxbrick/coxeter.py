@@ -116,12 +116,8 @@ class CoxeterElement:
 
     def inverse(self) -> "CoxeterElement":
         pos = {v: i for i, v in enumerate(self.window, start=1)}
-        if self.dynkin.family is Family.A:
-            return CoxeterElement(self.dynkin, tuple(pos[v] for v in range(1, len(self.window) + 1)))
-        inv = []
-        for v in range(1, len(self.window) + 1):
-            inv.append(pos[v] if v in pos else -pos[-v])
-        return CoxeterElement(self.dynkin, tuple(inv))
+        inv = tuple(pos[v] if v in pos else -pos[-v] for v in range(1, len(self.window) + 1))
+        return CoxeterElement(self.dynkin, inv)
 
     def inverse_at(self, value: int) -> int:
         """Position of a value, i.e. w^{-1}(value); extended by w^{-1}(-x) = -w^{-1}(x)."""
@@ -205,10 +201,8 @@ def all_reflections(dynkin: DynkinType) -> tuple[Reflection, ...]:
     return tuple(out)
 
 
-def reflection_from_values(dynkin: DynkinType, x: int, y: int) -> Reflection:
+def reflection_from_values(x: int, y: int) -> Reflection:
     """Normalise the reflection exchanging values x and y (and -x, -y in type D)."""
-    if dynkin.family is Family.A:
-        return Reflection(max(x, y), min(x, y))
     if abs(x) < abs(y):
         x, y = y, x
     if x < 0:
@@ -245,15 +239,12 @@ def length(w: CoxeterElement) -> int:
 
 
 def descents(w: CoxeterElement) -> frozenset[int]:
-    """Vertices d with w s_d < w: window descents, plus -1 when -w(1) > w(2)."""
-    out = set()
-    n = w.dynkin.rank
-    if w.dynkin.family is Family.A:
-        out.update(i for i in range(1, n + 1) if w.window[i - 1] > w.window[i])
-    else:
-        out.update(i for i in range(1, n) if w.window[i - 1] > w.window[i])
-        if -w.window[0] > w.window[1]:
-            out.add(-1)
+    """Vertices d with w s_d < w: window descents, plus -1 when -w(1) > w(2)
+    (never in type A, whose values are positive)."""
+    window = w.window
+    out = {i for i in range(1, len(window)) if window[i - 1] > window[i]}
+    if -window[0] > window[1]:
+        out.add(-1)
     return frozenset(out)
 
 
@@ -296,9 +287,9 @@ def cover_reflections(w: CoxeterElement) -> frozenset[Reflection]:
     out = set()
     for d in descents(w):
         if d == -1:
-            out.add(reflection_from_values(w.dynkin, -w.window[0], w.window[1]))
+            out.add(reflection_from_values(-w.window[0], w.window[1]))
         else:
-            out.add(reflection_from_values(w.dynkin, w.window[d - 1], w.window[d]))
+            out.add(reflection_from_values(w.window[d - 1], w.window[d]))
     return frozenset(out)
 
 

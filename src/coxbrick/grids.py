@@ -58,9 +58,7 @@ class GammaGrid:
 
 
 def _rows(dynkin: DynkinType, l: int) -> list[int]:
-    n = dynkin.rank
-    if dynkin.family is Family.A:
-        return list(range(l, n + 1))
+    n = dynkin.window_size
     if abs(l) == 1:
         return [l] + list(range(2, n))
     return list(range(l, n))
@@ -79,10 +77,11 @@ def _row_entries(dynkin: DynkinType, l: int, j: int) -> list[int]:
     return [i for i in range(lo, j + 1) if i != 0]
 
 
-def _next_row(dynkin: DynkinType, l: int, j: int) -> int | None:
+def _successor_rows(dynkin: DynkinType, l: int) -> dict[int, int]:
+    """Each row of the grid of Pi e_l mapped to the row after it (the last
+    row maps nowhere)."""
     rows = _rows(dynkin, l)
-    k = rows.index(j)
-    return rows[k + 1] if k + 1 < len(rows) else None
+    return dict(zip(rows, rows[1:]))
 
 
 def gamma_full(dynkin: DynkinType, l: int, eps: int = 1) -> GammaGrid:
@@ -95,13 +94,8 @@ def gamma_full(dynkin: DynkinType, l: int, eps: int = 1) -> GammaGrid:
     return GammaGrid(dynkin, l, frozenset(entries), eps)
 
 
-def _keep(dynkin: DynkinType, l: int, w: CoxeterElement | None, i: int, j: int) -> bool:
+def _keep(l: int, w: CoxeterElement, i: int, j: int) -> bool:
     """Whether entry (i, j) of Gamma[l] survives in Gamma(w)."""
-    if w is None:
-        return True
-    n = dynkin.rank
-    if dynkin.family is Family.A:
-        return i >= w(j + 1)
     if abs(l) == 1:
         return i >= w(abs(j) + 1)
     threshold = w(j + 1)
@@ -134,7 +128,7 @@ def gamma_of(w: CoxeterElement) -> GammaGrid:
     if dynkin.family is Family.D and l >= 2:
         eps = epsilon_for(w)
     full = gamma_full(dynkin, l, eps)
-    kept = frozenset((i, j) for (i, j) in full.entries if _keep(dynkin, l, w, i, j))
+    kept = frozenset((i, j) for (i, j) in full.entries if _keep(l, w, i, j))
     return GammaGrid(dynkin, l, kept, eps)
 
 
@@ -146,9 +140,10 @@ def _grid_images(grid: GammaGrid) -> dict[GridKey, list[tuple[int, GridKey]]]:
         return eps * (-1 if (j - l + 1) % 2 else 1)
 
     twins = dynkin.family is Family.D and l >= 2
+    next_row = _successor_rows(dynkin, l)
     images: dict[GridKey, list[tuple[int, GridKey]]] = {}
     for (i, j) in grid.entries:
-        nxt = _next_row(dynkin, l, j)
+        nxt = next_row.get(j)
         out = images[i, j] = []
         if i >= 2 or not twins:
             # alpha_{i-1} walks left in the row (to both of +-1 from i = 2),
@@ -217,12 +212,12 @@ def kernel_socle(w: CoxeterElement) -> QuiverRepresentation:
             "kernel route is only implemented for type A and type D with l = +-1"
         )
     grid = gamma_of(w)
+    next_row = _successor_rows(dynkin, l)
 
     def shifted_out(i: int, j: int) -> bool:
         if dynkin.family is Family.A:
             return (i, j + 1) not in grid.entries
-        nxt = _next_row(dynkin, l, j)
-        nxt2 = _next_row(dynkin, l, nxt) if nxt is not None else None
+        nxt2 = next_row.get(next_row.get(j))
         return nxt2 is None or (i, nxt2) not in grid.entries
 
     rep = _grid_rep(grid)

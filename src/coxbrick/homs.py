@@ -12,8 +12,8 @@ characteristic is deliberately out of scope.
 from __future__ import annotations
 
 from coxbrick import ratlinalg as rl
-from coxbrick.coxeter import DynkinType, Family
-from coxbrick.quiver import QuiverRepresentation
+from coxbrick.coxeter import DynkinType
+from coxbrick.quiver import QuiverRepresentation, double_quiver
 from coxbrick.ratlinalg import Mat
 
 Hom = dict[int, Mat]  # vertex -> block matrix, in the sparse rows of `coxbrick.quiver`
@@ -195,20 +195,13 @@ def iso_bricks(m: QuiverRepresentation, n: QuiverRepresentation) -> bool:
     return all(rl.rank(block) == len(block) for block in f.values() if block)
 
 
-def diagram_edges(dynkin: DynkinType) -> list[tuple[int, int]]:
-    n = dynkin.rank
-    if dynkin.family is Family.A:
-        return [(i, i + 1) for i in range(1, n)]
-    edges = []
-    if n >= 3:
-        edges = [(1, 2), (-1, 2)] + [(i, i + 1) for i in range(2, n - 1)]
-    return edges
-
-
 def tits_form(dynkin: DynkinType, dims: dict[int, int]) -> int:
+    """q(d) = sum of d_v^2 minus d_u d_v over the edges of the Dynkin graph,
+    each edge read as the double quiver's arrow with src < tgt."""
     q = sum(dims.get(v, 0) ** 2 for v in dynkin.vertices)
-    for u, v in diagram_edges(dynkin):
-        q -= dims.get(u, 0) * dims.get(v, 0)
+    for arrow in double_quiver(dynkin).arrows:
+        if arrow.src < arrow.tgt:
+            q -= dims.get(arrow.src, 0) * dims.get(arrow.tgt, 0)
     return q
 
 

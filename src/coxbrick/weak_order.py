@@ -53,18 +53,18 @@ class GroupPoset:
     `elements` is lexicographically ordered by window and `masks[i]` has one
     bit per reflection, so u <= w iff masks[u] & ~masks[w] == 0.  The masks
     must be distinct (the weak order is antisymmetric).  `__post_init__`
-    derives `_index` (window to position) from `elements` and the
-    transposed view from the masks: `_cols[k]` (the elements whose
-    inversion set holds reflection k), `_cocols[k]` (those whose set lacks
-    it) and `_slices[l]` (the elements of length l), bit i standing for
-    `elements[i]`.
+    derives `_refl_bit` (reflection to bit) from `reflections`, `_index`
+    (window to position) from `elements` and the transposed view from the
+    masks: `_cols[k]` (the elements whose inversion set holds reflection k),
+    `_cocols[k]` (those whose set lacks it) and `_slices[l]` (the elements
+    of length l), bit i standing for `elements[i]`.
     """
 
     dynkin: DynkinType
     elements: tuple[CoxeterElement, ...]
     reflections: tuple[Reflection, ...]
     masks: tuple[int, ...] = field(repr=False)
-    _refl_bit: dict[Reflection, int] = field(repr=False)
+    _refl_bit: dict[Reflection, int] = field(init=False, repr=False, compare=False)
     _index: dict[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
     _cols: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _cocols: tuple[int, ...] = field(init=False, repr=False, compare=False)
@@ -74,6 +74,7 @@ class GroupPoset:
     def __post_init__(self) -> None:
         if any(a == b for a, b in itertools.pairwise(sorted(self.masks))):
             raise LatticeError("two elements share an inversion set")
+        self._refl_bit = {t: k for k, t in enumerate(self.reflections)}
         self._index = {w.window: i for i, w in enumerate(self.elements)}
         n, width = len(self.masks), len(self.reflections)
         self._everything = (1 << n) - 1
@@ -107,7 +108,6 @@ class GroupPoset:
         """
         elements = enumerate_group(dynkin, cap=cap)
         refl = all_reflections(dynkin)
-        bit = {t: k for k, t in enumerate(refl)}
         tests = [(t.a, t.b, 1 << k) for k, t in enumerate(refl)]
         pos = [0] * (2 * dynkin.rank + 3)
         masks = []
@@ -125,7 +125,6 @@ class GroupPoset:
             elements=elements,
             reflections=refl,
             masks=tuple(masks),
-            _refl_bit=bit,
         )
 
     def index(self, w: CoxeterElement) -> int:

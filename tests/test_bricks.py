@@ -1,6 +1,8 @@
 """Combinatorial bricks: diagrams, coefficient tables, and rendering."""
 
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -24,7 +26,7 @@ from coxbrick.coxeter import (
 )
 from coxbrick.grids import j_module
 from coxbrick.homs import hom_dim, is_brick, is_positive_root, iso_bricks, socle_over_end
-from coxbrick.quiver import QuiverRepresentation
+from coxbrick.quiver import QuiverRepresentation, double_quiver
 from dense_oracle import dense_mats
 
 
@@ -210,9 +212,7 @@ def test_brick_diagrams_pairwise_distinct(dynkin):
 
 @pytest.mark.parametrize("dynkin", [DynkinType(Family.A, 5), D5], ids=str)
 def test_diagram_matches_rep_nonzero_entries(dynkin):
-    from coxbrick.homs import diagram_edges
-
-    adjacent = {frozenset(e) for e in diagram_edges(dynkin)}
+    adjacent = {frozenset((a.src, a.tgt)) for a in double_quiver(dynkin).arrows}
     for w in join_irreducibles(dynkin):
         diag = brick_diagram(w)
         rep = brick_rep(w)
@@ -220,6 +220,21 @@ def test_diagram_matches_rep_nonzero_entries(dynkin):
         assert rep_nonzero_arrows(rep, vertex_of) == set(diag.arrows), w
         for s, t in diag.arrows:
             assert frozenset((symbol_vertex(s), symbol_vertex(t))) in adjacent, w
+
+
+DIAGRAM_GOLDEN = {
+    (Family.A, 7): "ce9c384e4b10a7acf4dc692035ea1b342b6d1cbc55d543fe18a53dffb9c65d66",
+    (Family.D, 6): "78160b50a3ce4bb032326732d539db6ef7a022a39cf337e0ebd7475d27a6af88",
+}
+
+
+@pytest.mark.parametrize("key", DIAGRAM_GOLDEN, ids=lambda k: f"{k[0].value}{k[1]}")
+def test_every_diagram_is_byte_identical_to_the_golden_digest(key):
+    h = hashlib.sha256()
+    for w in join_irreducibles(DynkinType(*key)):
+        line = json.dumps(diagram_to_json(brick_diagram(w)), sort_keys=True)
+        h.update((line + "\n").encode())
+    assert h.hexdigest() == DIAGRAM_GOLDEN[key]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,8 @@
 """R-set reconstruction and the closed-form canonical join representations."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -195,3 +198,21 @@ def test_one_summand_per_descent(w):
     assert len(cjr_direct(w)) == len(descents(w))
     for row in rows:
         assert join_irreducible_type(row.element) is not None
+
+
+ROWS_GOLDEN = {
+    (Family.A, 6): "a2a31685797d7fc650083ecb3ef7e5e289dedd19fb57185fae612de78bf5ea33",
+    (Family.D, 6): "cf2b780cd62db60569d36b61e552271f500eca9bd94726d9301d721b45605713",
+}
+
+
+@pytest.mark.parametrize("key", ROWS_GOLDEN, ids=lambda k: f"{k[0].value}{k[1]}")
+def test_every_row_is_byte_identical_to_the_golden_digest(key):
+    h = hashlib.sha256()
+    for w in enumerate_group(DynkinType(*key)):
+        rows = [
+            [r.d, r.a, r.b, r.case, sorted(r.r_values), list(r.element.window)]
+            for r in decompose(w)
+        ]
+        h.update((json.dumps(rows) + "\n").encode())
+    assert h.hexdigest() == ROWS_GOLDEN[key]

@@ -130,7 +130,6 @@ def _hand_built(poset, elements, masks):
         elements=tuple(elements),
         reflections=poset.reflections,
         masks=tuple(masks),
-        _refl_bit=poset._refl_bit,
     )
 
 
