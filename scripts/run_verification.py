@@ -7,6 +7,9 @@ socle oracle and the semibrick sweep from A2 and D4, each up to
 --max-a/--max-d, e.g.
 
     python scripts/run_verification.py --max-a 6 --max-d 5
+
+Each (suite, type) prints one report line ending in its wall time; the last
+line is ALL OK or FAILURES, with exit code 0 or 1.
 """
 
 import argparse
@@ -37,16 +40,19 @@ def main() -> int:
     parser.add_argument("--max-a", type=int, default=5)
     parser.add_argument("--max-d", type=int, default=5)
     args = parser.parse_args()
-    start = time.time()
+    start = time.perf_counter()
     ok = True
     for suite, dynkin in plan(args.max_a, args.max_d):
+        began = time.perf_counter()
         if suite == "census":
             result = verify.census(dynkin, verify.default_fixture_lines())
         else:
             result = getattr(verify, suite)(dynkin)
-        print(f"{suite} {dynkin}: " + "\n  ".join(result.report()))
+        summary, *details = result.report()
+        summary += f" in {time.perf_counter() - began:.2f}s"
+        print(f"{suite} {dynkin}: " + "\n  ".join([summary, *details]))
         ok &= result.ok
-    print(f"{'ALL OK' if ok else 'FAILURES'} in {time.time() - start:.1f}s")
+    print(f"{'ALL OK' if ok else 'FAILURES'} in {time.perf_counter() - start:.1f}s")
     return 0 if ok else 1
 
 

@@ -94,18 +94,6 @@ def gamma_full(dynkin: DynkinType, l: int, eps: int = 1) -> GammaGrid:
     return GammaGrid(dynkin, l, frozenset(entries), eps)
 
 
-def _keep(l: int, w: CoxeterElement, i: int, j: int) -> bool:
-    """Whether entry (i, j) of Gamma[l] survives in Gamma(w)."""
-    if abs(l) == 1:
-        return i >= w(abs(j) + 1)
-    threshold = w(j + 1)
-    if threshold >= 2:
-        return i >= threshold
-    if abs(threshold) == 1:
-        return i >= 2 or i == threshold
-    return i >= threshold + 1
-
-
 def epsilon_for(w: CoxeterElement) -> int:
     """Sign choice of the grid basis of J(w) for type D, descent l >= 2."""
     l = join_irreducible_type(w)
@@ -127,9 +115,17 @@ def gamma_of(w: CoxeterElement) -> GammaGrid:
     eps = 1
     if dynkin.family is Family.D and l >= 2:
         eps = epsilon_for(w)
-    full = gamma_full(dynkin, l, eps)
-    kept = frozenset((i, j) for (i, j) in full.entries if _keep(l, w, i, j))
-    return GammaGrid(dynkin, l, kept, eps)
+    kept = []
+    for j in _rows(dynkin, l):
+        # one threshold t = w(|j| + 1) per row: row j keeps i >= t when
+        # |l| = 1; when l >= 2 it keeps i >= t if t >= 2, i > t if t <= -2,
+        # and t itself with every i >= 2 if t = +-1
+        lo = t = w(abs(j) + 1)
+        extra = None
+        if abs(l) != 1 and t < 2:
+            lo, extra = (2, t) if abs(t) == 1 else (t + 1, None)
+        kept += [(i, j) for i in _row_entries(dynkin, l, j) if i >= lo or i == extra]
+    return GammaGrid(dynkin, l, frozenset(kept), eps)
 
 
 def _grid_images(grid: GammaGrid) -> dict[GridKey, list[tuple[int, GridKey]]]:

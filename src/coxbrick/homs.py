@@ -42,18 +42,22 @@ def hom_basis(m: QuiverRepresentation, n: QuiverRepresentation) -> list[Hom]:
     for arrow in m.quiver.arrows:
         u, v = arrow.src, arrow.tgt
         mu, mv = m.dims.get(u, 0), m.dims.get(v, 0)
+        an_rows = n.mats[arrow.name]
+        if not (an_rows and mv):
+            continue  # f_u * m(g) - n(g) * f_v has no entries
         am_cols: list[rl.Row] = [{} for _ in range(mv)]
         for k, am_row in enumerate(m.mats[arrow.name]):
             for c, x in am_row.items():
                 am_cols[c][k] = x
-        for r, an_row in enumerate(n.mats[arrow.name]):
+        # an entry (r, c) with column c of m(g) and row r of n(g) both empty reads 0 = 0
+        nonempty = [(c, am_col) for c, am_col in enumerate(am_cols) if am_col]
+        for r, an_row in enumerate(an_rows):
             first = offsets[u] + r * mu
-            for c, am_col in enumerate(am_cols):
+            for c, am_col in enumerate(am_cols) if an_row else nonempty:
                 row = {first + k: x for k, x in am_col.items()}
                 for k, x in an_row.items():
                     row[offsets[v] + k * mv + c] = -x
-                if row:
-                    equations.append(row)
+                equations.append(row)
 
     solutions = rl.nullspace(equations, total)
     if not solutions:
@@ -179,20 +183,25 @@ def is_brick(m: QuiverRepresentation) -> bool:
 
 
 def iso_bricks(m: QuiverRepresentation, n: QuiverRepresentation) -> bool:
-    """Whether two bricks are isomorphic.
+    """Whether two bricks are isomorphic; ValueError if either is not a brick.
 
-    Equal dimension vectors plus a one-dimensional Hom space whose generator
-    is invertible at every vertex: its square block there has full rank.
+    The checks, in order: n is a brick; the dimension vectors are equal;
+    Hom(m, n) is one-dimensional with a generator invertible at every vertex
+    (its square block there has full rank).  An isomorphism onto a brick
+    makes m a brick, so `is_brick(m)` runs only when one of the last two
+    checks fails, to tell `False` from ValueError.
     """
-    if not is_brick(m) or not is_brick(n):
+    if not is_brick(n):
         raise ValueError("iso_bricks expects bricks")
-    if m.dim_vector() != n.dim_vector():
-        return False
-    basis = hom_basis(m, n)
-    if len(basis) != 1:
-        return False
-    f = basis[0]
-    return all(rl.rank(block) == len(block) for block in f.values() if block)
+    if m.dim_vector() == n.dim_vector():
+        basis = hom_basis(m, n)
+        if len(basis) == 1 and all(
+            rl.rank(block) == len(block) for block in basis[0].values() if block
+        ):
+            return True
+    if not is_brick(m):
+        raise ValueError("iso_bricks expects bricks")
+    return False
 
 
 def tits_form(dynkin: DynkinType, dims: dict[int, int]) -> int:

@@ -7,6 +7,7 @@ from coxbrick.coxeter import (
     Family,
     enumerate_group,
     join_irreducible_type,
+    join_irreducibles,
     parse_window,
     simple_reflection,
 )
@@ -158,6 +159,31 @@ def test_kernel_positions_d9_type_one():
         (7, 7), (6, 7), (5, 7),
         (8, 8),
     }
+
+
+def _keep(l: int, w, i: int, j: int) -> bool:
+    """Whether entry (i, j) of Gamma[l] survives in Gamma(w), decided entry
+    by entry: the oracle for `gamma_of`, which decides a row at a time."""
+    if abs(l) == 1:
+        return i >= w(abs(j) + 1)
+    threshold = w(j + 1)
+    if threshold >= 2:
+        return i >= threshold
+    if abs(threshold) == 1:
+        return i >= 2 or i == threshold
+    return i >= threshold + 1
+
+
+@pytest.mark.parametrize(
+    "dynkin",
+    [DynkinType(Family.A, n) for n in range(2, 7)] + [DynkinType(Family.D, n) for n in range(4, 7)],
+    ids=str,
+)
+def test_gamma_of_equals_the_per_entry_rule(dynkin):
+    for w in join_irreducibles(dynkin):
+        l = join_irreducible_type(w)
+        kept = {(i, j) for (i, j) in gamma_full(dynkin, l).entries if _keep(l, w, i, j)}
+        assert gamma_of(w).entries == kept, w
 
 
 def test_j_module_d9_type_two_row_with_single_sign():

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from coxbrick import homs
+from coxbrick.bricks import brick_rep
 from coxbrick.coxeter import DynkinType, Family, join_irreducibles, parse_window
 from coxbrick.grids import j_module
 from coxbrick.homs import (
@@ -17,7 +19,14 @@ from coxbrick.homs import (
     subrepresentation,
     tits_form,
 )
-from coxbrick.quiver import double_quiver, rep_from_json, rep_to_json, simple_rep
+from coxbrick.quiver import (
+    QuiverRepresentation,
+    double_quiver,
+    rep_from_json,
+    rep_to_json,
+    simple_rep,
+    zero_mats,
+)
 import dense_oracle
 from dense_oracle import compose_homs, dense_hom, dense_mats
 from semibrick_oracle import is_semibrick
@@ -155,6 +164,32 @@ def test_iso_bricks_basic():
     w = parse_window(A8, "2,5,8,1,3,4,6,7,9")
     with pytest.raises(ValueError):
         iso_bricks(j_module(w), j_module(w))  # J(w) is not a brick here
+
+
+def test_iso_bricks_contract(monkeypatch):
+    a3 = DynkinType(Family.A, 3)
+    q = double_quiver(a3)
+    # the two uniserial bricks on vertices 1 and 2: equal dimension vectors,
+    # a one-dimensional Hom space between them, not isomorphic
+    top1, top2 = brick_rep(parse_window(a3, "2,3,1,4")), brick_rep(parse_window(a3, "3,1,2,4"))
+    assert top1.dim_vector() == top2.dim_vector() and hom_dim(top1, top2) == 1
+    semisimple = QuiverRepresentation(q, top1.dims, zero_mats(q, top1.dims))
+    not_brick = j_module(parse_window(A8, "2,5,8,1,3,4,6,7,9"))
+    s1 = simple_rep(q, 1)
+    assert not iso_bricks(top1, top2)
+    assert not iso_bricks(s1, top1)
+    with pytest.raises(ValueError):
+        iso_bricks(top1, semisimple)  # n is not a brick
+    with pytest.raises(ValueError):
+        iso_bricks(semisimple, top1)  # m is not a brick, equal dimension vectors
+    with pytest.raises(ValueError):
+        iso_bricks(not_brick, simple_rep(double_quiver(A8), 1))  # unequal ones
+
+    # an isomorphism onto the brick n is proof enough that m is one too
+    checked = []
+    monkeypatch.setattr(homs, "is_brick", lambda m: checked.append(m) or is_brick(m))
+    assert iso_bricks(top1, brick_rep(parse_window(a3, "2,3,1,4")))
+    assert len(checked) == 1
 
 
 def test_positive_root_examples():

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 import coxbrick.ratlinalg as rl
 import dense_oracle as oracle
+from coxbrick import verify
+from coxbrick.coxeter import DynkinType, Family
 
 
 # Dense-input conveniences over the sparse kernel, kept here as the tests'
@@ -232,3 +234,118 @@ def test_sparse_mat_mul_equals_dense_product(case):
 def test_mat_mul_rejects_a_column_past_the_rows_of_the_right_factor():
     with pytest.raises(ValueError, match="shape mismatch"):
         rl.mat_mul(({0: 1, 2: 1},), ({0: 1}, {1: 1}))
+
+
+# The presolve of `nullspace`: rows x_a = 0 and x_a = +-x_b read as signed
+# classes before elimination, checked against dense Gauss-Jordan.
+
+
+def test_nullspace_presolve_merges_a_chain_onto_its_largest_column():
+    # x0 = x2 and x2 = -x3: one class, read off at column 3
+    assert rl.nullspace([{0: 1, 2: -1}, {2: 2, 3: 2}], 4) == [{1: 1}, {0: -1, 2: -1, 3: 1}]
+
+
+def test_nullspace_presolve_zeroes_an_odd_sign_cycle():
+    # x0 = x1 = x2 and x0 = -x2 leave only x = 0
+    assert rl.nullspace([{0: 1, 1: -1}, {1: 1, 2: -1}, {0: 1, 2: 1}], 3) == []
+
+
+def test_nullspace_presolve_zeroes_a_class_merged_with_a_zeroed_one():
+    assert rl.nullspace([{1: 5}, {0: 1, 2: -1}, {2: -1, 1: 1}], 4) == [{3: 1}]
+
+
+def test_nullspace_presolve_rewrites_the_rest_on_class_columns():
+    # x0 = -x1 and 2 x1 + x2 = 0: x = t (1/2, -1/2, 1)
+    basis = rl.nullspace([{0: 1, 1: 1}, {1: 2, 2: 1}], 3)
+    assert basis == [{0: Fraction(1, 2), 1: Fraction(-1, 2), 2: 1}]
+    assert type(basis[0][2]) is int
+
+
+unit = st.sampled_from([1, -1])
+coefficient = st.sampled_from([1, -1, 1, -1, 2, -3, Fraction(1, 2), Fraction(-4, 3)])
+
+
+@st.composite
+def presolve_systems(draw):
+    """(rows, ncols): systems in up to 8 unknowns made mostly of the rows the
+    presolve reads (one term; two terms with equal or opposite
+    coefficients, alone, in chains, in odd sign cycles, or merged into a
+    zeroed unknown), with empty rows and residue rows of integer and
+    `Fraction` entries, non-unit ones included."""
+    ncols = draw(st.integers(min_value=0, max_value=8))
+    rows: list[dict] = []
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        kind = draw(st.sampled_from(["zero", "pair", "chain", "cycle", "zeroed", "empty", "rest"]))
+        cols = draw(st.permutations(range(ncols)))
+        if kind == "empty" or not cols:
+            rows.append({})
+        elif kind == "zero" or len(cols) == 1:
+            rows.append({cols[0]: draw(coefficient)})
+        elif kind == "pair":
+            x = draw(coefficient)
+            rows.append({cols[0]: x, cols[1]: x * draw(unit)})
+        elif kind in ("chain", "cycle"):
+            k = draw(st.integers(min_value=2, max_value=len(cols)))
+            signs = [draw(unit) for _ in range(k - 1)]
+            for a, b, s in zip(cols, cols[1:k], signs):
+                x = draw(coefficient)
+                rows.append({a: x, b: s * x})
+            if kind == "cycle" and k > 2:
+                # close the loop with the sign that makes it inconsistent
+                x = draw(coefficient)
+                odd = -1 if signs.count(1) % 2 == 0 else 1
+                rows.append({cols[k - 1]: x, cols[0]: odd * x})
+        elif kind == "zeroed":
+            rows += [{cols[0]: draw(coefficient)}, {cols[0]: 1, cols[1]: draw(unit)}]
+        else:
+            k = draw(st.integers(min_value=1, max_value=len(cols)))
+            rows.append({c: draw(entry_kinds["rational"].filter(bool) | coefficient) for c in cols[:k]})
+    return rows, ncols
+
+
+@given(presolve_systems())
+@settings(max_examples=300, deadline=None)
+def test_presolved_nullspace_equals_dense_oracle(case):
+    rows, ncols = case
+    before = [dict(row) for row in rows]
+    basis = rl.nullspace(rows, ncols)
+    assert rows == before
+    assert list(oracle.dense(basis, ncols)) == oracle.nullspace(oracle.dense(rows, ncols), ncols)
+    # int, or Fraction where not integral, and never a stored zero
+    assert all(
+        x != 0 and (type(x) is int or (type(x) is Fraction and x.denominator != 1))
+        for v in basis
+        for x in v.values()
+    )
+
+
+def rref_readout(rows: list[dict], ncols: int) -> list[dict]:
+    """The nullspace basis read off `rref` alone, with no presolve."""
+    reduced, pivots = rl.rref(rows)
+    basis = []
+    for free in sorted(set(range(ncols)).difference(pivots)):
+        v = {free: 1}
+        for p, row in zip(pivots, reduced):
+            if free in row:
+                v[p] = rl.integral(-row[free])
+        basis.append(v)
+    return basis
+
+
+@pytest.mark.parametrize("dynkin", [DynkinType(Family.A, 5), DynkinType(Family.D, 5)], ids=str)
+def test_every_oracle_system_equals_the_rref_readout(dynkin, monkeypatch):
+    systems = []
+    nullspace = rl.nullspace
+
+    def recorded(rows, ncols):
+        systems.append(([dict(row) for row in rows], ncols))
+        return nullspace(rows, ncols)
+
+    monkeypatch.setattr(rl, "nullspace", recorded)
+    assert verify.oracle(dynkin).ok
+    monkeypatch.undo()
+    # Hom systems, the radical's Gram matrices and the socles' kernels
+    assert len(systems) >= 500
+    assert sum(any(len(row) <= 2 for row in rows) for rows, _ in systems) > len(systems) // 2
+    for rows, ncols in systems:
+        assert nullspace(rows, ncols) == rref_readout(rows, ncols), (rows, ncols)
