@@ -177,17 +177,7 @@ def census_diff(groups: dict[ShapeSigma, list], fixture_lines: list[str]) -> lis
     """Mismatch messages between a generated census and a fixture; empty = match."""
     problems = []
     expected = [parse_census_line(line) for line in fixture_lines if line.strip()]
-    generated = []
-    for shape, entries in groups.items():
-        for w, diag in entries:
-            generated.append(
-                {
-                    "sigma": shape,
-                    "window": w.window,
-                    "symbols": frozenset(diag.symbols),
-                    "arrows": frozenset(diag.arrows),
-                }
-            )
+    generated = [parse_census_line(line) for line in census_lines(groups)]
     if len(expected) != len(generated):
         problems.append(f"entry count {len(generated)} != fixture {len(expected)}")
     by_window = {rec["window"]: rec for rec in expected}

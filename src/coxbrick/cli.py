@@ -245,11 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, window: bool = False) -> None:
         p.add_argument("--type", required=True, choices=["A", "D"])
         p.add_argument("--rank", required=True, type=int)
-        p.add_argument(
-            "--cap", type=int, default=DEFAULT_ENUMERATION_CAP, help="enumeration cap"
-        )
         if window:
             p.add_argument("--window", required=True, help="comma-separated window")
+        else:  # every subcommand without a window enumerates
+            p.add_argument(
+                "--cap", type=int, default=DEFAULT_ENUMERATION_CAP, help="enumeration cap"
+            )
 
     p = sub.add_parser("element", help="inspect one element")
     common(p, window=True)

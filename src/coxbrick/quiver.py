@@ -256,10 +256,16 @@ def rep_to_json(rep: QuiverRepresentation) -> dict:
 
 
 def rep_from_json(quiver: DoubleQuiver, data: dict) -> QuiverRepresentation:
-    """Read the JSON form back; every row must have the dense length."""
+    """Read the JSON form back; every vertex and arrow must be the quiver's,
+    and every row must have the dense length."""
     dims = {int(v): int(d) for v, d in data["dims"].items()}
+    for v in dims:
+        if v not in quiver.vertices:
+            raise ValueError(f"vertex {v} is not in the quiver of {quiver.dynkin}")
     cols = {a.name: dims.get(a.tgt, 0) for a in quiver.arrows}
     for name, m in data["mats"].items():
+        if name not in cols:
+            raise ValueError(f"arrow {name!r} is not in the quiver of {quiver.dynkin}")
         if any(len(row) != cols.get(name) for row in m):
             raise ValueError(f"matrix for {name} has a row whose length is not {cols.get(name)}")
     mats = zero_mats(quiver, dims) | {

@@ -11,13 +11,12 @@ throughout; there are no tolerances.  Dense matrices appear only at the JSON
 boundary (`sparse` reads one).
 
 Most rows of a Hom system read x_a = 0 or x_a = +-x_b, so `nullspace`
-presolves them before elimination: it zeroes the unknowns of one-term rows,
-merges the two unknowns of each two-term row with equal or opposite
-coefficients into one signed class, and hands `rref` only the remaining
-rows, rewritten on one column per class.  The basis it returns is still the
-RREF's entry for entry, because that basis is the only one whose vectors
-each have their own largest column, 1 there and 0 at the others', and the
-presolve keys each class by its largest column.
+presolves them with one signed union-find before elimination: each class of
+unknowns equal up to sign is rooted at its largest column, and `rref` sees
+only the remaining rows, rewritten on the roots, and only if any remain.
+The basis is still the RREF's entry for entry, because that basis is the
+only one whose vectors each have their own largest column, 1 there and 0 at
+the others', and a class's root is its largest column.
 """
 
 from __future__ import annotations
@@ -101,129 +100,94 @@ def rank(rows: list[Row] | Mat) -> int:
     return len(rref(rows)[1])
 
 
-def _signed_classes(
-    rows: list[Row],
-) -> tuple[dict[int, int], dict[int, list[int]], set[int], list[Row]]:
-    """Read the rows x_a = 0 and x_a = +-x_b of a homogeneous system.
-
-    A row of one term zeroes its unknown; a row of two terms whose
-    coefficients are equal or opposite puts its two unknowns in one signed
-    class, the smaller class relabelled into the larger.  A class whose
-    signs clash around a cycle (x = -x) is zeroed, and so is any class
-    merged with a zeroed one.  A column no row merged is a class of its
-    own, keyed by itself.  Returns `sign` (column -> x_c / x_key, where key
-    is its class's key; 1 where absent), `members` (key -> columns, for the
-    classes of two or more), the keys of the zeroed classes, and the other
-    nonempty rows, unchanged.
-    """
-    where: dict[int, int] = {}  # column -> key of its class, if not itself
-    sign: dict[int, int] = {}
-    members: dict[int, list[int]] = {}
-    zeroed: set[int] = set()
-    rest: list[Row] = []
-    for row in rows:
-        if len(row) == 1:
-            (a,) = row
-            zeroed.add(where.get(a, a))
-        elif len(row) == 2:
-            (a, x), (b, y) = row.items()
-            if x == y:
-                t = -1
-            elif x == -y:
-                t = 1
-            else:
-                rest.append(row)
-                continue
-            ka, kb = where.get(a, a), where.get(b, b)
-            t *= sign.get(a, 1) * sign.get(b, 1)  # x_kb = t * x_ka, and x_ka = t * x_kb
-            if ka == kb:
-                if t == -1:
-                    zeroed.add(ka)
-                continue
-            big, small = members.get(ka, [ka]), members.pop(kb, [kb])
-            if len(big) < len(small):
-                members.pop(ka, None)
-                ka, kb, big, small = kb, ka, small, big
-            for c in small:
-                where[c] = ka
-                if t == -1:
-                    sign[c] = -sign.get(c, 1)
-            big += small
-            members[ka] = big
-            if kb in zeroed:
-                zeroed.discard(kb)
-                zeroed.add(ka)
-        elif row:
-            rest.append(row)
-    return sign, members, zeroed, rest
-
-
 def nullspace(rows: list[Row], ncols: int) -> list[Row]:
     """Basis of {x : rows . x = 0} in `ncols` unknowns as sparse vectors, one
     per free column of the RREF (1 there, minus the RREF's column at the
     pivots).
 
-    Rows x_a = 0 and x_a = +-x_b are presolved rather than eliminated
-    (`_signed_classes`): each live signed class stands as one unknown, its
-    largest column, and the remaining rows, rewritten on those columns, go
-    to `rref`; rows that touch no class go to it unchanged.  A solution is
-    then read back to every column of its class with the class sign.  Each
-    basis vector keeps its own largest column, 1 there and 0 at the other
-    vectors' largest columns, and a subspace has exactly one such basis, so
-    the basis is the RREF's, entry for entry.
+    Rows x_a = 0 and x_a = +-x_b are presolved rather than eliminated, by a
+    signed union-find: `link[c] = (d, s)` reads x_c = s * x_d for a larger
+    column d of c's class, so a class's root is its largest column.  A
+    one-term row, or a sign clash around a cycle, zeroes a root, and a root
+    merged with a zeroed one is zeroed.  The other rows, rewritten on the
+    roots, go to `rref`, and a solution is read back to every column of its
+    class.  Each basis vector keeps its own largest column, 1 there and 0 at
+    the other vectors' largest columns, and a subspace has exactly one such
+    basis, so the basis is the RREF's, entry for entry.
     """
-    sign, members, zeroed, rest = _signed_classes(rows)
-    to_rep: dict[int, tuple[int, int] | None] = {}  # column -> (its class's column, sign)
-    spread: dict[int, list[tuple[int, int]]] = {}  # class's column -> (column, sign)
-    for k in zeroed:
-        to_rep.update(dict.fromkeys(members.get(k, (k,))))
-    for k, cols in members.items():
-        if k in zeroed:
-            continue
-        rep = max(cols)
-        sr = sign.get(rep, 1)
-        spread[rep] = [(c, sign.get(c, 1) * sr) for c in cols]
-        for c, s in spread[rep]:
-            to_rep[c] = (rep, s)
+    link: dict[int, tuple[int, int]] = {}
+    zeroed: set[int] = set()  # a class is 0 when its root is in here
 
+    def find(c: int) -> tuple[int, int]:
+        """(r, s): the root r of c's class, x_c = s * x_r; relinks c's path to r."""
+        r, s = link.get(c, (c, 1))
+        if r in link:
+            path = [c]
+            while r in link:
+                path.append(r)
+                r = link[r][0]
+            s = 1
+            for p in reversed(path):
+                s *= link[p][1]
+                link[p] = (r, s)
+        return r, s
+
+    rest = []
+    for row in rows:
+        if len(row) == 1:
+            zeroed.add(find(*row)[0])
+            continue
+        if len(row) == 2:
+            (a, x), (b, y) = row.items()
+            if x == y or x == -y:
+                (ra, sa), (rb, sb) = find(a), find(b)
+                s = sa * sb * (-1 if x == y else 1)  # x_ra = s * x_rb
+                if ra != rb:
+                    if ra > rb:
+                        ra, rb = rb, ra
+                    link[ra] = (rb, s)
+                    if ra in zeroed:
+                        zeroed.add(rb)
+                elif s == -1:
+                    zeroed.add(ra)
+                continue
+        if row:
+            rest.append(row)
+
+    # relink every column straight to its root, link targets (larger columns) first
+    for c in sorted(link, reverse=True):
+        d, s = link[c]
+        if d in link:
+            r, t = link[d]
+            link[c] = (r, s * t)
     system = []
     for row in rest:
-        if to_rep.keys().isdisjoint(row):
+        if link.keys().isdisjoint(row) and zeroed.isdisjoint(row):
             system.append(row)
             continue
         acc: Row = {}
         for c, x in row.items():
-            if c in to_rep:
-                target = to_rep[c]
-                if target is None:
-                    continue
-                c, s = target
-                if s == -1:
-                    x = -x
-            y = acc.get(c, 0) + x
-            if y:
-                acc[c] = y
-            else:
-                del acc[c]
-        if acc:
-            system.append(acc)
+            if c in link:
+                c, s = link[c]
+                x = s * x
+            if c not in zeroed:
+                acc[c] = acc.get(c, 0) + x
+        if any(acc.values()):
+            system.append({c: y for c, y in acc.items() if y})
 
-    reduced, pivots = rref(system)
-    free_columns = set(range(ncols)).difference(pivots)
-    free_columns.difference_update(
-        c for c, target in to_rep.items() if target is None or target[0] != c
-    )
+    reduced, pivots = rref(system) if system else ([], ())
+    free_columns = sorted(set(range(ncols)).difference(pivots, link, zeroed))
+    members: dict[int, list[tuple[int, int]]] = {}  # root -> (column, sign)
+    for c, (r, s) in link.items() if free_columns else ():
+        members.setdefault(r, []).append((c, s))
     basis = []
-    for free in sorted(free_columns):
+    for free in free_columns:
         v: Row = {free: 1}
         for p, row in zip(pivots, reduced):
             if free in row:
                 v[p] = integral(-row[free])
-        if spread:
-            v = {
-                c: x if s == 1 else -x
-                for r, x in v.items()
-                for c, s in spread.get(r, ((r, 1),))
-            }
+        for r, x in list(v.items()) if members else ():
+            for c, s in members.get(r, ()):
+                v[c] = x if s == 1 else -x
         basis.append(v)
     return basis

@@ -292,6 +292,26 @@ def test_capacity_exit_code(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("command", ["element", "brick", "semibrick", "decompose"])
+def test_commands_that_never_enumerate_take_no_cap(capsys, command):
+    code, out, err = run(
+        capsys, command, "--type", "A", "--rank", "3", "--window", "2,1,3,4", "--cap", "5"
+    )
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "unrecognized arguments: --cap 5" in err
+
+
+def test_verify_reads_its_cap(capsys):
+    argv = ["verify", "--suite", "count", "--type", "A", "--rank", "3", "--cap"]
+    code, _, err = run(capsys, *argv, "10")
+    assert code == EXIT_CAPACITY
+    assert "exceeds the enumeration cap 10" in err
+    code, out, _ = run(capsys, *argv, "24")
+    assert code == EXIT_OK
+    assert out == "formula 11, enumerated 11, OK\n"
+
+
 def test_verify_oracle_a3(capsys):
     code, out, _ = run(
         capsys, "verify", "--suite", "oracle", "--type", "A", "--rank", "3"

@@ -20,6 +20,7 @@ from coxbrick.quiver import (
 )
 from dense_oracle import relation_vanishes
 
+A3 = DynkinType(Family.A, 3)
 A4 = DynkinType(Family.A, 4)
 A5 = DynkinType(Family.A, 5)
 D4 = DynkinType(Family.D, 4)
@@ -162,3 +163,18 @@ def test_rep_from_json_rejects_a_row_of_the_wrong_length():
     short = {**data, "mats": {**data["mats"], name: [row[:-1] for row in m]}}
     with pytest.raises(ValueError, match=re.escape(f"matrix for {name} has a row")):
         rep_from_json(rep.quiver, short)
+
+
+def test_rep_from_json_rejects_a_vertex_not_in_the_quiver():
+    rep = brick_rep(next(iter(join_irreducibles(A3))))
+    data = rep_to_json(rep)
+    with pytest.raises(ValueError, match="vertex 7 is not in the quiver of A3"):
+        rep_from_json(rep.quiver, {**data, "dims": {**data["dims"], "7": 3}})
+
+
+def test_rep_from_json_rejects_an_arrow_not_in_the_quiver():
+    rep = brick_rep(next(iter(join_irreducibles(A3))))
+    data = rep_to_json(rep)
+    mats = {**data["mats"], "gamma9": [[1]]}
+    with pytest.raises(ValueError, match="arrow 'gamma9' is not in the quiver of A3"):
+        rep_from_json(rep.quiver, {**data, "mats": mats})

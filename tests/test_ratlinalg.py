@@ -261,6 +261,37 @@ def test_nullspace_presolve_rewrites_the_rest_on_class_columns():
     assert type(basis[0][2]) is int
 
 
+@pytest.mark.parametrize("order", ["increasing", "decreasing", "interleaved"])
+def test_nullspace_presolve_reads_a_long_signed_chain(order):
+    # x_i = s_i x_{i+1} for i < n - 1 leaves one vector with 1 at column n - 1,
+    # and column n is free; far longer than Python's recursion limit
+    n = 5_001
+    signs = [1 if i % 3 else -1 for i in range(n - 1)]
+    links = list(range(n - 1))
+    if order == "decreasing":
+        links.reverse()
+    elif order == "interleaved":
+        links = links[::2] + links[-1::-2]
+    rows = [{i: 2, i + 1: -2 * signs[i]} if i % 2 else {i + 1: signs[i], i: -1} for i in links]
+    chain = {n - 1: 1}
+    for i in reversed(range(n - 1)):
+        chain[i] = signs[i] * chain[i + 1]
+    assert rl.nullspace(rows, n + 1) == [chain, {n: 1}]
+    # closing the chain with x_0 = -chain[0] x_{n-1} zeroes all of it, and so
+    # does zeroing one column before the chain is linked
+    assert rl.nullspace(rows + [{0: 1, n - 1: chain[0]}], n + 1) == [{n: 1}]
+    assert rl.nullspace([{0: 3}] + rows, n + 1) == [{n: 1}]
+
+
+def test_nullspace_makes_no_rref_call_when_the_presolve_reads_every_row(monkeypatch):
+    calls = []
+    monkeypatch.setattr(rl, "rref", lambda rows: calls.append(rows))
+    # x0 = -x3 and x1 = x0, x2 = 0 merged into x4 = -x5, and x6 = 0
+    rows = [{0: 2, 3: 2}, {}, {0: 1, 1: -1}, {2: 5}, {4: 1, 5: 1}, {2: -1, 4: 1}, {6: -1}]
+    assert rl.nullspace(rows, 8) == [{3: 1, 0: -1, 1: -1}, {7: 1}]
+    assert calls == []
+
+
 unit = st.sampled_from([1, -1])
 coefficient = st.sampled_from([1, -1, 1, -1, 2, -3, Fraction(1, 2), Fraction(-4, 3)])
 
