@@ -13,7 +13,7 @@ boundary (`sparse` reads one).
 Most rows of a Hom system read x_a = 0 or x_a = +-x_b, so `nullspace`
 presolves them with one signed union-find before elimination: each class of
 unknowns equal up to sign is rooted at its largest column, and `rref` sees
-only the remaining rows, rewritten on the roots, and only if any remain.
+only the remaining rows, rewritten on the roots.
 The basis is still the RREF's entry for entry, because that basis is the
 only one whose vectors each have their own largest column, 1 there and 0 at
 the others', and a class's root is its largest column.
@@ -154,12 +154,8 @@ def nullspace(rows: list[Row], ncols: int) -> list[Row]:
         if row:
             rest.append(row)
 
-    # relink every column straight to its root, link targets (larger columns) first
-    for c in sorted(link, reverse=True):
-        d, s = link[c]
-        if d in link:
-            r, t = link[d]
-            link[c] = (r, s * t)
+    for c in list(link):  # relink every column straight to its root
+        find(c)
     system = []
     for row in rest:
         if link.keys().isdisjoint(row) and zeroed.isdisjoint(row):
@@ -175,10 +171,10 @@ def nullspace(rows: list[Row], ncols: int) -> list[Row]:
         if any(acc.values()):
             system.append({c: y for c, y in acc.items() if y})
 
-    reduced, pivots = rref(system) if system else ([], ())
+    reduced, pivots = rref(system)
     free_columns = sorted(set(range(ncols)).difference(pivots, link, zeroed))
     members: dict[int, list[tuple[int, int]]] = {}  # root -> (column, sign)
-    for c, (r, s) in link.items() if free_columns else ():
+    for c, (r, s) in link.items():
         members.setdefault(r, []).append((c, s))
     basis = []
     for free in free_columns:
@@ -186,7 +182,7 @@ def nullspace(rows: list[Row], ncols: int) -> list[Row]:
         for p, row in zip(pivots, reduced):
             if free in row:
                 v[p] = integral(-row[free])
-        for r, x in list(v.items()) if members else ():
+        for r, x in list(v.items()):
             for c, s in members.get(r, ()):
                 v[c] = x if s == 1 else -x
         basis.append(v)

@@ -283,13 +283,14 @@ def test_nullspace_presolve_reads_a_long_signed_chain(order):
     assert rl.nullspace([{0: 3}] + rows, n + 1) == [{n: 1}]
 
 
-def test_nullspace_makes_no_rref_call_when_the_presolve_reads_every_row(monkeypatch):
+def test_nullspace_hands_rref_an_empty_system_when_the_presolve_reads_every_row(monkeypatch):
     calls = []
-    monkeypatch.setattr(rl, "rref", lambda rows: calls.append(rows))
+    rref = rl.rref
+    monkeypatch.setattr(rl, "rref", lambda rows: calls.append(rows) or rref(rows))
     # x0 = -x3 and x1 = x0, x2 = 0 merged into x4 = -x5, and x6 = 0
     rows = [{0: 2, 3: 2}, {}, {0: 1, 1: -1}, {2: 5}, {4: 1, 5: 1}, {2: -1, 4: 1}, {6: -1}]
     assert rl.nullspace(rows, 8) == [{3: 1, 0: -1, 1: -1}, {7: 1}]
-    assert calls == []
+    assert calls == [[]]
 
 
 unit = st.sampled_from([1, -1])
