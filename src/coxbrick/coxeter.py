@@ -201,13 +201,14 @@ def all_reflections(dynkin: DynkinType) -> tuple[Reflection, ...]:
     return tuple(out)
 
 
-def reflection_from_values(x: int, y: int) -> Reflection:
-    """Normalise the reflection exchanging values x and y (and -x, -y in type D)."""
+def normalised_pair(x: int, y: int) -> tuple[int, int]:
+    """The (a, b) of the reflection exchanging values x and y (and -x, -y in
+    type D): a > |b|, as `Reflection` requires."""
     if abs(x) < abs(y):
         x, y = y, x
     if x < 0:
         x, y = -x, -y
-    return Reflection(x, y)
+    return x, y
 
 
 def inversions(w: CoxeterElement) -> frozenset[Reflection]:
@@ -278,19 +279,24 @@ def join_irreducible_type(w: CoxeterElement) -> int | None:
     return None
 
 
-def cover_reflections(w: CoxeterElement) -> frozenset[Reflection]:
-    """cov(w) = {w s_d w^{-1} : d in des(w)}, normalised per type.
+def cover_pairs(w: CoxeterElement) -> list[tuple[int, int]]:
+    """The normalised (a, b) of each cover reflection w s_d w^{-1}, one per
+    descent d of w, without building a `Reflection`.
 
     For a descent d >= 1 this exchanges the window values w(d), w(d+1);
     for d = -1 (type D) it exchanges -w(1) and w(2).
     """
-    out = set()
+    window = w.window
+    pairs = []
     for d in descents(w):
-        if d == -1:
-            out.add(reflection_from_values(-w.window[0], w.window[1]))
-        else:
-            out.add(reflection_from_values(w.window[d - 1], w.window[d]))
-    return frozenset(out)
+        x, y = (-window[0], window[1]) if d == -1 else (window[d - 1], window[d])
+        pairs.append(normalised_pair(x, y))
+    return pairs
+
+
+def cover_reflections(w: CoxeterElement) -> frozenset[Reflection]:
+    """cov(w) = {w s_d w^{-1} : d in des(w)}, normalised per type."""
+    return frozenset(Reflection(a, b) for a, b in cover_pairs(w))
 
 
 def weak_leq(u: CoxeterElement, w: CoxeterElement) -> bool:

@@ -1,17 +1,24 @@
 """The weak order on an enumerated Coxeter group, as a brute-force lattice.
 
 Everything here is an oracle.  Inversion sets are integer bitmasks (one
-bit per reflection), and the poset is also stored transposed: for each
-reflection k one integer `_cols[k]` has bit i set iff k is an inversion of
-element i.  A query then tests every element of the group at once with a
-few big-integer ANDs: the upper bounds of an inversion set are the AND of
-the columns of its reflections, its lower bounds the AND of the
-complemented columns of the reflections it lacks, and one bitset per
-length picks out the shortest (or longest) of them.  Join and meet are the
-unique least upper and greatest lower bound found that way (a join of any
-number of elements is one query on the union of their inversion sets),
-the canonical join representation follows the cover-reflection recipe, and
-`verify_cjr_definition` replays the lattice-theoretic definition verbatim.
+bit per reflection), and the poset is also stored transposed, with its
+elements laid out by length: bit b of a transposed bitset stands for
+element `_order[b]`, and `_order` lists the elements by (length, index).
+For each reflection k one integer `_cols[k]` has bit b set iff k is an
+inversion of element `_order[b]`.  A query then tests every element of the
+group at once with a few big-integer ANDs: the upper bounds of an
+inversion set are the AND of the columns of its reflections, its lower
+bounds the AND of the complemented columns of the reflections it lacks,
+started from the prefix of the `_ends[l]` elements no longer than the
+set.  The lowest set bit of the result is its shortest element and the
+highest a longest one.  The shortest upper bound is the least one iff
+every upper bound holds the reflections that separate it from the query
+(dually for the longest lower bound), so a join or meet ANDs only those
+columns.  Join and meet are the unique least upper and greatest lower
+bound found that way (a join of any number of elements is one query on
+the union of their inversion sets), the canonical join representation
+follows the cover-reflection recipe, and `verify_cjr_definition` replays
+the lattice-theoretic definition verbatim.
 No Coxeter combinatorics (closure of inversion sets, the closed-form CJR)
 is used, so the results stay an independent check of `coxbrick.canjoin`.
 """
@@ -19,6 +26,7 @@ is used, so the results stay an independent check of `coxbrick.canjoin`.
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -29,7 +37,7 @@ from coxbrick.coxeter import (
     DynkinType,
     Reflection,
     all_reflections,
-    cover_reflections,
+    cover_pairs,
     descents,
     enumerate_group,
     identity,
@@ -50,50 +58,64 @@ class LatticeError(Exception):
 class GroupPoset:
     """An enumerated group with cached inversion bitmasks.
 
-    `elements` is lexicographically ordered by window and `masks[i]` has one
-    bit per reflection, so u <= w iff masks[u] & ~masks[w] == 0.  The masks
-    must be distinct (the weak order is antisymmetric).  `__post_init__`
-    derives `_refl_bit` (reflection to bit) from `reflections`, `_index`
-    (window to position) from `elements` and the transposed view from the
-    masks: `_cols[k]` (the elements whose inversion set holds reflection k),
-    `_cocols[k]` (those whose set lacks it) and `_slices[l]` (the elements
-    of length l), bit i standing for `elements[i]`.
+    `build` orders `elements` lexicographically by window (no query relies
+    on that order), and `masks[i]` has one bit per reflection, so u <= w iff
+    masks[u] & ~masks[w] == 0.  The masks must be distinct (the weak order
+    is antisymmetric).  `__post_init__` derives `_pair_bit` (the (a, b) of a
+    reflection to its bit) from `reflections`, `_index` (window to
+    position) from `elements` and the transposed view from the masks.
+    There bit b stands for element `_order[b]`, and `_order` (an
+    `array('I')`) runs through the element indices by length, ties in index
+    order: `_cols[k]` holds the elements whose inversion set holds
+    reflection k, `_cocols[k]` those whose set lacks it, and the elements of
+    length at most l are the lowest `_ends[l]` bits (a count, not a bitset,
+    which spares one big integer per length).
     """
 
     dynkin: DynkinType
     elements: tuple[CoxeterElement, ...]
     reflections: tuple[Reflection, ...]
     masks: tuple[int, ...] = field(repr=False)
-    _refl_bit: dict[Reflection, int] = field(init=False, repr=False, compare=False)
+    _pair_bit: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
     _index: dict[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
+    _order: array = field(init=False, repr=False, compare=False)
     _cols: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _cocols: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _slices: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _ends: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _everything: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if any(a == b for a, b in itertools.pairwise(sorted(self.masks))):
             raise LatticeError("two elements share an inversion set")
-        self._refl_bit = {t: k for k, t in enumerate(self.reflections)}
+        self._pair_bit = {(t.a, t.b): k for k, t in enumerate(self.reflections)}
         self._index = {w.window: i for i, w in enumerate(self.elements)}
         n, width = len(self.masks), len(self.reflections)
         self._everything = (1 << n) - 1
-        # Transpose a chunk of elements at a time (small chunks keep the
-        # memory peak down): spell each mask as `width` binary digits, last
-        # element first, so reflection k is every width-th digit from
-        # width - 1 - k and element i lands on bit i.
+        # Counting sort by length; scanning the indices upwards keeps ties in
+        # index order.
+        counts = [0] * (width + 1)
+        for m in self.masks:
+            counts[m.bit_count()] += 1
+        self._ends = tuple(itertools.accumulate(counts))
+        slot = [end - count for end, count in zip(self._ends, counts)]
+        order = array("I", [0]) * n
+        for i, m in enumerate(self.masks):
+            length = m.bit_count()
+            order[slot[length]] = i
+            slot[length] += 1
+        self._order = order
+        # Transpose a chunk of bits at a time (small chunks keep the memory
+        # peak down): spell each mask as `width` binary digits, last bit
+        # first, so reflection k is every width-th digit from width - 1 - k
+        # and element order[b] lands on bit b.
         cols = [0] * width
         for start in range(0, n, _CHUNK):
-            chunk = reversed(self.masks[start : start + _CHUNK])
-            rows = "".join(format(m, f"0{width}b") for m in chunk)
+            chunk = reversed(order[start : start + _CHUNK])
+            rows = "".join(format(self.masks[i], f"0{width}b") for i in chunk)
             for k in range(width):
                 cols[k] |= int(rows[width - 1 - k :: width], 2) << start
         self._cols = tuple(cols)
         self._cocols = tuple(self._everything ^ col for col in self._cols)
-        slices = [bytearray((n + 7) // 8) for _ in range(width + 1)]
-        for i, m in enumerate(self.masks):
-            slices[m.bit_count()][i >> 3] |= 1 << (i & 7)
-        self._slices = tuple(int.from_bytes(s, "little") for s in slices)
 
     @classmethod
     def build(cls, dynkin: DynkinType, cap: int = DEFAULT_ENUMERATION_CAP) -> "GroupPoset":
@@ -152,9 +174,9 @@ class GroupPoset:
     def join_irreducibles(self) -> tuple[CoxeterElement, ...]:
         return tuple(w for w in self.elements if join_irreducible_type(w) is not None)
 
-    def _select(self, columns: tuple[int, ...], reflections: int) -> int:
-        """AND of `columns[k]` over the bits k of `reflections`."""
-        out = self._everything
+    @staticmethod
+    def _select(columns: tuple[int, ...], reflections: int, out: int) -> int:
+        """`out` ANDed with `columns[k]` for every bit k of `reflections`."""
         while reflections and out:
             low = reflections & -reflections
             out &= columns[low.bit_length() - 1]
@@ -163,25 +185,43 @@ class GroupPoset:
 
     def _above(self, mask: int) -> int:
         """Bitset of the elements whose inversion set contains `mask`."""
-        return self._select(self._cols, mask)
+        return self._select(self._cols, mask, self._everything)
 
     def _below(self, mask: int) -> int:
-        """Bitset of the elements whose inversion set lies inside `mask`."""
-        return self._select(self._cocols, ~mask & ((1 << len(self._cols)) - 1))
+        """Bitset of the elements whose inversion set lies inside `mask`;
+        none is longer than `mask`, so the AND starts from that prefix."""
+        lacked = ~mask & ((1 << len(self._cols)) - 1)
+        prefix = (1 << self._ends[mask.bit_count()]) - 1
+        return self._select(self._cocols, lacked, prefix)
 
-    def _shortest(self, candidates: int, want_min: bool) -> int:
-        """Lowest index among the shortest (or longest) elements of a bitset."""
-        for length_slice in self._slices if want_min else reversed(self._slices):
-            hit = candidates & length_slice
-            if hit:
-                return (hit & -hit).bit_length() - 1
-        raise LatticeError("empty candidate set")
+    def _extreme(self, candidates: int, query: int, want_min: bool) -> int | None:
+        """Index of the unique minimum (or maximum) of a nonempty bitset, or
+        None when it has none.
 
-    def _extreme(self, candidates: int, want_min: bool) -> int:
-        """Index of the unique minimum (or maximum) of a bitset of indices."""
-        best = self._shortest(candidates, want_min)
-        bound = self._above if want_min else self._below
-        if candidates & ~bound(self.masks[best]):
+        Every candidate must contain the inversion set `query` (for a
+        minimum) or lie inside it (for a maximum).  The lowest bit is the
+        shortest candidate, and it is the minimum iff every candidate holds
+        the reflections that separate it from `query`; the highest bit is a
+        longest candidate, the maximum iff every candidate lacks those of
+        `query` that it lacks.  A unique minimum is strictly shorter than
+        every other candidate, so the tie-break never matters.
+        """
+        if not candidates:
+            raise LatticeError("empty candidate set")
+        if want_min:
+            best = self._order[(candidates & -candidates).bit_length() - 1]
+            columns, separating = self._cols, self.masks[best] & ~query
+        else:
+            best = self._order[candidates.bit_length() - 1]
+            columns, separating = self._cocols, query & ~self.masks[best]
+        if self._select(columns, separating, candidates) != candidates:
+            return None
+        return best
+
+    def _lattice_extreme(self, candidates: int, query: int, want_min: bool) -> int:
+        """`_extreme`, raising LatticeError when there is no unique one."""
+        best = self._extreme(candidates, query, want_min)
+        if best is None:
             raise LatticeError("no unique extreme element; lattice property violated")
         return best
 
@@ -195,12 +235,12 @@ class GroupPoset:
         mask = 0
         for u in us:
             mask |= self.mask(u)
-        return self.elements[self._extreme(self._above(mask), want_min=True)]
+        return self.elements[self._lattice_extreme(self._above(mask), mask, want_min=True)]
 
     def meet(self, u: CoxeterElement, v: CoxeterElement) -> CoxeterElement:
         """Greatest lower bound in weak order."""
-        lb = self._below(self.mask(u) & self.mask(v))
-        return self.elements[self._extreme(lb, want_min=False)]
+        mask = self.mask(u) & self.mask(v)
+        return self.elements[self._lattice_extreme(self._below(mask), mask, want_min=False)]
 
     def join_all(self, us: Iterable[CoxeterElement]) -> CoxeterElement:
         """Join of a finite collection, as one `join` query; the empty join is
@@ -255,21 +295,23 @@ class GroupPoset:
         """
         below_w = self._below(self.mask(w))
         out = set()
-        for t in cover_reflections(w):
-            cand = below_w & self._cols[self._refl_bit[t]]
+        for pair in cover_pairs(w):
+            k = self._pair_bit[pair]
+            cand = below_w & self._cols[k]
             # With distinct masks, exactly one minimal element is the same as
-            # the shortest candidate lying below every candidate.
+            # a unique minimum of the candidates, all of which hold bit k.
             if cand:
-                best = self._shortest(cand, want_min=True)
-                if not cand & ~self._above(self.masks[best]):
+                best = self._extreme(cand, 1 << k, want_min=True)
+                if best is not None:
                     out.add(self.elements[best])
                     continue
-            indices = [i for i in range(len(self.masks)) if cand >> i & 1]
+            indices = [self._order[b] for b in range(len(self.masks)) if cand >> b & 1]
             minimal = [
                 i
                 for i in indices
                 if not any(j != i and self.masks[j] & ~self.masks[i] == 0 for j in indices)
             ]
+            t = Reflection(*pair)
             raise LatticeError(f"{len(minimal)} minimal elements below {w} containing {t}")
         return frozenset(out)
 

@@ -54,7 +54,7 @@ def cjr_oracle(poset: GroupPoset, w: CoxeterElement) -> frozenset[CoxeterElement
     wi = poset.mask(w)
     out = set()
     for t in cover_reflections(w):
-        tb = 1 << poset._refl_bit[t]
+        tb = 1 << poset._pair_bit[t.a, t.b]
         cand = [i for i, m in enumerate(masks) if m & ~wi == 0 and m & tb]
         minimal = [
             i

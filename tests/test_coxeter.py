@@ -11,6 +11,7 @@ from coxbrick.coxeter import (
     DynkinType,
     Family,
     Reflection,
+    cover_pairs,
     cover_reflections,
     descents,
     enumerate_group,
@@ -104,6 +105,19 @@ def test_cover_reflections_examples():
     assert cover_reflections(A3_el("4,3,1,2")) == {Reflection(4, 3), Reflection(3, 1)}
     assert cover_reflections(A3_el("3,2,1,4")) == {Reflection(3, 2), Reflection(2, 1)}
     assert cover_reflections(A3_el("2,1,3,4")) == {Reflection(2, 1)}
+
+
+@pytest.mark.parametrize("dynkin", [DynkinType(Family.A, 5), DynkinType(Family.D, 5)], ids=str)
+def test_cover_pairs_are_the_cover_reflections(dynkin):
+    for w in enumerate_group(dynkin):
+        pairs = cover_pairs(w)
+        # The inversion that w loses at each descent, from the definition.
+        expected = {
+            next(iter(inversions(w) - inversions(multiply(w, simple_reflection(dynkin, d)))))
+            for d in descents(w)
+        }
+        assert len(pairs) == len(set(pairs)) == len(descents(w)), w
+        assert {Reflection(a, b) for a, b in pairs} == cover_reflections(w) == expected, w
 
 
 def test_weak_leq_examples():

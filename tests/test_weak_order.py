@@ -15,7 +15,9 @@ from coxbrick.coxeter import (
     inversions,
     join_irreducible_type,
     join_irreducibles,
+    multiply,
     parse_window,
+    simple_reflection,
     weak_leq,
 )
 from coxbrick.canjoin import cjr_direct
@@ -117,10 +119,16 @@ def test_cjr_oracle_equals_scan_oracle(dynkin):
 def test_columns_transpose_masks():
     # D5 has 1920 elements, more than one transpose chunk.
     poset = GroupPoset.build(DynkinType(Family.D, 5))
+    order, masks = poset._order, poset.masks
+    assert sorted(order) == list(range(len(masks)))
+    keys = [(masks[i].bit_count(), i) for i in order]
+    assert keys == sorted(keys)
     for k, col in enumerate(poset._cols):
-        assert col == sum(1 << i for i, m in enumerate(poset.masks) if m >> k & 1), k
-    for length, members in enumerate(poset._slices):
-        assert members == sum(1 << i for i, m in enumerate(poset.masks) if m.bit_count() == length)
+        assert col == sum(1 << b for b, i in enumerate(order) if masks[i] >> k & 1), k
+    assert len(poset._ends) == len(poset.reflections) + 1
+    for length, end in enumerate(poset._ends):
+        prefix = sum(1 << b for b, i in enumerate(order) if masks[i].bit_count() <= length)
+        assert (1 << end) - 1 == prefix, length
 
 
 def _hand_built(poset, elements, masks):
@@ -131,6 +139,44 @@ def _hand_built(poset, elements, masks):
         reflections=poset.reflections,
         masks=tuple(masks),
     )
+
+
+def _outcome(query):
+    """The result of a query, or the message of the LatticeError it raises."""
+    try:
+        return query()
+    except LatticeError as error:
+        return f"LatticeError: {error}"
+
+
+@pytest.mark.parametrize("dynkin", [A3, D4], ids=str)
+@pytest.mark.parametrize("arrange", ["shuffled", "reversed"])
+@pytest.mark.parametrize("pruned", [False, True], ids=["whole", "pruned"])
+def test_rearranged_poset_equals_scan_oracle(dynkin, arrange, pruned):
+    # Elements out of lexicographic order, so bit order and index order
+    # disagree within every length.  Pruning s_2 and s_1 s_3 leaves a
+    # poset that is no lattice, where some joins, meets and CJRs must raise.
+    poset = GroupPoset.build(dynkin)
+    picks = list(range(len(poset.elements)))
+    if pruned:
+        s1, s2, s3 = (simple_reflection(dynkin, i) for i in (1, 2, 3))
+        picks.remove(poset.index(s2))
+        picks.remove(poset.index(multiply(s1, s3)))
+    if arrange == "shuffled":
+        random.Random(15).shuffle(picks)
+    else:
+        picks.reverse()
+    moved = _hand_built(poset, [poset.elements[i] for i in picks], [poset.masks[i] for i in picks])
+    els = moved.elements
+    for w in els:
+        fast = _outcome(lambda: moved.cjr_oracle(w))
+        assert fast == _outcome(lambda: scan_oracle.cjr_oracle(moved, w)), w
+    for i, u in enumerate(els):
+        for v in els[i:]:
+            fast = _outcome(lambda: moved.join(u, v))
+            assert fast == _outcome(lambda: scan_oracle.join(moved, u, v)), (u, v)
+            fast = _outcome(lambda: moved.meet(u, v))
+            assert fast == _outcome(lambda: scan_oracle.meet(moved, u, v)), (u, v)
 
 
 def _same_lattice_error(query, reference, message):
@@ -331,5 +377,5 @@ def test_lengths_match_inversions(d4):
 def test_build_masks_equal_the_inversion_sets(dynkin):
     poset = GroupPoset.build(dynkin)
     for w, mask in zip(poset.elements, poset.masks):
-        expected = sum(1 << poset._refl_bit[t] for t in inversions(w))
+        expected = sum(1 << poset._pair_bit[t.a, t.b] for t in inversions(w))
         assert mask == expected, w
