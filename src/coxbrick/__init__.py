@@ -13,7 +13,6 @@ from coxbrick.coxeter import (
     CoxeterElement,
     DynkinType,
     Reflection,
-    cover_reflections,
     descents,
     enumerate_group,
     identity,
@@ -21,14 +20,12 @@ from coxbrick.coxeter import (
     join_irreducible_type,
     multiply,
     simple_reflection,
-    weak_leq,
 )
 
 __all__ = [
     "CoxeterElement",
     "DynkinType",
     "Reflection",
-    "cover_reflections",
     "descents",
     "enumerate_group",
     "identity",
@@ -36,5 +33,4 @@ __all__ = [
     "join_irreducible_type",
     "multiply",
     "simple_reflection",
-    "weak_leq",
 ]

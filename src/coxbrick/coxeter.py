@@ -119,15 +119,6 @@ class CoxeterElement:
         inv = tuple(pos[v] if v in pos else -pos[-v] for v in range(1, len(self.window) + 1))
         return CoxeterElement(self.dynkin, inv)
 
-    def inverse_at(self, value: int) -> int:
-        """Position of a value, i.e. w^{-1}(value); extended by w^{-1}(-x) = -w^{-1}(x)."""
-        for i, v in enumerate(self.window, start=1):
-            if v == value:
-                return i
-            if self.dynkin.family is Family.D and v == -value:
-                return -i
-        raise ValueError(f"value {value} not in window {self.window}")
-
     def __str__(self) -> str:
         return format_window(self.window)
 
@@ -292,18 +283,6 @@ def cover_pairs(w: CoxeterElement) -> list[tuple[int, int]]:
         x, y = (-window[0], window[1]) if d == -1 else (window[d - 1], window[d])
         pairs.append(normalised_pair(x, y))
     return pairs
-
-
-def cover_reflections(w: CoxeterElement) -> frozenset[Reflection]:
-    """cov(w) = {w s_d w^{-1} : d in des(w)}, normalised per type."""
-    return frozenset(Reflection(a, b) for a, b in cover_pairs(w))
-
-
-def weak_leq(u: CoxeterElement, w: CoxeterElement) -> bool:
-    """Right weak order: u <= w iff inv(u) is contained in inv(w)."""
-    if u.dynkin != w.dynkin:
-        raise ValueError(f"mismatched types {u.dynkin} and {w.dynkin}")
-    return inversions(u) <= inversions(w)
 
 
 def enumerate_group(

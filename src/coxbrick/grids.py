@@ -32,7 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from coxbrick.coxeter import CoxeterElement, DynkinType, Family, join_irreducible_type
-from coxbrick.homs import subrepresentation
+# importable as grids.subrepresentation, which benchmark/test_benchmark.py reads
+from coxbrick.homs import subrepresentation  # noqa: F401
 from coxbrick.quiver import (
     QuiverRepresentation,
     double_quiver,
@@ -165,11 +166,17 @@ def _grid_images(grid: GammaGrid) -> dict[GridKey, list[tuple[int, GridKey]]]:
     return images
 
 
-def _grid_rep(grid: GammaGrid) -> QuiverRepresentation:
-    vertex_of = {key: symbol_vertex(key[0]) for key in grid.entries}
-    rep = rep_from_basis_action(double_quiver(grid.dynkin), vertex_of, _grid_images(grid))
+def _rep_on(dynkin: DynkinType, keys, images) -> QuiverRepresentation:
+    """The relation-checked representation on the basis `keys`, each arrow
+    acting by `images` (an image outside `keys` reads as zero)."""
+    vertex_of = {key: symbol_vertex(key[0]) for key in keys}
+    rep = rep_from_basis_action(double_quiver(dynkin), vertex_of, images)
     rep.check_relations()
     return rep
+
+
+def _grid_rep(grid: GammaGrid) -> QuiverRepresentation:
+    return _rep_on(grid.dynkin, grid.entries, _grid_images(grid))
 
 
 def projective_rep(dynkin: DynkinType, l: int) -> QuiverRepresentation:
@@ -182,22 +189,19 @@ def j_module(w: CoxeterElement) -> QuiverRepresentation:
     return _grid_rep(gamma_of(w))
 
 
-def grid_basis_order(grid: GammaGrid) -> dict[int, list[GridKey]]:
-    """Basis order per vertex, matching the representation's coordinates."""
-    order: dict[int, list[GridKey]] = {}
-    for key in sorted(grid.entries):
-        order.setdefault(symbol_vertex(key[0]), []).append(key)
-    return order
-
-
 def kernel_socle(w: CoxeterElement) -> QuiverRepresentation:
     """S(w) as the kernel of right multiplication by a fixed loop.
 
     Supported for type A and for type D with descent +-1, where the loop
     shifts the grid index: (i, j) -> (i, j+1) in type A, and two rows down
     (same i) in type D.  The kernel is spanned by the kept entries whose
-    shift leaves Gamma(w).  For type D with l >= 2 the generic socle oracle
-    must be used instead.
+    shift leaves Gamma(w), so it is built on those entries straight from
+    the grid's images, without building J(w).  Each arrow must map the
+    kernel into itself: an entry's images under one arrow are summed, and a
+    nonzero sum on a kept entry outside the kernel raises ValueError("subspace
+    not invariant under <arrow>"), as `homs.subrepresentation` does.  The
+    result is relation-checked.  For type D with l >= 2 the generic socle
+    oracle must be used instead.
     """
     l = join_irreducible_type(w)
     if l is None:
@@ -216,9 +220,17 @@ def kernel_socle(w: CoxeterElement) -> QuiverRepresentation:
         nxt2 = next_row.get(next_row.get(j))
         return nxt2 is None or (i, nxt2) not in grid.entries
 
-    rep = _grid_rep(grid)
-    basis_rows = {
-        v: [{i: 1} for i, key in enumerate(keys) if shifted_out(*key)]
-        for v, keys in grid_basis_order(grid).items()
-    }
-    return subrepresentation(rep, basis_rows)
+    kernel = {key for key in grid.entries if shifted_out(*key)}
+    images = _grid_images(grid)
+    leaks = set()  # (u, v) of each arrow u -> v that maps the kernel out of itself
+    for key in kernel:
+        summed: dict[GridKey, int] = {}
+        for coeff, image in images[key]:
+            if image in grid.entries and image not in kernel:
+                summed[image] = summed.get(image, 0) + coeff
+        v = symbol_vertex(key[0])
+        leaks.update((symbol_vertex(image[0]), v) for image, y in summed.items() if y)
+    for arrow in double_quiver(dynkin).arrows:
+        if (arrow.src, arrow.tgt) in leaks:
+            raise ValueError(f"subspace not invariant under {arrow.name}")
+    return _rep_on(dynkin, kernel, images)

@@ -165,13 +165,18 @@ def socle_over_end(m: QuiverRepresentation) -> QuiverRepresentation:
     """The largest subrepresentation killed by the radical of End(m).
 
     For m = J(w) this is the brick S(w).  The result is a representation on
-    the canonical echelon basis of the subspace.
+    the canonical echelon basis of the subspace.  When the radical is zero
+    that subspace is all of m, whose echelon basis is the standard one, so
+    m itself is returned; otherwise each vertex's kernel is taken over the
+    nonempty rows of the radical's blocks only.
     """
     if m.total_dim == 0:
         raise ValueError("socle of the zero module is undefined")
     rad = radical_basis(hom_basis(m, m))
+    if not rad:
+        return m
     basis_rows = {
-        v: rl.nullspace([row for f in rad for row in f[v]], m.dims.get(v, 0))
+        v: rl.nullspace([row for f in rad for row in f[v] if row], m.dims.get(v, 0))
         for v in m.quiver.vertices
     }
     return subrepresentation(m, basis_rows)
@@ -185,14 +190,17 @@ def is_brick(m: QuiverRepresentation) -> bool:
 def iso_bricks(m: QuiverRepresentation, n: QuiverRepresentation) -> bool:
     """Whether two bricks are isomorphic; ValueError if either is not a brick.
 
-    The checks, in order: n is a brick; the dimension vectors are equal;
-    Hom(m, n) is one-dimensional with a generator invertible at every vertex
-    (its square block there has full rank).  An isomorphism onto a brick
-    makes m a brick, so `is_brick(m)` runs only when one of the last two
-    checks fails, to tell `False` from ValueError.
+    The checks, in order: n is a brick; m equals n entry for entry, when the
+    identity is the isomorphism and no Hom system is solved; the dimension
+    vectors are equal; Hom(m, n) is one-dimensional with a generator
+    invertible at every vertex (its square block there has full rank).  An
+    isomorphism onto a brick makes m a brick, so `is_brick(m)` runs only
+    when one of the last two checks fails, to tell `False` from ValueError.
     """
     if not is_brick(n):
         raise ValueError("iso_bricks expects bricks")
+    if m == n:
+        return True
     if m.dim_vector() == n.dim_vector():
         basis = hom_basis(m, n)
         if len(basis) == 1 and all(

@@ -4,13 +4,38 @@ The test oracle for the bit-sliced queries in `coxbrick.weak_order`: every
 query walks the tuple of inversion masks one element at a time, a join of
 many elements folds the pairwise join from the identity, and the CJR keeps
 the quadratic minimal-element scan.  Results and `LatticeError`
-messages are the ones `GroupPoset` must reproduce.
+messages are the ones `GroupPoset` must reproduce.  The element-level
+references kept beside them (`weak_leq` on inversion sets, `cover_reflections`
+as `Reflection`s, `inverse_at` by a scan of the window) are what the
+package's own queries (`GroupPoset.leq`, `cover_pairs`) are tested against.
 """
 
 from __future__ import annotations
 
-from coxbrick.coxeter import CoxeterElement, cover_reflections
+from coxbrick.coxeter import CoxeterElement, Family, Reflection, cover_pairs, inversions
 from coxbrick.weak_order import GroupPoset, LatticeError
+
+
+def weak_leq(u: CoxeterElement, w: CoxeterElement) -> bool:
+    """Right weak order: u <= w iff inv(u) is contained in inv(w)."""
+    if u.dynkin != w.dynkin:
+        raise ValueError(f"mismatched types {u.dynkin} and {w.dynkin}")
+    return inversions(u) <= inversions(w)
+
+
+def cover_reflections(w: CoxeterElement) -> frozenset[Reflection]:
+    """cov(w) = {w s_d w^{-1} : d in des(w)}, normalised per type."""
+    return frozenset(Reflection(a, b) for a, b in cover_pairs(w))
+
+
+def inverse_at(w: CoxeterElement, value: int) -> int:
+    """Position of a value, i.e. w^{-1}(value); extended by w^{-1}(-x) = -w^{-1}(x)."""
+    for i, v in enumerate(w.window, start=1):
+        if v == value:
+            return i
+        if w.dynkin.family is Family.D and v == -value:
+            return -i
+    raise ValueError(f"value {value} not in window {w.window}")
 
 
 def extreme(poset: GroupPoset, candidates: list[int], want_min: bool) -> int:

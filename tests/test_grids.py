@@ -1,7 +1,10 @@
 """Projective grids, the modules J(w), and the kernel route to the socle."""
 
+import re
+
 import pytest
 
+from coxbrick import grids
 from coxbrick.coxeter import (
     DynkinType,
     Family,
@@ -20,8 +23,8 @@ from coxbrick.grids import (
     kernel_socle,
     projective_rep,
 )
-from coxbrick.homs import hom_dim, socle_over_end
-from coxbrick.quiver import RelationError, double_quiver
+from coxbrick.homs import hom_dim, socle_over_end, subrepresentation
+from coxbrick.quiver import RelationError, double_quiver, symbol_vertex
 
 A2 = DynkinType(Family.A, 2)
 A8 = DynkinType(Family.A, 8)
@@ -193,6 +196,94 @@ def test_j_module_d9_type_two_row_with_single_sign():
     grid = gamma_of(w)
     row4 = {i for (i, j) in grid.entries if j == 4}
     assert row4 == {-1, 2, 3, 4}
+
+
+def shifted_out(w) -> set:
+    """The kept entries of Gamma(w) whose loop shift leaves Gamma(w): one
+    row down in type A, two rows down in type D with descent +-1."""
+    grid = gamma_of(w)
+    rows = sorted({j for (_, j) in gamma_full(w.dynkin, grid.l).entries}, key=abs)
+    below = {j: rows[k + 1 : k + 3] for k, j in enumerate(rows)}
+    step = 1 if w.dynkin.family is Family.A else 2
+    return {
+        (i, j)
+        for (i, j) in grid.entries
+        if len(below[j]) < step or (i, below[j][step - 1]) not in grid.entries
+    }
+
+
+def kernel_by_subrepresentation(w):
+    """The kernel route through J(w): `subrepresentation` of `j_module(w)`
+    on the unit vectors of the shifted-out entries, each vertex's basis in
+    sorted key order.  The reference for `kernel_socle`."""
+    grid = gamma_of(w)
+    kernel = shifted_out(w)
+    basis_rows = {}
+    for v in w.dynkin.vertices:
+        keys = sorted(key for key in grid.entries if symbol_vertex(key[0]) == v)
+        basis_rows[v] = [{c: 1} for c, key in enumerate(keys) if key in kernel]
+    return subrepresentation(j_module(w), basis_rows)
+
+
+KERNEL_TYPES = [DynkinType(Family.A, n) for n in range(2, 7)] + [
+    DynkinType(Family.D, n) for n in range(4, 7)
+]
+
+
+@pytest.mark.parametrize("dynkin", KERNEL_TYPES, ids=str)
+def test_kernel_socle_equals_the_subrepresentation_of_j(dynkin):
+    checked = 0
+    for w in join_irreducibles(dynkin):
+        if dynkin.family is Family.D and join_irreducible_type(w) >= 2:
+            continue
+        reference, kernel = kernel_by_subrepresentation(w), kernel_socle(w)
+        assert kernel.dims == reference.dims and kernel.mats == reference.mats, w
+        checked += 1
+    assert checked > 0
+
+
+def _leak_into_kept_entry(monkeypatch, w, coeffs):
+    """Make `_grid_images` send one kernel entry of w to a kept entry outside
+    the kernel, with the coefficients `coeffs`; return the arrow they use."""
+    grid = gamma_of(w)
+    kernel = shifted_out(w)
+    quiver = double_quiver(w.dynkin)
+    arrow, key, image = next(
+        (a, key, image)
+        for a in quiver.arrows
+        for key in sorted(kernel)
+        for image in sorted(grid.entries - kernel)
+        if (symbol_vertex(image[0]), symbol_vertex(key[0])) == (a.src, a.tgt)
+    )
+    images = grids._grid_images
+
+    def leaky(g):
+        out = images(g)
+        if g.entries == grid.entries:
+            out[key] = out[key] + [(x, image) for x in coeffs]
+        return out
+
+    monkeypatch.setattr(grids, "_grid_images", leaky)
+    return arrow
+
+
+@pytest.mark.parametrize(
+    "dynkin, window", [(A8, "2,5,8,1,3,4,6,7,9"), (D9, "9,-7,-6,-4,-1,2,3,5,8")], ids=str
+)
+def test_kernel_socle_rejects_a_kernel_that_is_not_invariant(monkeypatch, dynkin, window):
+    w = parse_window(dynkin, window)
+    arrow = _leak_into_kept_entry(monkeypatch, w, [1])
+    message = re.escape(f"subspace not invariant under {arrow.name}") + "$"
+    with pytest.raises(ValueError, match=message):
+        kernel_socle(w)
+
+
+def test_kernel_socle_sums_the_images_under_one_arrow(monkeypatch):
+    # images that cancel leave the kernel invariant, as in subrepresentation
+    w = parse_window(A8, "2,5,8,1,3,4,6,7,9")
+    expected = kernel_socle(w)
+    _leak_into_kept_entry(monkeypatch, w, [1, -1])
+    assert kernel_socle(w) == expected
 
 
 def test_kernel_socle_unsupported_for_d_high_type():

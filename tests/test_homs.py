@@ -192,6 +192,53 @@ def test_iso_bricks_contract(monkeypatch):
     assert len(checked) == 1
 
 
+def test_iso_bricks_of_equal_bricks_solves_only_end(monkeypatch):
+    b = brick_rep(parse_window(D5, "-1,2,-5,-4,-3"))
+    twin = QuiverRepresentation(b.quiver, dict(b.dims), dict(b.mats))  # equal, not identical
+    solved = []
+    monkeypatch.setattr(homs, "hom_basis", lambda m, n: solved.append((m, n)) or hom_basis(m, n))
+    assert iso_bricks(b, b) and iso_bricks(twin, b)
+    assert solved == [(b, b), (b, b)]
+
+
+def test_socle_over_end_of_a_module_with_zero_radical_is_the_module():
+    modules = [j_module(w) for w in join_irreducibles(D5)] + [simple_rep(double_quiver(D5), 2)]
+    zero_radical = [m for m in modules if not radical_basis(hom_basis(m, m))]
+    assert 0 < len(zero_radical) < len(modules)
+    for m in zero_radical:
+        whole = {v: [{k: 1} for k in range(d)] for v, d in m.dims.items()}
+        assert socle_over_end(m) == subrepresentation(m, whole) == m
+
+
+def test_socle_over_end_hands_nullspace_no_empty_row(monkeypatch):
+    # record the rows of the socle's own kernels, not those of the Hom
+    # systems and Gram matrices solved inside hom_basis and radical_basis
+    inside, kernels = [], []
+
+    def flagged(f):
+        def run(*args):
+            inside.append(f)
+            try:
+                return f(*args)
+            finally:
+                inside.pop()
+
+        return run
+
+    def recorded(rows, ncols):
+        if not inside:
+            kernels.append(rows)
+        return nullspace(rows, ncols)
+
+    for name in ("hom_basis", "radical_basis"):
+        monkeypatch.setattr(homs, name, flagged(getattr(homs, name)))
+    nullspace = homs.rl.nullspace
+    monkeypatch.setattr(homs.rl, "nullspace", recorded)
+    for w in join_irreducibles(D5):
+        socle_over_end(j_module(w))
+    assert kernels and all(row for rows in kernels for row in rows)
+
+
 def test_positive_root_examples():
     assert not is_positive_root(A8, {v: 0 for v in A8.vertices})
     interval = {v: 1 if 3 <= v <= 5 else 0 for v in A8.vertices}

@@ -364,7 +364,7 @@ def rref_readout(rows: list[dict], ncols: int) -> list[dict]:
     return basis
 
 
-@pytest.mark.parametrize("dynkin", [DynkinType(Family.A, 5), DynkinType(Family.D, 5)], ids=str)
+@pytest.mark.parametrize("dynkin", [DynkinType(Family.A, 6), DynkinType(Family.D, 5)], ids=str)
 def test_every_oracle_system_equals_the_rref_readout(dynkin, monkeypatch):
     systems = []
     nullspace = rl.nullspace
