@@ -35,8 +35,8 @@ from coxbrick.coxeter import (
     CoxeterElement,
     DynkinType,
     Family,
-    join_irreducible_type,
     per_join_irreducible,
+    unique_descent,
 )
 from coxbrick.quiver import (
     QuiverRepresentation,
@@ -79,9 +79,7 @@ def v_sets(a: int, b: int, c: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def _params(w: CoxeterElement) -> tuple[int, int, int, frozenset[int]]:
     """(l, a, b, R) of a join-irreducible w with descent l; ValueError on any
     other element."""
-    l = join_irreducible_type(w)
-    if l is None:
-        raise ValueError(f"{w} is not join-irreducible")
+    l = unique_descent(w)
     return l, w(l), w(abs(l) + 1), r_set(w)
 
 

@@ -16,12 +16,13 @@ left-value set L(w_d) from its own closed form and checks it against the
 reconstructed window, and checks that R(w_d) gives back R_d, so a formula
 transcription error cannot pass silently.
 
-The row of descent d depends on w only through d, a_d = w(d),
-b_d = w(|d|+1) and the value set X = w([|d|+1, n]) (n+1 in type A): in
-type D the absolute values of w([1,|d|]) are the complement of |X|.  One
-row function, `_row`, takes exactly those arguments in both families: a
-type-A window is a type-D one with n+1 positive values, whose rows are the
-case-(B) rows.  `decompose` keeps each row in a table on the type, keyed
+Type A is the all-positive slice of type D (an A_n window is a D_{n+1}
+window with positive values), so each function has one body over the window
+size n, in which only type D lets values carry signs.  The row of descent d
+depends on w only through d, a_d = w(d), b_d = w(|d|+1) and the value set
+X = w([|d|+1, n]): the absolute values of w([1,|d|]) are the complement of
+|X|.  One row function, `_row`, takes exactly those arguments; a type-A row
+is a case-(B) row.  `decompose` keeps each row in a table on the type, keyed
 by (d, a, b, X), so a row is computed and checked once per key.  Both
 sides of each check are functions of the key, so a check that passed once
 would pass on every later element with that key: the table skips no check
@@ -38,6 +39,7 @@ from coxbrick.coxeter import (
     Family,
     join_irreducible_type,
     per_join_irreducible,
+    unique_descent,
 )
 
 
@@ -56,10 +58,7 @@ def r_set(w: CoxeterElement) -> frozenset[int]:
 
     Memoised per join-irreducible; raises ValueError on any other element.
     """
-    l = join_irreducible_type(w)
-    if l is None:
-        raise ValueError(f"{w} is not join-irreducible")
-    return frozenset(w.window[abs(l):])
+    return frozenset(w.window[abs(unique_descent(w)):])
 
 
 def jirr_from_R(dynkin: DynkinType, r_values: frozenset[int] | set[int]) -> CoxeterElement:
@@ -67,38 +66,31 @@ def jirr_from_R(dynkin: DynkinType, r_values: frozenset[int] | set[int]) -> Coxe
 
     Both blocks of the window are increasing, so the values after the descent
     are the given set in ascending order and the values before it are the
-    complement in ascending order; in type D the sign of the leading entry is
-    forced by the even-negatives constraint.  Raises ValueError when the
-    resulting window does not have exactly one descent.  The result is
-    memoised in `dynkin.memo`; a raising call stores nothing.
+    complement of their absolute values in ascending order, the leading
+    entry negated when R holds an odd number of negative values (type D
+    only).  Raises ValueError unless the set holds 1 to n-1 values with
+    distinct absolute values in [1, n], n the window size (all positive in
+    type A), and the resulting window has exactly one descent.  The result
+    is memoised in `dynkin.memo`; a raising call stores nothing.
     """
     key = ("jirr", frozenset(r_values))
     if key in dynkin.memo:
         return dynkin.memo[key]
-    n = dynkin.rank
+    n = dynkin.window_size
     right = sorted(r_values)
-    if dynkin.family is Family.A:
-        if not (1 <= len(right) <= n and all(1 <= v <= n + 1 for v in right)):
-            raise ValueError(f"not a valid type-A R-set: {sorted(r_values)}")
-        if len(set(right)) != len(right):
-            raise ValueError(f"repeated values in R-set: {sorted(r_values)}")
-        left = sorted(set(range(1, n + 2)) - set(right))
-        window = tuple(left + right)
-    else:
-        absolutes = [abs(v) for v in right]
-        if not (1 <= len(right) <= n - 1 and all(1 <= a <= n for a in absolutes)):
-            raise ValueError(f"not a valid type-D R-set: {sorted(r_values)}")
-        if len(set(absolutes)) != len(absolutes):
-            raise ValueError(f"repeated absolute values in R-set: {sorted(r_values)}")
-        unused = sorted(set(range(1, n + 1)) - set(absolutes))
-        negatives = sum(1 for v in right if v < 0)
-        left = list(unused)
-        if negatives % 2 == 1:
-            left[0] = -left[0]
-        window = tuple(left + right)
-    w = CoxeterElement(dynkin, window)
+    absolutes = {abs(v) for v in right}
+    signed = dynkin.family is Family.D
+    in_range = absolutes <= set(range(1, n + 1)) and (signed or all(v > 0 for v in right))
+    if not (1 <= len(right) < n and in_range):
+        raise ValueError(f"not a valid type-{dynkin.family.value} R-set: {right}")
+    if len(absolutes) != len(right):
+        raise ValueError(f"repeated absolute values in R-set: {right}")
+    left = sorted(set(range(1, n + 1)) - absolutes)
+    if sum(1 for v in right if v < 0) % 2:
+        left[0] = -left[0]
+    w = CoxeterElement(dynkin, tuple(left + right))
     if join_irreducible_type(w) is None:
-        raise ValueError(f"{sorted(r_values)} is not an R-set of any join-irreducible")
+        raise ValueError(f"{right} is not an R-set of any join-irreducible")
     dynkin.memo[key] = w
     return w
 
@@ -121,10 +113,7 @@ def _left_values(w: CoxeterElement) -> frozenset[int]:
 
     Memoised per join-irreducible; raises ValueError on any other element.
     """
-    l = join_irreducible_type(w)
-    if l is None:
-        raise ValueError(f"{w} is not join-irreducible")
-    return frozenset(abs(v) for v in w.window[: abs(l)])
+    return frozenset(abs(v) for v in w.window[: abs(unique_descent(w))])
 
 
 def _datum(
@@ -196,23 +185,22 @@ def decompose(w: CoxeterElement) -> list[DescentDatum]:
     d ascending).
 
     Each row is looked up in the type's row table under (d, a, b, mask of
-    X), the mask having bit v (type A) or v + n (type D) for each value v of
-    X, and computed by `_row` on a miss; a row that raises is
-    not stored.
+    X), the mask having bit v + n (n the rank) for each value v of X, and
+    computed by `_row` on a miss; a row that raises is not stored.  The
+    descent -1 (-w(1) > w(2)) never occurs on a positive window.
     """
     dynkin, window = w.dynkin, w.window
     rows = dynkin.memo.get("cjr_rows")
     if rows is None:
         rows = dynkin.memo["cjr_rows"] = {}
-    type_d = dynkin.family is Family.D
-    shift = dynkin.rank if type_d else 0
+    shift = dynkin.rank
     keys = []
     mask = 0
     for d in range(len(window) - 1, 0, -1):
         mask |= 1 << (window[d] + shift)  # the values window[d:]
         if window[d - 1] > window[d]:
             keys.append((d, window[d - 1], window[d], mask))
-    if type_d and -window[0] > window[1]:
+    if -window[0] > window[1]:
         keys.append((-1, -window[0], window[1], mask))
     keys.reverse()
     out = []

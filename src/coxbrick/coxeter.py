@@ -6,6 +6,11 @@ permutation (w(1),...,w(n+1)) of [1, n+1]; a type-D element of rank n is
 negative entries is even, and the action extends to +/-[1, n] by
 w(-i) = -w(i).
 
+A_n is the parabolic subgroup <s_1,...,s_n> of D_{n+1}, and its windows are
+exactly the all-positive windows of D_{n+1}.  The reflections, inversions
+and enumeration below are the type-D rules over the window size; the
+family enters only as whether a window may carry signs.
+
 Composition follows (sigma tau)(i) = sigma(tau(i)), so multiplying by a
 simple reflection on the right permutes window positions.
 """
@@ -43,8 +48,8 @@ class DynkinType:
       `bricks.brick_diagram`, `census.sigma` and `chi`);
     - ``"cjr_rows"``: the rows of canonical join representations
       (`canjoin.decompose`), one per key (d, a, b, X), X the value set
-      after the descent stored as a bitmask (bit v in type A, v + n in
-      type D);
+      after the descent stored as a bitmask with bit v + n for each value
+      v (n the rank);
     - ``"quiver"``: the double quiver (`quiver.double_quiver`);
     - ``"bricks"``: the brick table (`semibricks.brick_table`).
 
@@ -108,10 +113,13 @@ class CoxeterElement:
 
     def __call__(self, i: int) -> int:
         """Evaluate w(i); type D extends to negative arguments by w(-i)=-w(i)."""
-        if i > 0:
-            return self.window[i - 1]
-        if self.dynkin.family is Family.D and i < 0:
-            return -self.window[-i - 1]
+        try:
+            if i > 0:
+                return self.window[i - 1]
+            if self.dynkin.family is Family.D and i < 0:
+                return -self.window[-i - 1]
+        except IndexError:
+            pass
         raise ValueError(f"bad argument {i}")
 
     def inverse(self) -> "CoxeterElement":
@@ -179,17 +187,14 @@ def multiply(u: CoxeterElement, v: CoxeterElement) -> CoxeterElement:
 
 
 def all_reflections(dynkin: DynkinType) -> tuple[Reflection, ...]:
-    """All reflections, ordered (a ascending, then b)."""
-    out = []
-    if dynkin.family is Family.A:
-        for a in range(2, dynkin.rank + 2):
-            for b in range(1, a):
-                out.append(Reflection(a, b))
-    else:
-        for a in range(2, dynkin.rank + 1):
-            for b in sorted(set(range(1, a)) | set(range(-a + 1, 0))):
-                out.append(Reflection(a, b))
-    return tuple(out)
+    """All reflections, ordered (a ascending, then b); b < 0 only in type D."""
+    signed = dynkin.family is Family.D
+    return tuple(
+        Reflection(a, b)
+        for a in range(2, dynkin.window_size + 1)
+        for b in range(1 - a if signed else 1, a)
+        if b
+    )
 
 
 def normalised_pair(x: int, y: int) -> tuple[int, int]:
@@ -205,25 +210,11 @@ def normalised_pair(x: int, y: int) -> tuple[int, int]:
 def inversions(w: CoxeterElement) -> frozenset[Reflection]:
     """Inversion set; its cardinality is the Coxeter length of w.
 
-    Type A: {(a b) : a > b, w^{-1}(a) < w^{-1}(b)}.
-    Type D: {(-a -b)(a b) : a > |b|, w^{-1}(a) < w^{-1}(b)}.
+    The reflections (a b), or (-a -b)(a b) in type D, with w^{-1}(a) <
+    w^{-1}(b).
     """
-    pos = {v: i for i, v in enumerate(w.window, start=1)}
-    out = set()
-    if w.dynkin.family is Family.A:
-        for a in range(2, w.dynkin.rank + 2):
-            for b in range(1, a):
-                if pos[a] < pos[b]:
-                    out.add(Reflection(a, b))
-    else:
-        def p(v: int) -> int:
-            return pos[v] if v in pos else -pos[-v]
-
-        for a in range(2, w.dynkin.rank + 1):
-            for b in itertools.chain(range(1, a), range(-a + 1, 0)):
-                if p(a) < p(b):
-                    out.add(Reflection(a, b))
-    return frozenset(out)
+    inv = w.inverse()
+    return frozenset(r for r in all_reflections(w.dynkin) if inv(r.a) < inv(r.b))
 
 
 def length(w: CoxeterElement) -> int:
@@ -270,6 +261,14 @@ def join_irreducible_type(w: CoxeterElement) -> int | None:
     return None
 
 
+def unique_descent(w: CoxeterElement) -> int:
+    """The unique descent of w; ValueError unless w is join-irreducible."""
+    l = join_irreducible_type(w)
+    if l is None:
+        raise ValueError(f"{w} is not join-irreducible")
+    return l
+
+
 def cover_pairs(w: CoxeterElement) -> list[tuple[int, int]]:
     """The normalised (a, b) of each cover reflection w s_d w^{-1}, one per
     descent d of w, without building a `Reflection`.
@@ -298,20 +297,20 @@ def enumerate_group(
         raise CapacityError(
             f"|W({dynkin})| = {order} exceeds the enumeration cap {cap}"
         )
-    n = dynkin.rank
-    if dynkin.family is Family.A:
-        return tuple(
-            CoxeterElement(dynkin, perm)
-            for perm in itertools.permutations(range(1, n + 2))
-        )
+    n = dynkin.window_size
+    flips = []  # the nonempty even sets of positions to negate, in type D only
+    if dynkin.family is Family.D:
+        flips = [
+            negs for k in range(2, n + 1, 2) for negs in itertools.combinations(range(n), k)
+        ]
     windows = []
     for perm in itertools.permutations(range(1, n + 1)):
-        for k in range(0, n + 1, 2):
-            for negs in itertools.combinations(range(n), k):
-                w = list(perm)
-                for i in negs:
-                    w[i] = -w[i]
-                windows.append(tuple(w))
+        windows.append(perm)
+        for negs in flips:
+            w = list(perm)
+            for i in negs:
+                w[i] = -w[i]
+            windows.append(tuple(w))
     windows.sort()
     return tuple(CoxeterElement(dynkin, w) for w in windows)
 

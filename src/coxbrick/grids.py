@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from coxbrick.coxeter import CoxeterElement, DynkinType, Family, join_irreducible_type
+from coxbrick.coxeter import CoxeterElement, DynkinType, Family, unique_descent
 # importable as grids.subrepresentation, which benchmark/test_benchmark.py reads
 from coxbrick.homs import subrepresentation  # noqa: F401
 from coxbrick.quiver import (
@@ -96,9 +96,11 @@ def gamma_full(dynkin: DynkinType, l: int, eps: int = 1) -> GammaGrid:
 
 
 def epsilon_for(w: CoxeterElement) -> int:
-    """Sign choice of the grid basis of J(w) for type D, descent l >= 2."""
-    l = join_irreducible_type(w)
-    assert l is not None and l >= 2
+    """Sign choice of the grid basis of J(w) for type D, descent l >= 2;
+    ValueError on any other element."""
+    l = unique_descent(w)
+    if w.dynkin.family is not Family.D or l < 2:
+        raise ValueError(f"{w} has no grid sign: it is not of type D with descent l >= 2")
     n = w.dynkin.rank
     if w(l + 1) >= 2:
         return 1
@@ -109,9 +111,7 @@ def epsilon_for(w: CoxeterElement) -> int:
 
 def gamma_of(w: CoxeterElement) -> GammaGrid:
     """Gamma(w): kept entries of the grid of J(w)."""
-    l = join_irreducible_type(w)
-    if l is None:
-        raise ValueError(f"{w} is not join-irreducible")
+    l = unique_descent(w)
     dynkin = w.dynkin
     eps = 1
     if dynkin.family is Family.D and l >= 2:
@@ -203,9 +203,7 @@ def kernel_socle(w: CoxeterElement) -> QuiverRepresentation:
     result is relation-checked.  For type D with l >= 2 the generic socle
     oracle must be used instead.
     """
-    l = join_irreducible_type(w)
-    if l is None:
-        raise ValueError(f"{w} is not join-irreducible")
+    l = unique_descent(w)
     dynkin = w.dynkin
     if dynkin.family is Family.D and l >= 2:
         raise UnsupportedCaseError(

@@ -1,6 +1,7 @@
 """R-set reconstruction and the closed-form canonical join representations."""
 
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -216,3 +217,35 @@ def test_every_row_is_byte_identical_to_the_golden_digest(key):
         ]
         h.update((json.dumps(rows) + "\n").encode())
     assert h.hexdigest() == ROWS_GOLDEN[key]
+
+
+# sha256 of the outcome of `jirr_from_R` on every set of values with distinct
+# absolute values in [1, n+1], n the window size, with and without 0: the
+# window, or the exception's type and message.  Computed while type A still
+# had its own R-set inversion.
+JIRR_GOLDEN = {
+    (Family.A, 2): "81367fd7fa13a71189eb09615614c229342fe4e125389b6754b7ccedfa9d5fd5",
+    (Family.A, 3): "f77f6ef3849b017f41cedc26925e6b4b894093c991bcb467ca5ec13d53b6e462",
+    (Family.A, 4): "8963ede7e92224826cb4dd80f1c08139cf5f5b2744ffdd214c99b6f8f67ec778",
+    (Family.A, 5): "708ee636d440aab4cb557036f1610da6ea0f5422fae73731cb8e8f77351eb69c",
+    (Family.A, 6): "93c2e35ef318acf541d0694b46b77be1af09d96e170fff74c7b23e30cb357803",
+    (Family.D, 3): "a0060bbfde395bb2b17562774b5dc09fad2b5e6a476cdc7598834739a1b48d72",
+    (Family.D, 4): "ab58d512c0d8647b6f7dda9b075762f93f7cd518f2b48be046a1732d54e944a1",
+    (Family.D, 5): "abc8a61bd33d186e4b60cb27a3114e7ca400d35253f192cbea6c1eee33bdcfed",
+    (Family.D, 6): "ee24aa4a32617227533b09446a77cc6095b4ee262e782f16e75516335e0687df",
+}
+
+
+@pytest.mark.parametrize("key", JIRR_GOLDEN, ids=lambda k: f"{k[0].value}{k[1]}")
+def test_every_r_set_outcome_is_byte_identical_to_the_golden_digest(key):
+    dynkin = DynkinType(*key)
+    h = hashlib.sha256()
+    for zero in (False, True):
+        for signs in itertools.product((0, 1, -1), repeat=dynkin.window_size + 1):
+            values = frozenset([0] * zero + [s * v for v, s in enumerate(signs, start=1) if s])
+            try:
+                outcome = [sorted(values), list(jirr_from_R(dynkin, values).window)]
+            except Exception as err:
+                outcome = [sorted(values), type(err).__name__, str(err)]
+            h.update((json.dumps(outcome) + "\n").encode())
+    assert h.hexdigest() == JIRR_GOLDEN[key]

@@ -1,5 +1,7 @@
 """Group-level combinatorics: windows, inversions, descents, enumeration."""
 
+import hashlib
+import json
 from collections import deque
 
 import pytest
@@ -11,6 +13,7 @@ from coxbrick.coxeter import (
     DynkinType,
     Family,
     Reflection,
+    all_reflections,
     cover_pairs,
     descents,
     enumerate_group,
@@ -21,6 +24,7 @@ from coxbrick.coxeter import (
     multiply,
     parse_window,
     simple_reflection,
+    unique_descent,
 )
 from scan_oracle import cover_reflections, inverse_at, weak_leq
 
@@ -64,6 +68,19 @@ def test_simple_reflections():
         simple_reflection(D4, 4)
 
 
+def test_call_rejects_arguments_beyond_the_window():
+    w = parse_window(DynkinType(Family.A, 4), "1,3,2,4,5")
+    assert w(5) == 5
+    for i in (0, 6, 9, -1):
+        with pytest.raises(ValueError, match=f"bad argument {i}"):
+            w(i)
+    v = parse_window(D4, "-2,-1,3,4")
+    assert v(-4) == -4
+    for i in (0, 5, -5):
+        with pytest.raises(ValueError, match=f"bad argument {i}"):
+            v(i)
+
+
 def test_window_validation():
     with pytest.raises(ValueError):
         parse_window(A3, "1,2,3")
@@ -98,6 +115,10 @@ def test_join_irreducible_type_examples():
     assert join_irreducible_type(parse_window(A8, "2,5,8,1,3,4,6,7,9")) == 3
     assert join_irreducible_type(identity(A8)) is None
     assert join_irreducible_type(parse_window(D9, "9,-7,-6,-4,-1,2,3,5,8")) == 1
+    assert unique_descent(parse_window(A8, "2,5,8,1,3,4,6,7,9")) == 3
+    for w in (identity(A8), A3_el("4,3,1,2")):
+        with pytest.raises(ValueError, match=f"{w} is not join-irreducible"):
+            unique_descent(w)
 
 
 def test_cover_reflections_examples():
@@ -218,3 +239,64 @@ def test_inverse_at_extends_by_sign(w):
     for v in range(1, 5):
         assert w(inverse_at(w, v)) == v
         assert inverse_at(w, -v) == -inverse_at(w, v)
+
+
+def _sha256(lines) -> str:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update((json.dumps(line) + "\n").encode())
+    return h.hexdigest()
+
+
+# sha256 of the JSON lines of each listing, computed while type A still had
+# its own reflections, inversions and enumeration.
+ENUMERATION_GOLDEN = {
+    (Family.A, 1): "aedb8ed72c4bbb997c06552b71609ffdb4f36b8c41b67efd4309fb65abfe4251",
+    (Family.A, 2): "0cb17c0ac4a25b6d3db877aed3c7bfafc55165a425117bc39ce91946934ca19a",
+    (Family.A, 3): "61c1e64c1cf6496ae3a17efba335e573eb15022ea7520b2c061f66ae4ceec0a7",
+    (Family.A, 4): "1d82f6f7554fa70d3bb3b7734d12833d826279b24dc79cdd31cee312eb83c264",
+    (Family.A, 5): "331d99fc26967d380d21fad622b21228c68086f095cdd72fec9c0c754a95fd0f",
+    (Family.A, 6): "77293523b09995e0ebef7342dffdf7115c855c8f780aebfa119238ed4bef9ead",
+    (Family.A, 7): "4cb3b79f4c07f5a50eaf11fd50c3c35eb2f5187883ca00f62137a27c74c249c1",
+    (Family.D, 2): "bd5dcfa23acfa3d5e0a6fea9031661bb85164d68c7ffe452118a8e97106559a6",
+    (Family.D, 3): "bc71dd9c7c36af51e9aeea4d5833ed1d0076eb4eaca520b08408e24cf2baec6c",
+    (Family.D, 4): "82da985e3cf1a426c15ae7a0a82b0424efeeb473ba30ac0e59950c00244cc3a5",
+    (Family.D, 5): "f95f11ee781602c4dcf5a63aff09f65add069aae89514b90dbfb702d62daa2f5",
+    (Family.D, 6): "c9f31d3fe0611c46e39f46e194ed771b4246e7fe66ac93989d6c7dde426790ac",
+}
+REFLECTIONS_GOLDEN = "a4521c40ca9f3d295c2c95cdbfa3e64a147ac0525eea84dc01889338a33f4121"
+INVERSIONS_GOLDEN = {
+    (Family.A, 1): "206795eb9734b02f16faeaafc638237c5520aff5bf8fe2f8a8ea430ba8165d1a",
+    (Family.A, 2): "a78d46e44d0b4d05c688254d446252ad67f50e0a2d541d635fe9ef6cadf46dc4",
+    (Family.A, 3): "5be6d6b9ff42d9a1a4032dd9b73cd8058a77071e2263e4ea7252cf381c44606e",
+    (Family.A, 4): "635ff38f3d8538c7d1092d73af0ab5a766f36379cc38be8c0fbe8fbfc80a5b9a",
+    (Family.A, 5): "498758dbd3461801c34821d1a2c95aae9e7a57c1a710900644378999b27c9371",
+    (Family.A, 6): "7403b9fb9a1f33d2a7fef47b9e110fda1b147efe3055adf0b55fe81e30b8e410",
+    (Family.D, 2): "35d80652b58515839b5c213fc73e0699e5076c66002b1c24dcccf3cde5f3d8be",
+    (Family.D, 3): "baf37016a40490ec9ce2bc4ec52568d01d7af436cc113ddcf064f10f11fb01c4",
+    (Family.D, 4): "3fabf670a03ed37a5bd938b14a3219a97ade512cd704df65be047ab4b0d8a7ef",
+    (Family.D, 5): "0b1b9db3e4cc4512e5105d5dc60591d5791669aced867edf2d5dd7ca8943fa09",
+    (Family.D, 6): "04fdaedd995ee8e40df9ad851fd0d081604a89d01da5a4983e8db04d1063265c",
+}
+
+
+def _type_id(key) -> str:
+    return f"{key[0].value}{key[1]}"
+
+
+@pytest.mark.parametrize("key", ENUMERATION_GOLDEN, ids=_type_id)
+def test_enumeration_is_byte_identical_to_the_golden_digest(key):
+    windows = (list(w.window) for w in enumerate_group(DynkinType(*key)))
+    assert _sha256(windows) == ENUMERATION_GOLDEN[key]
+
+
+def test_reflections_are_byte_identical_to_the_golden_digest():
+    types = [DynkinType(*key) for key in ENUMERATION_GOLDEN]
+    lists = ([str(t), [[r.a, r.b] for r in all_reflections(t)]] for t in types)
+    assert _sha256(lists) == REFLECTIONS_GOLDEN
+
+
+@pytest.mark.parametrize("key", INVERSIONS_GOLDEN, ids=_type_id)
+def test_inversions_are_byte_identical_to_the_golden_digest(key):
+    sets = (sorted([r.a, r.b] for r in inversions(w)) for w in enumerate_group(DynkinType(*key)))
+    assert _sha256(sets) == INVERSIONS_GOLDEN[key]

@@ -89,6 +89,14 @@ def test_j_module_of_simple_generator():
         assert J.dims[l] == 1
 
 
+def test_epsilon_for_rejects_all_but_type_d_with_descent_at_least_two():
+    # ValueError, not an assertion, so `python -O` keeps the check.
+    a4 = DynkinType(Family.A, 4)
+    for dynkin, text in [(D5, "2,1,3,4,5"), (a4, "1,3,2,4,5"), (D5, "2,1,4,3,5")]:
+        with pytest.raises(ValueError):
+            epsilon_for(parse_window(dynkin, text))
+
+
 def test_j_module_d9_squares():
     w = parse_window(D9, "-6,9,-7,-4,-1,2,3,5,8")
     assert epsilon_for(w) == -1
