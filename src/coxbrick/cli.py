@@ -25,8 +25,8 @@ from coxbrick.coxeter import (
     Family,
     descents,
     format_window,
-    inversions,
     join_irreducible_type,
+    length,
     parse_window,
 )
 from coxbrick.semibricks import (
@@ -67,7 +67,7 @@ def element_to_json(w: CoxeterElement) -> dict:
         "family": w.dynkin.family.value,
         "rank": w.dynkin.rank,
         "window": list(w.window),
-        "length": len(inversions(w)),
+        "length": length(w),
         "descents": sorted(descents(w)),
         "jirr_type": join_irreducible_type(w),
     }
@@ -86,7 +86,7 @@ def cmd_element(args: argparse.Namespace) -> int:
     des = sorted(descents(w))
     print(f"window: {w}")
     print(f"type: {w.dynkin}")
-    print(f"length: {len(inversions(w))}")
+    print(f"length: {length(w)}")
     print("descents: " + (",".join(map(str, des)) if des else "none"))
     l = join_irreducible_type(w)
     if l is not None:
@@ -228,6 +228,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return cmd_count(args)
     if args.suite == "census":
         return _check_census(args)
+    if args.sample is not None and args.sample < 0:
+        raise InputError(f"--sample must be 0 or more, got {args.sample}")
     dynkin = _dynkin(args)
     options = {"sample_size": args.sample or 0, "seed": args.seed or 0, "cap": args.cap}
     if args.suite == "semibrick":

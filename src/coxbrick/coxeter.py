@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -50,6 +51,8 @@ class DynkinType:
       (`canjoin.decompose`), one per key (d, a, b, X), X the value set
       after the descent stored as a bitmask with bit v + n for each value
       v (n the rank);
+    - ``"reflections"``: `all_reflections` and, for the k-th reflection
+      (a b), the test (a, b, 1 << k) (`inversion_masks`);
     - ``"quiver"``: the double quiver (`quiver.double_quiver`);
     - ``"bricks"``: the brick table (`semibricks.brick_table`).
 
@@ -207,18 +210,51 @@ def normalised_pair(x: int, y: int) -> tuple[int, int]:
     return x, y
 
 
-def inversions(w: CoxeterElement) -> frozenset[Reflection]:
-    """Inversion set; its cardinality is the Coxeter length of w.
+def _reflection_tests(
+    dynkin: DynkinType,
+) -> tuple[tuple[Reflection, ...], tuple[tuple[int, int, int], ...]]:
+    """`all_reflections` and, for the k-th reflection (a b), the test
+    (a, b, 1 << k); built once per type and kept in its memo."""
+    entry = dynkin.memo.get("reflections")
+    if entry is None:
+        refl = all_reflections(dynkin)
+        tests = tuple((t.a, t.b, 1 << k) for k, t in enumerate(refl))
+        entry = dynkin.memo["reflections"] = (refl, tests)
+    return entry
 
-    The reflections (a b), or (-a -b)(a b) in type D, with w^{-1}(a) <
-    w^{-1}(b).
+
+def inversion_masks(dynkin: DynkinType, windows: Iterable[tuple[int, ...]]) -> Iterator[int]:
+    """The inversion set of each window as a bitmask, bit k standing for
+    `all_reflections(dynkin)[k]`.
+
+    Reflection (a b), or (-a -b)(a b) in type D, is an inversion of w iff
+    w^{-1}(a) < w^{-1}(b).  w^{-1}(v) is the position pos(v) of v in the
+    window and, in type D, pos(-v) = -pos(v).  `pos` is one list for all
+    windows, indexed by the signed value: a negative value -v lands at
+    index len(pos) - v, clear of the positive ones.
     """
-    inv = w.inverse()
-    return frozenset(r for r in all_reflections(w.dynkin) if inv(r.a) < inv(r.b))
+    _, tests = _reflection_tests(dynkin)
+    pos = [0] * (2 * dynkin.rank + 3)
+    for window in windows:
+        for i, v in enumerate(window, start=1):
+            pos[v] = i
+            pos[-v] = -i
+        mask = 0
+        for a, b, bit in tests:
+            if pos[a] < pos[b]:
+                mask |= bit
+        yield mask
+
+
+def inversions(w: CoxeterElement) -> frozenset[Reflection]:
+    """Inversion set; its cardinality is the Coxeter length of w."""
+    refl, _ = _reflection_tests(w.dynkin)
+    mask = next(inversion_masks(w.dynkin, (w.window,)))
+    return frozenset(t for k, t in enumerate(refl) if mask >> k & 1)
 
 
 def length(w: CoxeterElement) -> int:
-    return len(inversions(w))
+    return next(inversion_masks(w.dynkin, (w.window,))).bit_count()
 
 
 def descents(w: CoxeterElement) -> frozenset[int]:

@@ -25,6 +25,7 @@ from coxbrick.census import census as build_census
 from coxbrick.census import census_diff, global_count
 from coxbrick.coxeter import (
     DEFAULT_ENUMERATION_CAP,
+    CoxeterElement,
     DynkinType,
     enumerate_group,
     join_irreducibles,
@@ -46,7 +47,9 @@ class SweepResult:
     """How many objects a sweep checked and which of them failed.
 
     `failures` lists the failing elements, except for census (the fixture
-    diff messages) and count (one formula-vs-enumeration message).
+    diff messages) and count (one formula-vs-enumeration message).  An
+    element whose check raised is a failure too, and `errors` holds the
+    exception it raised.
     `counts` holds the suite's other tallies: the closed-form `formula`
     (count), the number of `shapes` (census), the number of bricks also
     checked on the `kernel` route (oracle), and the sizes of the type's
@@ -58,6 +61,7 @@ class SweepResult:
     checked: int
     failures: list = field(default_factory=list)
     counts: dict[str, int] = field(default_factory=dict)
+    errors: dict[CoxeterElement, Exception] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -73,9 +77,26 @@ class SweepResult:
                 return [f"{self.checked} entries in {self.counts['shapes']} shapes match fixture"]
             return [f"{len(self.failures)} mismatches against fixture", *self.failures]
         passed = self.checked - len(self.failures)
-        return [f"{passed}/{self.checked} {_CLAIMS[self.suite]}"] + [
-            f"counterexample: {w}" for w in self.failures
-        ]
+        lines = [f"{passed}/{self.checked} {_CLAIMS[self.suite]}"]
+        for w in self.failures:
+            error = self.errors.get(w)
+            cause = "" if error is None else f" ({type(error).__name__}: {error})"
+            lines.append(f"counterexample: {w}{cause}")
+        return lines
+
+
+def _check_each(elements, check) -> tuple[list, dict]:
+    """The elements on which `check` is false or raises, in order, and the
+    exception of each one that raised; the sweep goes on past both."""
+    failures, errors = [], {}
+    for w in elements:
+        try:
+            ok = check(w)
+        except Exception as exc:  # a check that raises is a counterexample
+            ok, errors[w] = False, exc
+        if not ok:
+            failures.append(w)
+    return failures, errors
 
 
 def sample(items, size: int, seed: int) -> list:
@@ -113,21 +134,22 @@ def oracle(
     dynkin: DynkinType, sample_size: int = 0, seed: int = 0, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> SweepResult:
     elements = sample(join_irreducibles(dynkin, cap=cap), sample_size, seed)
-    failures = []
     kernel_checked = 0
-    for w in elements:
+
+    def check(w: CoxeterElement) -> bool:
+        nonlocal kernel_checked
         socle = socle_over_end(j_module(w))
         ok = iso_bricks(brick_rep(w), socle)
         try:
             kernel = kernel_socle(w)
         except UnsupportedCaseError:
-            pass
-        else:
-            kernel_checked += 1
-            ok = ok and kernel.dims == socle.dims and kernel.mats == socle.mats
-        if not ok:
-            failures.append(w)
-    return SweepResult("oracle", dynkin, len(elements), failures, {"kernel": kernel_checked})
+            return ok
+        kernel_checked += 1
+        return ok and kernel.dims == socle.dims and kernel.mats == socle.mats
+
+    failures, errors = _check_each(elements, check)
+    counts = {"kernel": kernel_checked}
+    return SweepResult("oracle", dynkin, len(elements), failures, counts, errors)
 
 
 def cjr(
@@ -135,12 +157,13 @@ def cjr(
 ) -> SweepResult:
     poset = GroupPoset.build(dynkin, cap=cap)
     elements = sample(poset.elements, sample_size, seed)
-    failures = []
-    for w in elements:
+
+    def check(w: CoxeterElement) -> bool:
         cjr = cjr_direct(w)
-        if cjr != poset.cjr_oracle(w) or poset.join_all(cjr) != w:
-            failures.append(w)
-    return SweepResult("cjr", dynkin, len(elements), failures)
+        return cjr == poset.cjr_oracle(w) and poset.join_all(cjr) == w
+
+    failures, errors = _check_each(elements, check)
+    return SweepResult("cjr", dynkin, len(elements), failures, errors=errors)
 
 
 def semibrick(
@@ -152,7 +175,9 @@ def semibrick(
 ) -> SweepResult:
     elements = sample(enumerate_group(dynkin, cap=cap), sample_size, seed)
     poset = GroupPoset.build(dynkin, cap=cap) if join else None
-    failures = [w for w in elements if not verify_semibrick(semibrick_direct(w), poset).ok]
+    failures, errors = _check_each(
+        elements, lambda w: verify_semibrick(semibrick_direct(w), poset).ok
+    )
     table = brick_table(dynkin)
     counts = {"bricks": len(table.entries), "pairs": len(table.pairs)}
-    return SweepResult("semibrick", dynkin, len(elements), failures, counts)
+    return SweepResult("semibrick", dynkin, len(elements), failures, counts, errors)

@@ -1,8 +1,10 @@
 """The weak order on an enumerated Coxeter group, as a brute-force lattice.
 
-Everything here is an oracle.  Inversion sets are integer bitmasks (one
-bit per reflection), and the poset is also stored transposed, with its
-elements laid out by length: bit b of a transposed bitset stands for
+Everything here is an oracle, and it answers the queries the program asks:
+joins, the canonical join representation and the Hasse diagram.
+Inversion sets are integer bitmasks (one bit per reflection, read by
+`coxeter.inversion_masks`), and the poset is also stored transposed, with
+its elements laid out by length: bit b of a transposed bitset stands for
 element `_order[b]`, and `_order` lists the elements by (length, index).
 For each reflection k one integer `_cols[k]` has bit b set iff k is an
 inversion of element `_order[b]`.  A query then tests every element of the
@@ -10,17 +12,15 @@ group at once with a few big-integer ANDs: the upper bounds of an
 inversion set are the AND of the columns of its reflections, its lower
 bounds the AND of the complemented columns of the reflections it lacks,
 started from the prefix of the `_ends[l]` elements no longer than the
-set.  The lowest set bit of the result is its shortest element and the
-highest a longest one.  The shortest upper bound is the least one iff
-every upper bound holds the reflections that separate it from the query
-(dually for the longest lower bound), so a join or meet ANDs only those
-columns.  Join and meet are the unique least upper and greatest lower
-bound found that way (a join of any number of elements is one query on
-the union of their inversion sets), the canonical join representation
-follows the cover-reflection recipe, and `verify_cjr_definition` replays
-the lattice-theoretic definition verbatim.
-No Coxeter combinatorics (closure of inversion sets, the closed-form CJR)
-is used, so the results stay an independent check of `coxbrick.canjoin`.
+set.  The lowest set bit of the result is its shortest element.  The
+shortest upper bound is the least one iff every upper bound holds the
+reflections that separate it from the query, so a join ANDs only those
+columns.  The join is the unique least upper bound found that way (a join
+of any number of elements is one query on the union of their inversion
+sets), and the canonical join representation follows the cover-reflection
+recipe.  No Coxeter combinatorics (closure of inversion sets, the
+closed-form CJR) is used, so the results stay an independent check of
+`coxbrick.canjoin`.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 
 from coxbrick.coxeter import (
     DEFAULT_ENUMERATION_CAP,
-    CapacityError,
     CoxeterElement,
     DynkinType,
     Reflection,
@@ -40,18 +39,16 @@ from coxbrick.coxeter import (
     cover_pairs,
     descents,
     enumerate_group,
-    identity,
-    join_irreducible_type,
+    inversion_masks,
     multiply,
     simple_reflection,
 )
 
-VERIFY_CJR_CAP = 40
 _CHUNK = 1024  # elements transposed per step in GroupPoset.__post_init__
 
 
 class LatticeError(Exception):
-    """An internal consistency failure (a unique min/max element is missing)."""
+    """An internal consistency failure (a unique minimal element is missing)."""
 
 
 @dataclass
@@ -119,34 +116,13 @@ class GroupPoset:
 
     @classmethod
     def build(cls, dynkin: DynkinType, cap: int = DEFAULT_ENUMERATION_CAP) -> "GroupPoset":
-        """Enumerate the group and read each inversion mask off its window.
-
-        Reflection (a b) is an inversion of w iff pos(a) < pos(b), where
-        pos(v) is the position of v in the window and, in type D, pos(-v) =
-        -pos(v) (the criterion of `coxeter.inversions`, which stays the
-        reference).  `pos` is one list per element, indexed by the signed
-        value: a negative value -v lands at index len(pos) - v, clear of
-        the positive ones.
-        """
+        """Enumerate the group and read each inversion mask off its window."""
         elements = enumerate_group(dynkin, cap=cap)
-        refl = all_reflections(dynkin)
-        tests = [(t.a, t.b, 1 << k) for k, t in enumerate(refl)]
-        pos = [0] * (2 * dynkin.rank + 3)
-        masks = []
-        for w in elements:
-            for i, v in enumerate(w.window, start=1):
-                pos[v] = i
-                pos[-v] = -i
-            m = 0
-            for a, b, k in tests:
-                if pos[a] < pos[b]:
-                    m |= k
-            masks.append(m)
         return cls(
             dynkin=dynkin,
             elements=elements,
-            reflections=refl,
-            masks=tuple(masks),
+            reflections=all_reflections(dynkin),
+            masks=tuple(inversion_masks(dynkin, (w.window for w in elements))),
         )
 
     def index(self, w: CoxeterElement) -> int:
@@ -161,18 +137,6 @@ class GroupPoset:
 
     def mask(self, w: CoxeterElement) -> int:
         return self.masks[self.index(w)]
-
-    def leq(self, u: CoxeterElement, w: CoxeterElement) -> bool:
-        return self.mask(u) & ~self.mask(w) == 0
-
-    def length(self, w: CoxeterElement) -> int:
-        return self.mask(w).bit_count()
-
-    def identity_element(self) -> CoxeterElement:
-        return identity(self.dynkin)
-
-    def join_irreducibles(self) -> tuple[CoxeterElement, ...]:
-        return tuple(w for w in self.elements if join_irreducible_type(w) is not None)
 
     @staticmethod
     def _select(columns: tuple[int, ...], reflections: int, out: int) -> int:
@@ -194,35 +158,21 @@ class GroupPoset:
         prefix = (1 << self._ends[mask.bit_count()]) - 1
         return self._select(self._cocols, lacked, prefix)
 
-    def _extreme(self, candidates: int, query: int, want_min: bool) -> int | None:
-        """Index of the unique minimum (or maximum) of a nonempty bitset, or
-        None when it has none.
+    def _extreme(self, candidates: int, query: int) -> int | None:
+        """Index of the unique minimum of a nonempty bitset, or None when it
+        has none.
 
-        Every candidate must contain the inversion set `query` (for a
-        minimum) or lie inside it (for a maximum).  The lowest bit is the
-        shortest candidate, and it is the minimum iff every candidate holds
-        the reflections that separate it from `query`; the highest bit is a
-        longest candidate, the maximum iff every candidate lacks those of
-        `query` that it lacks.  A unique minimum is strictly shorter than
-        every other candidate, so the tie-break never matters.
+        Every candidate must contain the inversion set `query`.  The lowest
+        bit is the shortest candidate, and it is the minimum iff every
+        candidate holds the reflections that separate it from `query`.  A
+        unique minimum is strictly shorter than every other candidate, so
+        the tie-break never matters.
         """
         if not candidates:
             raise LatticeError("empty candidate set")
-        if want_min:
-            best = self._order[(candidates & -candidates).bit_length() - 1]
-            columns, separating = self._cols, self.masks[best] & ~query
-        else:
-            best = self._order[candidates.bit_length() - 1]
-            columns, separating = self._cocols, query & ~self.masks[best]
-        if self._select(columns, separating, candidates) != candidates:
+        best = self._order[(candidates & -candidates).bit_length() - 1]
+        if self._select(self._cols, self.masks[best] & ~query, candidates) != candidates:
             return None
-        return best
-
-    def _lattice_extreme(self, candidates: int, query: int, want_min: bool) -> int:
-        """`_extreme`, raising LatticeError when there is no unique one."""
-        best = self._extreme(candidates, query, want_min)
-        if best is None:
-            raise LatticeError("no unique extreme element; lattice property violated")
         return best
 
     def join(self, *us: CoxeterElement) -> CoxeterElement:
@@ -235,37 +185,15 @@ class GroupPoset:
         mask = 0
         for u in us:
             mask |= self.mask(u)
-        return self.elements[self._lattice_extreme(self._above(mask), mask, want_min=True)]
-
-    def meet(self, u: CoxeterElement, v: CoxeterElement) -> CoxeterElement:
-        """Greatest lower bound in weak order."""
-        mask = self.mask(u) & self.mask(v)
-        return self.elements[self._lattice_extreme(self._below(mask), mask, want_min=False)]
+        best = self._extreme(self._above(mask), mask)
+        if best is None:
+            raise LatticeError("no unique extreme element; lattice property violated")
+        return self.elements[best]
 
     def join_all(self, us: Iterable[CoxeterElement]) -> CoxeterElement:
         """Join of a finite collection, as one `join` query; the empty join is
         the identity."""
         return self.join(*us)
-
-    def _join_table(self) -> list[list[int]]:
-        """Pairwise join table (indices), built once per poset."""
-        table = getattr(self, "_join_table_cache", None)
-        if table is None:
-            n = len(self.elements)
-            table = [[0] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i, n):
-                    k = self.index(self.join(self.elements[i], self.elements[j]))
-                    table[i][j] = table[j][i] = k
-            self._join_table_cache = table
-        return table
-
-    def validate_lattice(self) -> None:
-        """Check every pair has a unique join and meet.  Quadratic; use on small ranks."""
-        for i, u in enumerate(self.elements):
-            for v in self.elements[i + 1 :]:
-                self.join(u, v)
-                self.meet(u, v)
 
     def hasse_edges(self) -> list[tuple[CoxeterElement, CoxeterElement]]:
         """Covering pairs (upper, lower); lower covers of w are w s_d for d in des(w)."""
@@ -301,7 +229,7 @@ class GroupPoset:
             # With distinct masks, exactly one minimal element is the same as
             # a unique minimum of the candidates, all of which hold bit k.
             if cand:
-                best = self._extreme(cand, 1 << k, want_min=True)
+                best = self._extreme(cand, 1 << k)
                 if best is not None:
                     out.add(self.elements[best])
                     continue
@@ -314,60 +242,3 @@ class GroupPoset:
             t = Reflection(*pair)
             raise LatticeError(f"{len(minimal)} minimal elements below {w} containing {t}")
         return frozenset(out)
-
-    def verify_cjr_definition(
-        self, w: CoxeterElement, candidate: frozenset[CoxeterElement] | set[CoxeterElement]
-    ) -> bool:
-        """Check the definition of a canonical join representation directly.
-
-        (a) join(candidate) == w, (b) no proper subset joins to w, and
-        (c) every antichain V of join-irreducibles <= w satisfying (a),(b)
-        refines candidate from above.  Restricting (c) to join-irreducible
-        antichains is complete: replacing each member of an arbitrary
-        witness V by its own CJR and pruning yields a join-irreducible
-        witness whose members sit below the originals.
-        """
-        if len(self.elements) > VERIFY_CJR_CAP:
-            raise CapacityError(
-                f"verify_cjr_definition is capped at {VERIFY_CJR_CAP} elements; "
-                f"{self.dynkin} has {len(self.elements)}"
-            )
-        table = self._join_table()
-        id_idx = self.index(self.identity_element())
-        w_idx = self.index(w)
-
-        def join_idx(indices: tuple[int, ...]) -> int:
-            out = id_idx
-            for i in indices:
-                out = table[out][i]
-            return out
-
-        cand = tuple(self.index(u) for u in sorted(candidate))
-        if join_idx(cand) != w_idx:
-            return False
-        for r in range(len(cand)):
-            for sub in itertools.combinations(cand, r):
-                if join_idx(sub) == w_idx:
-                    return False
-        below = [
-            self.index(u) for u in self.join_irreducibles() if self.leq(u, w)
-        ]
-
-        def leq_idx(i: int, j: int) -> bool:
-            return self.masks[i] & ~self.masks[j] == 0
-
-        for r in range(1, len(below) + 1):
-            for vs in itertools.combinations(below, r):
-                if any(x != y and leq_idx(x, y) for x in vs for y in vs):
-                    continue
-                if join_idx(vs) != w_idx:
-                    continue
-                if any(
-                    join_idx(tuple(v for v in vs if v != skip)) == w_idx
-                    for skip in vs
-                ):
-                    continue
-                for u in cand:
-                    if not any(leq_idx(u, v) for v in vs):
-                        return False
-        return True

@@ -4,16 +4,37 @@ The test oracle for the bit-sliced queries in `coxbrick.weak_order`: every
 query walks the tuple of inversion masks one element at a time, a join of
 many elements folds the pairwise join from the identity, and the CJR keeps
 the quadratic minimal-element scan.  Results and `LatticeError`
-messages are the ones `GroupPoset` must reproduce.  The element-level
-references kept beside them (`weak_leq` on inversion sets, `cover_reflections`
-as `Reflection`s, `inverse_at` by a scan of the window) are what the
-package's own queries (`GroupPoset.leq`, `cover_pairs`) are tested against.
+messages are the ones `GroupPoset` must reproduce.  `meet` is the only
+meet, and `verify_cjr_definition` replays the lattice-theoretic definition
+of a canonical join representation on top of the scan `join`.  The
+element-level references kept beside them (`inversions` by the w^{-1}
+rule, `weak_leq` on those inversion sets, `cover_reflections` as
+`Reflection`s, `inverse_at` by a scan of the window) are what the
+package's own rules (`coxeter.inversion_masks`, `cover_pairs`) are tested
+against.
 """
 
 from __future__ import annotations
 
-from coxbrick.coxeter import CoxeterElement, Family, Reflection, cover_pairs, inversions
+import itertools
+
+from coxbrick.coxeter import (
+    CoxeterElement,
+    Family,
+    Reflection,
+    all_reflections,
+    cover_pairs,
+    identity,
+    join_irreducibles,
+)
 from coxbrick.weak_order import GroupPoset, LatticeError
+
+
+def inversions(w: CoxeterElement) -> frozenset[Reflection]:
+    """The reflections (a b), or (-a -b)(a b) in type D, with w^{-1}(a) <
+    w^{-1}(b) (Björner–Brenti, Combinatorics of Coxeter Groups, §8.2)."""
+    inv = w.inverse()
+    return frozenset(r for r in all_reflections(w.dynkin) if inv(r.a) < inv(r.b))
 
 
 def weak_leq(u: CoxeterElement, w: CoxeterElement) -> bool:
@@ -62,7 +83,7 @@ def join(poset: GroupPoset, u: CoxeterElement, v: CoxeterElement) -> CoxeterElem
 
 def join_all(poset: GroupPoset, us) -> CoxeterElement:
     """The pairwise scan `join` folded over `us`, starting from the identity."""
-    out = poset.identity_element()
+    out = identity(poset.dynkin)
     for u in us:
         out = join(poset, out, u)
     return out
@@ -90,3 +111,42 @@ def cjr_oracle(poset: GroupPoset, w: CoxeterElement) -> frozenset[CoxeterElement
             raise LatticeError(f"{len(minimal)} minimal elements below {w} containing {t}")
         out.add(poset.elements[minimal[0]])
     return frozenset(out)
+
+
+def verify_cjr_definition(
+    poset: GroupPoset, w: CoxeterElement, candidate: frozenset[CoxeterElement] | set[CoxeterElement]
+) -> bool:
+    """Check the definition of a canonical join representation directly.
+
+    (a) join(candidate) == w, (b) no proper subset joins to w, and
+    (c) every antichain V of join-irreducibles <= w satisfying (a),(b)
+    refines candidate from above.  Restricting (c) to join-irreducible
+    antichains is complete: replacing each member of an arbitrary
+    witness V by its own CJR and pruning yields a join-irreducible
+    witness whose members sit below the originals.  Joins are `join_all`;
+    the subsets are enumerated, so this is for small groups.
+    """
+
+    def leq(u: CoxeterElement, v: CoxeterElement) -> bool:
+        return poset.mask(u) & ~poset.mask(v) == 0
+
+    cand = sorted(candidate)
+    if join_all(poset, cand) != w:
+        return False
+    for r in range(len(cand)):
+        for sub in itertools.combinations(cand, r):
+            if join_all(poset, sub) == w:
+                return False
+    below = [u for u in join_irreducibles(poset.dynkin) if leq(u, w)]
+    for r in range(1, len(below) + 1):
+        for vs in itertools.combinations(below, r):
+            if any(x != y and leq(x, y) for x in vs for y in vs):
+                continue
+            if join_all(poset, vs) != w:
+                continue
+            if any(join_all(poset, tuple(v for v in vs if v != skip)) == w for skip in vs):
+                continue
+            for u in cand:
+                if not any(leq(u, v) for v in vs):
+                    return False
+    return True

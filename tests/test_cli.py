@@ -9,7 +9,7 @@ from coxbrick import verify
 from coxbrick.bricks import brick_rep
 from coxbrick.cli import element_from_json, main
 from coxbrick.coxeter import DynkinType, Family, enumerate_group, identity, parse_window
-from coxbrick.weak_order import GroupPoset
+from coxbrick.weak_order import GroupPoset, LatticeError
 
 EXIT_OK, EXIT_VERIFY, EXIT_INPUT, EXIT_CAPACITY = 0, 1, 2, 3
 
@@ -391,9 +391,66 @@ def test_verify_reports_counterexample(capsys, monkeypatch, suite, name, window,
     assert out == f"{summary}\ncounterexample: {window}\n"
 
 
+@pytest.mark.parametrize(
+    "suite, owner, name, window, error, summary",
+    [
+        (
+            "oracle",
+            verify,
+            "brick_rep",
+            "2,1,3,4",
+            ValueError("no brick"),
+            "10/11 bricks match socle oracle",
+        ),
+        (
+            "cjr",
+            GroupPoset,
+            "cjr_oracle",
+            "4,3,1,2",
+            LatticeError("no unique extreme element; lattice property violated"),
+            "23/24 canonical join representations match oracle",
+        ),
+        (
+            "semibrick",
+            verify,
+            "semibrick_direct",
+            "4,3,1,2",
+            KeyError("summand"),
+            "23/24 semibricks verified",
+        ),
+    ],
+    ids=["oracle", "cjr", "semibrick"],
+)
+def test_verify_reports_a_check_that_raises_as_a_counterexample(
+    capsys, monkeypatch, suite, owner, name, window, error, summary
+):
+    # one dependency of the sweep raises on one element only; the sweep goes on
+    original = getattr(owner, name)
+
+    def raising(*args):
+        if str(args[-1]) == window:
+            raise error
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, raising)
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--type", "A", "--rank", "3")
+    assert code == EXIT_VERIFY
+    cause = f"{type(error).__name__}: {error}"
+    assert out == f"{summary}\ncounterexample: {window} ({cause})\n"
+
+
+@pytest.mark.parametrize("suite", ["oracle", "cjr", "semibrick"])
+def test_verify_rejects_a_negative_sample(capsys, suite):
+    argv = ["verify", "--suite", suite, "--type", "A", "--rank", "3", "--sample", "-2"]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "error: --sample must be 0 or more, got -2\n"
+
+
 def test_verify_cjr_reports_every_element_that_does_not_join_back(capsys, monkeypatch):
     # the closed-form CJR still matches the oracle, but no join gives back w
-    monkeypatch.setattr(GroupPoset, "join_all", lambda poset, us: poset.identity_element())
+    monkeypatch.setattr(GroupPoset, "join_all", lambda poset, us: identity(poset.dynkin))
     code, out, _ = run(capsys, "verify", "--suite", "cjr", "--type", "A", "--rank", "3")
     assert code == EXIT_VERIFY
     a3 = DynkinType(Family.A, 3)

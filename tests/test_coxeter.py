@@ -1,6 +1,7 @@
 """Group-level combinatorics: windows, inversions, descents, enumeration."""
 
 import hashlib
+import itertools
 import json
 from collections import deque
 
@@ -19,13 +20,16 @@ from coxbrick.coxeter import (
     enumerate_group,
     format_window,
     identity,
+    inversion_masks,
     inversions,
     join_irreducible_type,
+    length,
     multiply,
     parse_window,
     simple_reflection,
     unique_descent,
 )
+import scan_oracle
 from scan_oracle import cover_reflections, inverse_at, weak_leq
 
 A3 = DynkinType(Family.A, 3)
@@ -101,6 +105,31 @@ def test_inversions_examples():
     }
     w = parse_window(D4, "-2,-1,3,4")
     assert inversions(w) == {Reflection(2, -1)}
+
+
+def _pair_count(w) -> int:
+    """The Coxeter length counted on window pairs (Björner–Brenti §8.2):
+    pairs x before y with x > y, plus, in type D, those with x + y < 0
+    (never in type A, whose values are positive)."""
+    pairs = list(itertools.combinations(w.window, 2))
+    return sum(x > y for x, y in pairs) + sum(x + y < 0 for x, y in pairs)
+
+
+@pytest.mark.parametrize(
+    "dynkin",
+    [DynkinType(Family.A, n) for n in range(1, 7)] + [DynkinType(Family.D, n) for n in range(2, 7)],
+    ids=str,
+)
+def test_inversions_length_and_masks_follow_the_inverse_rule(dynkin):
+    elements = enumerate_group(dynkin)
+    refl = all_reflections(dynkin)
+    masks = list(inversion_masks(dynkin, (w.window for w in elements)))
+    assert len(masks) == len(elements)
+    for w, mask in zip(elements, masks):
+        expected = scan_oracle.inversions(w)
+        assert inversions(w) == expected, w
+        assert mask == sum(1 << k for k, t in enumerate(refl) if t in expected), w
+        assert length(w) == len(expected) == _pair_count(w), w
 
 
 def test_descents_examples():

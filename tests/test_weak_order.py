@@ -7,12 +7,10 @@ import pytest
 
 import scan_oracle
 from coxbrick.coxeter import (
-    CapacityError,
     DynkinType,
     Family,
     descents,
     identity,
-    inversions,
     join_irreducible_type,
     join_irreducibles,
     multiply,
@@ -49,36 +47,36 @@ def test_join_examples(a3):
         assert a3.join(w, identity(A3)) == w
 
 
-def test_meet_examples(a3):
-    el = lambda s: parse_window(A3, s)
-    assert a3.meet(el("2,1,3,4"), el("1,3,2,4")) == identity(A3)
-    for w in a3.elements[::5]:
-        assert a3.meet(w, identity(A3)) == identity(A3)
-        assert a3.meet(w, w) == w
-
-
 def test_join_meet_laws(a3):
     els = a3.elements
     for u, v in itertools.product(els[::6], els[::7]):
         assert a3.join(u, v) == a3.join(v, u)
-        assert a3.meet(u, v) == a3.meet(v, u)
     for u, v, w in itertools.product(els[::8], els[::9], els[::10]):
         assert a3.join(a3.join(u, v), w) == a3.join(u, a3.join(v, w))
 
 
 @pytest.mark.parametrize("dynkin", [A3, D3, A4, D4], ids=str)
 def test_weak_order_is_a_lattice(dynkin):
-    GroupPoset.build(dynkin).validate_lattice()
+    # Both raise LatticeError unless the least upper or greatest lower
+    # bound is unique.
+    poset = GroupPoset.build(dynkin)
+    for u, v in itertools.combinations(poset.elements, 2):
+        poset.join(u, v)
+        scan_oracle.meet(poset, u, v)
 
 
 @pytest.mark.parametrize("dynkin", [A3, A4, D4], ids=str)
 def test_join_and_meet_equal_scan_oracle(dynkin):
+    # In a finite lattice the meet of u and v is the join of their common
+    # lower bounds, so one bit-sliced join query also answers the meet.
     poset = GroupPoset.build(dynkin)
     els = poset.elements
     for i, u in enumerate(els):
         for v in els[i:]:
             assert poset.join(u, v) == scan_oracle.join(poset, u, v), (u, v)
-            assert poset.meet(u, v) == scan_oracle.meet(poset, u, v), (u, v)
+            common = poset.mask(u) & poset.mask(v)
+            lower = [x for x, m in zip(els, poset.masks) if m & ~common == 0]
+            assert poset.join(*lower) == scan_oracle.meet(poset, u, v), (u, v)
 
 
 @pytest.mark.parametrize(
@@ -154,7 +152,7 @@ def _outcome(query):
 def test_rearranged_poset_equals_scan_oracle(dynkin, arrange, pruned):
     # Elements out of lexicographic order, so bit order and index order
     # disagree within every length.  Pruning s_2 and s_1 s_3 leaves a
-    # poset that is no lattice, where some joins, meets and CJRs must raise.
+    # poset that is no lattice, where some joins and CJRs must raise.
     poset = GroupPoset.build(dynkin)
     picks = list(range(len(poset.elements)))
     if pruned:
@@ -174,8 +172,6 @@ def test_rearranged_poset_equals_scan_oracle(dynkin, arrange, pruned):
         for v in els[i:]:
             fast = _outcome(lambda: moved.join(u, v))
             assert fast == _outcome(lambda: scan_oracle.join(moved, u, v)), (u, v)
-            fast = _outcome(lambda: moved.meet(u, v))
-            assert fast == _outcome(lambda: scan_oracle.meet(moved, u, v)), (u, v)
 
 
 def _same_lattice_error(query, reference, message):
@@ -188,17 +184,12 @@ def _same_lattice_error(query, reference, message):
 
 def test_lattice_errors_on_tampered_masks(a3):
     u, v, x, y = a3.elements[:4]
-    # x and y are both minimal upper bounds of u and v, and u and v both
-    # maximal lower bounds of x and y; nothing lies above x and y.
+    # x and y are both minimal upper bounds of u and v; nothing lies above
+    # x and y.
     tampered = _hand_built(a3, [u, v, x, y], [0b0001, 0b0010, 0b0111, 0b1011])
     _same_lattice_error(
         lambda: tampered.join(u, v),
         lambda: scan_oracle.join(tampered, u, v),
-        "no unique extreme element; lattice property violated",
-    )
-    _same_lattice_error(
-        lambda: tampered.meet(x, y),
-        lambda: scan_oracle.meet(tampered, x, y),
         "no unique extreme element; lattice property violated",
     )
     _same_lattice_error(
@@ -245,24 +236,6 @@ def test_poset_rejects_shared_inversion_sets(a3):
         _hand_built(a3, a3.elements[:2], [0b1, 0b1])
 
 
-def test_weak_leq_is_a_partial_order(a3):
-    els = a3.elements
-    for u in els:
-        assert a3.leq(u, u)
-    for u, v in itertools.combinations(els, 2):
-        if a3.leq(u, v) and a3.leq(v, u):
-            assert u == v
-    for u, v, w in itertools.product(els[::4], els[::5], els[::6]):
-        if a3.leq(u, v) and a3.leq(v, w):
-            assert a3.leq(u, w)
-
-
-def test_leq_matches_free_function(a3):
-    for u in a3.elements[::7]:
-        for w in a3.elements[::5]:
-            assert a3.leq(u, w) == scan_oracle.weak_leq(u, w)
-
-
 def test_hasse_edge_counts(a3, d4):
     assert len(GroupPoset.build(A1).hasse_edges()) == 1
     for poset in (a3, d4):
@@ -272,19 +245,20 @@ def test_hasse_edge_counts(a3, d4):
 
 
 def test_hasse_edges_are_covers(a3):
+    leq = scan_oracle.weak_leq
     edges = set(a3.hasse_edges())
     for upper, lower in edges:
-        assert a3.leq(lower, upper) and lower != upper
+        assert leq(lower, upper) and lower != upper
         for v in a3.elements:
             if v not in (upper, lower):
-                assert not (a3.leq(lower, v) and a3.leq(v, upper))
+                assert not (leq(lower, v) and leq(v, upper))
     # and conversely every cover is listed
     for u, w in itertools.permutations(a3.elements, 2):
-        if a3.leq(u, w) and u != w:
+        if leq(u, w) and u != w:
             between = [
                 v
                 for v in a3.elements
-                if v not in (u, w) and a3.leq(u, v) and a3.leq(v, w)
+                if v not in (u, w) and leq(u, v) and leq(v, w)
             ]
             assert ((w, u) in edges) == (not between)
 
@@ -314,32 +288,24 @@ def test_cjr_oracle_invariants(fixture_name, request):
         assert poset.join_all(sorted(cjr)) == w
         for u in cjr:
             assert join_irreducible_type(u) is not None
-            assert poset.leq(u, w)
+            assert scan_oracle.weak_leq(u, w)
         for u, v in itertools.combinations(sorted(cjr), 2):
-            assert not poset.leq(u, v) and not poset.leq(v, u)
+            assert not scan_oracle.weak_leq(u, v) and not scan_oracle.weak_leq(v, u)
 
 
 def test_verify_cjr_definition(a3):
     el = lambda s: parse_window(A3, s)
+    verify = lambda w, candidate: scan_oracle.verify_cjr_definition(a3, w, candidate)
     w = el("4,3,1,2")
-    assert a3.verify_cjr_definition(w, {el("1,2,4,3"), el("3,1,2,4")})
-    assert a3.verify_cjr_definition(identity(A3), frozenset())
-    assert not a3.verify_cjr_definition(el("3,2,1,4"), {el("3,2,1,4")})
+    assert verify(w, {el("1,2,4,3"), el("3,1,2,4")})
+    assert verify(identity(A3), frozenset())
+    assert not verify(el("3,2,1,4"), {el("3,2,1,4")})
     # wrong join, and non-minimal sets, both fail
-    assert not a3.verify_cjr_definition(w, {el("1,2,4,3")})
-    assert not a3.verify_cjr_definition(
-        el("3,2,1,4"), {el("2,1,3,4"), el("1,3,2,4"), el("3,2,1,4")}
-    )
+    assert not verify(w, {el("1,2,4,3")})
+    assert not verify(el("3,2,1,4"), {el("2,1,3,4"), el("1,3,2,4"), el("3,2,1,4")})
 
 
-def test_verify_cjr_definition_capacity(d4):
-    with pytest.raises(CapacityError):
-        d4.verify_cjr_definition(identity(D4), frozenset())
-
-
-def test_join_irreducible_counts(a3, d4):
-    assert len(a3.join_irreducibles()) == 11
-    assert len(d4.join_irreducibles()) == 44
+def test_join_irreducible_counts():
     for n in range(2, 7):
         assert len(join_irreducibles(DynkinType(Family.A, n))) == 2 ** (n + 1) - n - 2
     for n in (4, 5):
@@ -348,7 +314,7 @@ def test_join_irreducible_counts(a3, d4):
 
 def test_poset_rejects_foreign_elements(a3):
     with pytest.raises(ValueError):
-        a3.leq(identity(A3), identity(DynkinType(Family.A, 2)))
+        a3.join(identity(A3), identity(DynkinType(Family.A, 2)))
 
 
 def test_index_rejects_an_element_of_another_type_with_a_shared_window(d4):
@@ -367,14 +333,9 @@ def test_hand_built_poset_derives_its_index(a3):
         poset.index(a3.elements[0])
 
 
-def test_lengths_match_inversions(d4):
-    for w in d4.elements:
-        assert d4.length(w) == len(inversions(w))
-
-
 @pytest.mark.parametrize("dynkin", [A5, DynkinType(Family.D, 5)], ids=str)
 def test_build_masks_equal_the_inversion_sets(dynkin):
     poset = GroupPoset.build(dynkin)
     for w, mask in zip(poset.elements, poset.masks):
-        expected = sum(1 << poset._pair_bit[t.a, t.b] for t in inversions(w))
+        expected = sum(1 << poset._pair_bit[t.a, t.b] for t in scan_oracle.inversions(w))
         assert mask == expected, w
