@@ -198,6 +198,9 @@ def diagram_from_params_a(
     window: tuple[int, ...] | None = None,
     type_l: int | None = None,
 ) -> BrickDiagram:
+    """The same as `diagram_from_params_d`, which builds type A as its slice;
+    no caller in the package uses it.  It stays only because
+    `benchmark/tracing.py` wraps it by name."""
     return _diagram(dynkin, a, b, r_values, window, type_l)
 
 
@@ -209,6 +212,7 @@ def diagram_from_params_d(
     window: tuple[int, ...] | None = None,
     type_l: int | None = None,
 ) -> BrickDiagram:
+    """The diagram of the brick with parameters (a, b, R), in either family."""
     return _diagram(dynkin, a, b, r_values, window, type_l)
 
 
@@ -217,8 +221,6 @@ def brick_diagram(w: CoxeterElement) -> BrickDiagram:
     """The diagram of S(w), memoised per join-irreducible w; raises
     ValueError on any other element."""
     l, a, b, r_values = _params(w)
-    if w.dynkin.family is Family.A:
-        return diagram_from_params_a(w.dynkin, a, b, r_values, window=w.window, type_l=l)
     return diagram_from_params_d(w.dynkin, a, b, r_values, window=w.window, type_l=l)
 
 
@@ -234,12 +236,16 @@ def _rep(dynkin: DynkinType, a: int, b: int, r_values: frozenset[int]) -> Quiver
 def rep_from_params_a(
     dynkin: DynkinType, a: int, b: int, r_values: frozenset[int]
 ) -> QuiverRepresentation:
+    """The same as `rep_from_params_d`, which builds type A as its slice; no
+    caller in the package uses it.  It stays only because
+    `benchmark/tracing.py` wraps it by name."""
     return _rep(dynkin, a, b, r_values)
 
 
 def rep_from_params_d(
     dynkin: DynkinType, a: int, b: int, r_values: frozenset[int]
 ) -> QuiverRepresentation:
+    """The brick with parameters (a, b, R), in either family."""
     return _rep(dynkin, a, b, r_values)
 
 
@@ -247,8 +253,6 @@ def brick_rep(w: CoxeterElement) -> QuiverRepresentation:
     """The brick S(w) as an exact quiver representation, built from its
     parameters without a diagram."""
     _, a, b, r_values = _params(w)
-    if w.dynkin.family is Family.A:
-        return rep_from_params_a(w.dynkin, a, b, r_values)
     return rep_from_params_d(w.dynkin, a, b, r_values)
 
 
@@ -308,8 +312,7 @@ def diagram_from_json(data: dict) -> BrickDiagram:
     and arrows are recomputed, not read."""
     dynkin = DynkinType(Family(data["family"]), data["rank"])
     params = data["params"]
-    build = diagram_from_params_a if dynkin.family is Family.A else diagram_from_params_d
-    return build(
+    return diagram_from_params_d(
         dynkin,
         params["a"],
         params["b"],

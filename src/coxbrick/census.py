@@ -155,22 +155,33 @@ def census_lines(groups: dict[ShapeSigma, list]) -> list[str]:
     return lines
 
 
+_FIELD_PARSERS = {
+    "sigma": lambda v: ShapeSigma(*(int(x) for x in v.split(","))),
+    "window": lambda v: tuple(int(x) for x in v.split(",")),
+    "symbols": lambda v: frozenset(int(x) for x in v.split(",")),
+    "arrows": lambda v: frozenset(
+        (int(s), int(t)) for s, t in (edge.split(">") for edge in v.split(";") if edge)
+    ),
+}
+
+
 def parse_census_line(line: str) -> dict:
+    """The four fields of one record; ValueError naming the field and quoting
+    the line when a field is missing or malformed."""
     fields = {}
     for part in line.split():
         key, _, value = part.partition("=")
         fields[key] = value
-    missing = [f"{key}=" for key in ("sigma", "window", "symbols", "arrows") if key not in fields]
+    missing = [f"{key}=" for key in _FIELD_PARSERS if key not in fields]
     if missing:
         raise ValueError(f"census line lacks {' '.join(missing)}: {line!r}")
-    shape = ShapeSigma(*(int(x) for x in fields["sigma"].split(",")))
-    window = tuple(int(x) for x in fields["window"].split(","))
-    symbols = frozenset(int(x) for x in fields["symbols"].split(","))
-    arrows = frozenset(
-        (int(s), int(t))
-        for s, t in (edge.split(">") for edge in fields["arrows"].split(";") if edge)
-    )
-    return {"sigma": shape, "window": window, "symbols": symbols, "arrows": arrows}
+    record = {}
+    for key, parse in _FIELD_PARSERS.items():
+        try:
+            record[key] = parse(fields[key])
+        except (TypeError, ValueError):
+            raise ValueError(f"census line has a malformed {key}=: {line!r}") from None
+    return record
 
 
 def census_diff(groups: dict[ShapeSigma, list], fixture_lines: list[str]) -> list[str]:

@@ -12,6 +12,9 @@ matrices.  A relation word g1 g2 ... gk therefore evaluates to the matrix
 product mats[g1] * mats[g2] * ... * mats[gk] in word order.  Dense matrices
 appear only in the JSON form (`rep_to_json`, `rep_from_json`).
 
+One rule on the Dynkin graph builds the double quiver and its mesh
+relations in both families (`_build_double_quiver`): type A_n's quiver is
+D_{n+1}'s without the vertex -1, its arrows at 1 named without a sign.
 The double quiver has exactly one arrow u -> v for each ordered pair of
 adjacent vertices, so callers never name arrows: `rep_from_basis_action`
 takes each basis vector's images and finds the arrow from their vertices.
@@ -25,11 +28,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from coxbrick import ratlinalg as rl
-from coxbrick.coxeter import DynkinType, Family
+from coxbrick.coxeter import DynkinType
 from coxbrick.ratlinalg import Mat
-
-# a relation is a list of (coefficient, word) pairs summing to zero
-Relation = list[tuple[int, tuple[str, ...]]]
 
 
 def symbol_vertex(s: int) -> int:
@@ -46,7 +46,8 @@ class Arrow:
 
 @dataclass(frozen=True)
 class DoubleQuiver:
-    """The double quiver of the Dynkin diagram, with preprojective relations."""
+    """The double quiver of the Dynkin diagram, with preprojective relations:
+    each relation is a tuple of (coefficient, word) pairs summing to zero."""
 
     dynkin: DynkinType
     arrows: tuple[Arrow, ...]
@@ -77,47 +78,33 @@ def double_quiver(dynkin: DynkinType) -> DoubleQuiver:
 
 
 def _build_double_quiver(dynkin: DynkinType) -> DoubleQuiver:
-    n = dynkin.rank
+    """The double quiver and its mesh relations, by one rule for A_n and D_n.
+
+    Each vertex u with |u|+1 also a vertex has an arrow alpha{|u|}: u -> |u|+1
+    and an arrow beta{|u|+1} back; the two fork vertices +-1 of D_n mark
+    their arrows with their sign.  Arrows are listed by |u|, alphas before
+    betas, + before -.  The relation at x sums the round trips (x -> y)(y -> x)
+    over the neighbours y of x, the one up to |x|+1 first with sign + and the
+    others with sign -, each relation scaled so that its first term is +.
+    A1 and D2 have no arrow and no relation.
+    """
+    vertices = dynkin.vertices
     arrows: list[Arrow] = []
-    relations: list[Relation] = []
-    if dynkin.family is Family.A:
-        for i in range(1, n):
-            arrows.append(Arrow(f"alpha{i}", i, i + 1))
-            arrows.append(Arrow(f"beta{i + 1}", i + 1, i))
-        if n >= 2:
-            relations.append([(1, ("alpha1", "beta2"))])
-            relations.append([(1, (f"beta{n}", f"alpha{n - 1}"))])
-        for i in range(2, n):
-            relations.append(
-                [(1, (f"alpha{i}", f"beta{i + 1}")), (-1, (f"beta{i}", f"alpha{i - 1}"))]
-            )
-    else:
-        if n >= 3:
-            arrows.append(Arrow("alpha1+", 1, 2))
-            arrows.append(Arrow("alpha1-", -1, 2))
-            arrows.append(Arrow("beta2+", 2, 1))
-            arrows.append(Arrow("beta2-", 2, -1))
-            for i in range(2, n - 1):
-                arrows.append(Arrow(f"alpha{i}", i, i + 1))
-                arrows.append(Arrow(f"beta{i + 1}", i + 1, i))
-            relations.append([(1, ("alpha1+", "beta2+"))])
-            relations.append([(1, ("alpha1-", "beta2-"))])
-            if n >= 4:
-                relations.append(
-                    [
-                        (1, ("alpha2", "beta3")),
-                        (-1, ("beta2+", "alpha1+")),
-                        (-1, ("beta2-", "alpha1-")),
-                    ]
-                )
-                relations.append([(1, (f"beta{n - 1}", f"alpha{n - 2}"))])
-            else:
-                relations.append([(1, ("beta2+", "alpha1+")), (1, ("beta2-", "alpha1-"))])
-            for i in range(3, n - 1):
-                relations.append(
-                    [(1, (f"alpha{i}", f"beta{i + 1}")), (-1, (f"beta{i}", f"alpha{i - 1}"))]
-                )
-    return DoubleQuiver(dynkin, tuple(arrows), tuple(tuple(r) for r in relations))
+    for k in (v for v in vertices if v > 0 and v + 1 in vertices):
+        ends = [u for u in (k, -k) if u in vertices]  # two only at D_n's fork, k = 1
+        suffix = {k: "+", -k: "-"} if len(ends) == 2 else {k: ""}
+        arrows += [Arrow(f"alpha{k}{suffix[u]}", u, k + 1) for u in ends]
+        arrows += [Arrow(f"beta{k + 1}{suffix[u]}", k + 1, u) for u in ends]
+    back = {(a.tgt, a.src): a.name for a in arrows}
+    relations = []
+    for x in vertices:
+        up = [a for a in arrows if a.src == x and a.tgt == abs(x) + 1]
+        down = [a for a in arrows if a.src == x and a.tgt != abs(x) + 1]
+        sign = -1 if up else 1
+        terms = [(1, a) for a in up] + [(sign, a) for a in down]
+        if terms:
+            relations.append(tuple((c, (a.name, back[a.src, a.tgt])) for c, a in terms))
+    return DoubleQuiver(dynkin, tuple(arrows), tuple(relations))
 
 
 class RelationError(Exception):

@@ -31,14 +31,12 @@ from coxbrick.bricks import (
     BrickDiagram,
     brick_diagram,
     brick_rep,
-    diagram_from_params_a,
     diagram_from_params_d,
-    rep_from_params_a,
     rep_from_params_d,
     render_diagram,
 )
 from coxbrick.canjoin import DescentDatum, decompose, jirr_from_R
-from coxbrick.coxeter import CoxeterElement, DynkinType, Family, descents
+from coxbrick.coxeter import CoxeterElement, DynkinType, descents
 from coxbrick.homs import hom_dim, is_brick, is_positive_root
 from coxbrick.quiver import QuiverRepresentation
 from coxbrick.weak_order import GroupPoset
@@ -116,13 +114,9 @@ class BrickTable:
         reaches every later comparison."""
         key = (row.a, row.b, row.case, row.r_values)
         if key not in self._direct:
-            if self.dynkin.family is Family.A:
-                diag = diagram_from_params_a(self.dynkin, row.a, row.b, row.r_values)
-                rep = rep_from_params_a(self.dynkin, row.a, row.b, row.r_values)
-            else:
-                a, b = (-row.b, -row.a) if row.case == "A" else (row.a, row.b)
-                diag = diagram_from_params_d(self.dynkin, a, b, row.r_values)
-                rep = rep_from_params_d(self.dynkin, a, b, row.r_values)
+            a, b = (-row.b, -row.a) if row.case == "A" else (row.a, row.b)
+            diag = diagram_from_params_d(self.dynkin, a, b, row.r_values)
+            rep = rep_from_params_d(self.dynkin, a, b, row.r_values)
             entry = self.entry(row.r_values)
             self._direct[key] = (diag, entry.rep if rep == entry.rep else rep)
         return self._direct[key]

@@ -66,8 +66,9 @@ def test_socle_oracle_equivalence():
     totals = []
     # type, rank, bricks checked, of which also checked on the kernel route
     for family, n, bricks, kernel in [
-        (Family.A, 2, 4, 4), (Family.A, 3, 11, 11), (Family.A, 4, 26, 26),
-        (Family.A, 5, 57, 57), (Family.A, 6, 120, 120), (Family.A, 7, 247, 247),
+        (Family.A, 1, 1, 1), (Family.A, 2, 4, 4), (Family.A, 3, 11, 11),
+        (Family.A, 4, 26, 26), (Family.A, 5, 57, 57), (Family.A, 6, 120, 120),
+        (Family.A, 7, 247, 247), (Family.D, 2, 2, 2), (Family.D, 3, 11, 6),
         (Family.D, 4, 44, 14), (Family.D, 5, 157, 30),
     ]:
         result = verify.oracle(DynkinType(family, n))
@@ -181,11 +182,14 @@ def test_worked_examples_byte_for_byte(capsys):
 @pytest.mark.parametrize(
     "dynkin, size, bricks, pairs",
     [
+        (DynkinType(Family.A, 1), 2, 1, 0),
+        (DynkinType(Family.D, 2), 4, 2, 2),
+        (DynkinType(Family.D, 3), 24, 11, 22),
         (DynkinType(Family.A, 5), 720, 57, 604),
         (DynkinType(Family.D, 5), 1920, 157, 1604),
         (DynkinType(Family.A, 6), 5040, 120, 2382),
     ],
-    ids=["A5", "D5", "A6"],
+    ids=["A1", "D2", "D3", "A5", "D5", "A6"],
 )
 def test_structural_properties_full_sweep(dynkin, size, bricks, pairs):
     # verify_semibrick checks, per element: one summand per descent, every

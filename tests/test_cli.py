@@ -279,6 +279,29 @@ def test_census_fixture_line_without_symbols_exits_two(capsys, tmp_path):
     assert err.startswith("error: census line lacks symbols=")
 
 
+@pytest.mark.parametrize(
+    "line, field",
+    [
+        ("sigma=2,1 window=2,1,3,4,5 symbols=1 arrows=", "sigma"),
+        ("sigma=2,1,0,7 window=2,1,3,4,5 symbols=1 arrows=", "sigma"),
+        ("sigma=2,1,0 window=2,1,3,4,5 symbols=1 arrows=1>2>3", "arrows"),
+    ],
+    ids=["short-sigma", "long-sigma", "arrow-path"],
+)
+@pytest.mark.parametrize("command", [["census"], ["verify", "--suite", "census"]], ids=" ".join)
+def test_census_fixture_line_with_a_malformed_field_exits_two(
+    capsys, tmp_path, command, line, field
+):
+    fixture = tmp_path / "malformed.txt"
+    fixture.write_text(line + "\n")
+    code, out, err = run(
+        capsys, *command, "--type", "D", "--rank", "5", "--fixture", str(fixture)
+    )
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == f"error: census line has a malformed {field}=: {line!r}\n"
+
+
 def test_hasse_dot(capsys):
     code, out, _ = run(capsys, "hasse", "--type", "A", "--rank", "2")
     assert code == EXIT_OK

@@ -20,9 +20,12 @@ from coxbrick.quiver import (
 )
 from dense_oracle import relation_vanishes
 
+A1 = DynkinType(Family.A, 1)
 A3 = DynkinType(Family.A, 3)
 A4 = DynkinType(Family.A, 4)
 A5 = DynkinType(Family.A, 5)
+D2 = DynkinType(Family.D, 2)
+D3 = DynkinType(Family.D, 3)
 D4 = DynkinType(Family.D, 4)
 D5 = DynkinType(Family.D, 5)
 
@@ -54,7 +57,7 @@ def test_double_quiver_is_built_once_per_type():
         quiver.arrow("gamma1")
 
 
-@pytest.mark.parametrize("dynkin", [A5, D5], ids=str)
+@pytest.mark.parametrize("dynkin", [A1, D2, D3, A5, D5], ids=str)
 def test_check_relations_equals_dense_evaluator(dynkin):
     for rep in _reps(dynkin):
         assert all(relation_vanishes(rep, relation) for relation in rep.quiver.relations)
@@ -67,6 +70,69 @@ def test_check_relations_equals_dense_evaluator(dynkin):
             flipped = tuple({c: -x for c, x in row.items()} for row in m)
             bad = QuiverRepresentation(rep.quiver, rep.dims, {**rep.mats, arrow.name: flipped})
             assert _check_agrees_with_dense(bad), (rep.dim_vector(), arrow.name)
+
+
+def _reference_quiver(dynkin):
+    """The arrows and relations of each family as written out by hand, one
+    list per family with its rank cases: the reference for the one rule."""
+    n = dynkin.rank
+    arrows, relations = [], []
+    if dynkin.family is Family.A:
+        for i in range(1, n):
+            arrows.append((f"alpha{i}", i, i + 1))
+            arrows.append((f"beta{i + 1}", i + 1, i))
+        if n >= 2:
+            relations.append([(1, ("alpha1", "beta2"))])
+            relations.append([(1, (f"beta{n}", f"alpha{n - 1}"))])
+        for i in range(2, n):
+            relations.append(
+                [(1, (f"alpha{i}", f"beta{i + 1}")), (-1, (f"beta{i}", f"alpha{i - 1}"))]
+            )
+    elif n >= 3:
+        arrows += [("alpha1+", 1, 2), ("alpha1-", -1, 2), ("beta2+", 2, 1), ("beta2-", 2, -1)]
+        for i in range(2, n - 1):
+            arrows.append((f"alpha{i}", i, i + 1))
+            arrows.append((f"beta{i + 1}", i + 1, i))
+        relations.append([(1, ("alpha1+", "beta2+"))])
+        relations.append([(1, ("alpha1-", "beta2-"))])
+        if n >= 4:
+            relations.append(
+                [
+                    (1, ("alpha2", "beta3")),
+                    (-1, ("beta2+", "alpha1+")),
+                    (-1, ("beta2-", "alpha1-")),
+                ]
+            )
+            relations.append([(1, (f"beta{n - 1}", f"alpha{n - 2}"))])
+        else:
+            relations.append([(1, ("beta2+", "alpha1+")), (1, ("beta2-", "alpha1-"))])
+        for i in range(3, n - 1):
+            relations.append(
+                [(1, (f"alpha{i}", f"beta{i + 1}")), (-1, (f"beta{i}", f"alpha{i - 1}"))]
+            )
+    return arrows, relations
+
+
+@pytest.mark.parametrize(
+    "dynkin",
+    [DynkinType(Family.A, n) for n in range(1, 10)]
+    + [DynkinType(Family.D, n) for n in range(2, 10)],
+    ids=str,
+)
+def test_double_quiver_rule_reproduces_the_hand_written_lists(dynkin):
+    ref_arrows, ref_relations = _reference_quiver(dynkin)
+    quiver = double_quiver(dynkin)
+    assert [(a.name, a.src, a.tgt) for a in quiver.arrows] == ref_arrows
+
+    def at_vertex(relations):
+        """Each relation's terms as a set, keyed by the vertex its words start at."""
+        return {quiver.arrow(r[0][1][0]).src: frozenset(r) for r in relations}
+
+    got, ref = at_vertex(quiver.relations), at_vertex(ref_relations)
+    assert len(got) == len(quiver.relations) and got.keys() == ref.keys()
+    for x, terms in ref.items():
+        negated = frozenset((-c, word) for c, word in terms)
+        assert got[x] in (terms, negated), x
 
 
 def test_sign_flipped_arrow_raises_relation_error():
