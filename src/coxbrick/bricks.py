@@ -305,18 +305,3 @@ def diagram_to_json(diag: BrickDiagram) -> dict:
         "arrows": sorted([list(e) for e in diag.arrows]),
         "dim_vector": {str(v): d for v, d in diag.dim_vector().items()},
     }
-
-
-def diagram_from_json(data: dict) -> BrickDiagram:
-    """Rebuild a diagram from the parameters of its JSON form; the symbols
-    and arrows are recomputed, not read."""
-    dynkin = DynkinType(Family(data["family"]), data["rank"])
-    params = data["params"]
-    return diagram_from_params_d(
-        dynkin,
-        params["a"],
-        params["b"],
-        frozenset(params["R"]),
-        window=tuple(data["window"]) if data["window"] is not None else None,
-        type_l=data["type_l"],
-    )

@@ -73,11 +73,6 @@ def element_to_json(w: CoxeterElement) -> dict:
     }
 
 
-def element_from_json(data: dict) -> CoxeterElement:
-    dynkin = DynkinType(Family(data["family"]), data["rank"])
-    return CoxeterElement(dynkin, tuple(data["window"]))
-
-
 def cmd_element(args: argparse.Namespace) -> int:
     w = _element(args)
     if args.format == "json":
@@ -217,11 +212,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     reads = {
         "oracle": ("sample", "seed"),
         "cjr": ("sample", "seed"),
-        "semibrick": ("sample", "seed", "join"),
+        "semibrick": ("sample", "seed"),
         "count": (),
         "census": ("fixture",),
     }[args.suite]
-    for flag in ("sample", "seed", "join", "fixture"):
+    for flag in ("sample", "seed", "fixture"):
         if getattr(args, flag) is not None and flag not in reads:
             raise InputError(f"--{flag} does not apply to --suite {args.suite}")
     if args.suite == "count":
@@ -230,10 +225,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _check_census(args)
     if args.sample is not None and args.sample < 0:
         raise InputError(f"--sample must be 0 or more, got {args.sample}")
+    if args.seed is not None and not args.sample:
+        raise InputError("--seed does not apply without --sample")
     dynkin = _dynkin(args)
     options = {"sample_size": args.sample or 0, "seed": args.seed or 0, "cap": args.cap}
-    if args.suite == "semibrick":
-        options["join"] = bool(args.join)
     return _report(getattr(verify, args.suite)(dynkin, **options))
 
 
@@ -298,8 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["oracle", "cjr", "semibrick", "count", "census"],
     )
     p.add_argument("--sample", type=int, help="sample size (0 = all)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--join", action="store_true", default=None, help="also recompute joins")
+    p.add_argument("--seed", type=int, help="seed of the --sample draw (default 0)")
     p.add_argument("--fixture", help="census fixture override")
     p.set_defaults(func=cmd_verify)
     return parser

@@ -125,11 +125,6 @@ class CoxeterElement:
             pass
         raise ValueError(f"bad argument {i}")
 
-    def inverse(self) -> "CoxeterElement":
-        pos = {v: i for i, v in enumerate(self.window, start=1)}
-        inv = tuple(pos[v] if v in pos else -pos[-v] for v in range(1, len(self.window) + 1))
-        return CoxeterElement(self.dynkin, inv)
-
     def __str__(self) -> str:
         return format_window(self.window)
 

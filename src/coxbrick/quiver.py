@@ -10,7 +10,7 @@ block).  Each matrix is a tuple of sparse rows (`coxbrick.ratlinalg`): one
 value is not integral, and never a stored zero, so equal maps are equal
 matrices.  A relation word g1 g2 ... gk therefore evaluates to the matrix
 product mats[g1] * mats[g2] * ... * mats[gk] in word order.  Dense matrices
-appear only in the JSON form (`rep_to_json`, `rep_from_json`).
+appear only in the JSON form that `rep_to_json` writes.
 
 One rule on the Dynkin graph builds the double quiver and its mesh
 relations in both families (`_build_double_quiver`): type A_n's quiver is
@@ -25,7 +25,6 @@ Signed indices (brick symbols, grid entries) sit at vertices by one rule,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from coxbrick import ratlinalg as rl
 from coxbrick.coxeter import DynkinType
@@ -52,20 +51,14 @@ class DoubleQuiver:
     dynkin: DynkinType
     arrows: tuple[Arrow, ...]
     relations: tuple[tuple[tuple[int, tuple[str, ...]], ...], ...]
-    _by_name: dict[str, Arrow] = field(init=False, repr=False, compare=False)
     _by_ends: dict[tuple[int, int], Arrow] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_by_name", {a.name: a for a in self.arrows})
         object.__setattr__(self, "_by_ends", {(a.src, a.tgt): a for a in self.arrows})
 
     @property
     def vertices(self) -> tuple[int, ...]:
         return self.dynkin.vertices
-
-    def arrow(self, name: str) -> Arrow:
-        """The arrow of this name; KeyError for an unknown name."""
-        return self._by_name[name]
 
 
 def double_quiver(dynkin: DynkinType) -> DoubleQuiver:
@@ -161,12 +154,13 @@ class QuiverRepresentation:
     def check_relations(self) -> None:
         """Raise RelationError unless every preprojective relation vanishes.
 
-        Each relation's words start at one vertex, so their actions share a
-        row count; the weighted sum is accumulated row by row.
+        Each relation's words start at one vertex, so their actions share
+        the row count of the first word's first arrow; the weighted sum is
+        accumulated row by row.
         """
         for relation in self.quiver.relations:
-            first_arrow = self.quiver.arrow(relation[0][1][0])
-            total: list[rl.Row] = [{} for _ in range(self.dims.get(first_arrow.src, 0))]
+            nrows = len(self.mats[relation[0][1][0]])
+            total: list[rl.Row] = [{} for _ in range(nrows)]
             for coeff, word in relation:
                 for t, row in zip(total, self.word_action(word)):
                     rl.subtract_multiple(t, -coeff, row)
@@ -240,24 +234,3 @@ def rep_to_json(rep: QuiverRepresentation) -> dict:
         "dims": {str(v): rep.dims.get(v, 0) for v in rep.quiver.vertices},
         "mats": {name: text(m, cols[name]) for name, m in sorted(rep.mats.items())},
     }
-
-
-def rep_from_json(quiver: DoubleQuiver, data: dict) -> QuiverRepresentation:
-    """Read the JSON form back; every vertex and arrow must be the quiver's,
-    and every row must have the dense length."""
-    dims = {int(v): int(d) for v, d in data["dims"].items()}
-    for v in dims:
-        if v not in quiver.vertices:
-            raise ValueError(f"vertex {v} is not in the quiver of {quiver.dynkin}")
-    cols = {a.name: dims.get(a.tgt, 0) for a in quiver.arrows}
-    for name, m in data["mats"].items():
-        if name not in cols:
-            raise ValueError(f"arrow {name!r} is not in the quiver of {quiver.dynkin}")
-        if any(len(row) != cols.get(name) for row in m):
-            raise ValueError(f"matrix for {name} has a row whose length is not {cols.get(name)}")
-    mats = zero_mats(quiver, dims) | {
-        name: tuple(rl.sparse([Fraction(x) for x in row] for row in m))
-        for name, m in data["mats"].items()
-        if m
-    }
-    return QuiverRepresentation(quiver, dims, mats)

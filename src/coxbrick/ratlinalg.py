@@ -7,8 +7,8 @@ are Python `int`, or `fractions.Fraction` where a value is not integral.
 The representations and Hom systems of this package are mostly zeros with
 0/+-1 coefficients, so `rref` keeps values `int` while every pivot met is
 +-1 and promotes to `Fraction` only when a pivot is not.  Arithmetic is exact
-throughout; there are no tolerances.  Dense matrices appear only at the JSON
-boundary (`sparse` reads one).
+throughout; there are no tolerances.  Dense matrices appear only in the JSON
+that `quiver.rep_to_json` writes.
 
 Most rows of a Hom system read x_a = 0 or x_a = +-x_b, so `nullspace`
 presolves them with one signed union-find before elimination: each class of
@@ -32,11 +32,6 @@ ONE = Fraction(1)
 def integral(x):
     """`x` as an `int` when it is integral, else unchanged."""
     return x.numerator if x.denominator == 1 else x
-
-
-def sparse(a) -> list[Row]:
-    """Sparse rows of a dense matrix; integral entries become `int`."""
-    return [{c: integral(x) for c, x in enumerate(row) if x} for row in a]
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:

@@ -39,7 +39,6 @@ from coxbrick.canjoin import DescentDatum, decompose, jirr_from_R
 from coxbrick.coxeter import CoxeterElement, DynkinType, descents
 from coxbrick.homs import hom_dim, is_brick, is_positive_root
 from coxbrick.quiver import QuiverRepresentation
-from coxbrick.weak_order import GroupPoset
 
 
 @dataclass(frozen=True)
@@ -158,27 +157,23 @@ class SemibrickReport:
     hom_dims: dict[tuple[int, int], int]  # off-diagonal Hom dimensions
     table_flags: dict[int, bool]  # the summand's rep is the table brick of its R-set
     summands_match_descents: bool
-    join_window: tuple[int, ...] | None = None
-    join_matches: bool | None = None
 
     @property
     def ok(self) -> bool:
-        checks = [
-            all(self.brick_flags.values()),
-            all(self.positive_root_flags.values()),
-            all(d == 0 for d in self.hom_dims.values()),
-            all(self.table_flags.values()),
-            self.summands_match_descents,
-        ]
-        if self.join_matches is not None:
-            checks.append(self.join_matches)
-        return all(checks)
+        return (
+            all(self.brick_flags.values())
+            and all(self.positive_root_flags.values())
+            and all(d == 0 for d in self.hom_dims.values())
+            and all(self.table_flags.values())
+            and self.summands_match_descents
+        )
 
 
-def verify_semibrick(s: Semibrick, poset: GroupPoset | None = None) -> SemibrickReport:
+def verify_semibrick(s: Semibrick) -> SemibrickReport:
     """Check brickness, Hom-orthogonality, positive roots, that every summand
-    is the table brick of its R-set, and (optionally) that the join of the
-    canonical join representation recovers the element.
+    is the table brick of its R-set, and that there is one summand per
+    descent.  That the canonical join representation joins back to the
+    element is checked once, by `verify.cjr`.
 
     Flags and Hom dimensions of a summand equal to its table brick come from
     the table; those of any other summand are computed on its own rep.
@@ -203,7 +198,7 @@ def verify_semibrick(s: Semibrick, poset: GroupPoset | None = None) -> Semibrick
                 else:
                     r_x, r_y = x.diagram.r_values, y.diagram.r_values
                     hom_dims[(x.d, y.d)] = table.hom_dim(r_x, r_y)
-    report = SemibrickReport(
+    return SemibrickReport(
         element=s.element,
         brick_flags=brick_flags,
         positive_root_flags=root_flags,
@@ -211,11 +206,6 @@ def verify_semibrick(s: Semibrick, poset: GroupPoset | None = None) -> Semibrick
         table_flags={sm.d: entry is not None for sm, entry in zip(s.summands, entries)},
         summands_match_descents=len(s.summands) == len(descents(s.element)),
     )
-    if poset is not None:
-        joined = poset.join_all([row.element for row in decompose(s.element)])
-        report.join_window = joined.window
-        report.join_matches = joined == s.element
-    return report
 
 
 def render_semibrick(s: Semibrick) -> str:

@@ -167,17 +167,10 @@ def cjr(
 
 
 def semibrick(
-    dynkin: DynkinType,
-    sample_size: int = 0,
-    seed: int = 0,
-    join: bool = False,
-    cap: int = DEFAULT_ENUMERATION_CAP,
+    dynkin: DynkinType, sample_size: int = 0, seed: int = 0, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> SweepResult:
     elements = sample(enumerate_group(dynkin, cap=cap), sample_size, seed)
-    poset = GroupPoset.build(dynkin, cap=cap) if join else None
-    failures, errors = _check_each(
-        elements, lambda w: verify_semibrick(semibrick_direct(w), poset).ok
-    )
+    failures, errors = _check_each(elements, lambda w: verify_semibrick(semibrick_direct(w)).ok)
     table = brick_table(dynkin)
     counts = {"bricks": len(table.entries), "pairs": len(table.pairs)}
     return SweepResult("semibrick", dynkin, len(elements), failures, counts, errors)

@@ -6,12 +6,14 @@ The test oracle for the sparse layer in `coxbrick.ratlinalg`, `quiver` and
 through every row operation, and the Hom system and the radical's Gram
 matrix are formed literally (dense equation rows, products of basis
 elements).  `dense`, `dense_mats` and `dense_hom` give the dense view of the
-package's sparse rows.
+package's sparse rows, and `sparse` the sparse rows of a dense matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from coxbrick.ratlinalg import integral
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -31,6 +33,11 @@ def shape(a: Mat) -> tuple[int, int]:
 def dense(rows, ncols: int) -> Mat:
     """Dense view of sparse rows with `ncols` columns."""
     return tuple(tuple(Fraction(row.get(c, 0)) for c in range(ncols)) for row in rows)
+
+
+def sparse(a) -> list[dict]:
+    """Sparse rows of a dense matrix; integral entries become `int`."""
+    return [{c: integral(x) for c, x in enumerate(row) if x} for row in a]
 
 
 def dense_mats(rep) -> dict[str, Mat]:

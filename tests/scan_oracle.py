@@ -7,8 +7,8 @@ the quadratic minimal-element scan.  Results and `LatticeError`
 messages are the ones `GroupPoset` must reproduce.  `meet` is the only
 meet, and `verify_cjr_definition` replays the lattice-theoretic definition
 of a canonical join representation on top of the scan `join`.  The
-element-level references kept beside them (`inversions` by the w^{-1}
-rule, `weak_leq` on those inversion sets, `cover_reflections` as
+element-level references kept beside them (`inverse`, `inversions` by
+the w^{-1} rule, `weak_leq` on those inversion sets, `cover_reflections` as
 `Reflection`s, `inverse_at` by a scan of the window) are what the
 package's own rules (`coxeter.inversion_masks`, `cover_pairs`) are tested
 against.
@@ -30,10 +30,18 @@ from coxbrick.coxeter import (
 from coxbrick.weak_order import GroupPoset, LatticeError
 
 
+def inverse(w: CoxeterElement) -> CoxeterElement:
+    """w^{-1}: the window position of each value 1..n, negated where -value
+    sits there (type D)."""
+    pos = {v: i for i, v in enumerate(w.window, start=1)}
+    inv = tuple(pos[v] if v in pos else -pos[-v] for v in range(1, len(w.window) + 1))
+    return CoxeterElement(w.dynkin, inv)
+
+
 def inversions(w: CoxeterElement) -> frozenset[Reflection]:
     """The reflections (a b), or (-a -b)(a b) in type D, with w^{-1}(a) <
     w^{-1}(b) (Björner–Brenti, Combinatorics of Coxeter Groups, §8.2)."""
-    inv = w.inverse()
+    inv = inverse(w)
     return frozenset(r for r in all_reflections(w.dynkin) if inv(r.a) < inv(r.b))
 
 

@@ -9,12 +9,10 @@ is the same predicate on a bare list of representations.
 
 from __future__ import annotations
 
-from coxbrick.canjoin import decompose
 from coxbrick.coxeter import descents
 from coxbrick.homs import hom_dim, is_brick, is_positive_root
 from coxbrick.quiver import QuiverRepresentation
 from coxbrick.semibricks import Semibrick, SemibrickReport
-from coxbrick.weak_order import GroupPoset
 
 
 def is_semibrick(mods: list[QuiverRepresentation]) -> bool:
@@ -28,7 +26,7 @@ def is_semibrick(mods: list[QuiverRepresentation]) -> bool:
     return True
 
 
-def verify_semibrick(s: Semibrick, poset: GroupPoset | None = None) -> SemibrickReport:
+def verify_semibrick(s: Semibrick) -> SemibrickReport:
     brick_flags = {sm.d: is_brick(sm.rep) for sm in s.summands}
     root_flags = {
         sm.d: is_positive_root(s.element.dynkin, sm.rep.dim_vector())
@@ -39,7 +37,7 @@ def verify_semibrick(s: Semibrick, poset: GroupPoset | None = None) -> Semibrick
         for y in s.summands:
             if x.d != y.d:
                 hom_dims[(x.d, y.d)] = hom_dim(x.rep, y.rep)
-    report = SemibrickReport(
+    return SemibrickReport(
         element=s.element,
         brick_flags=brick_flags,
         positive_root_flags=root_flags,
@@ -47,8 +45,3 @@ def verify_semibrick(s: Semibrick, poset: GroupPoset | None = None) -> Semibrick
         table_flags={},
         summands_match_descents=len(s.summands) == len(descents(s.element)),
     )
-    if poset is not None:
-        joined = poset.join_all([row.element for row in decompose(s.element)])
-        report.join_window = joined.window
-        report.join_matches = joined == s.element
-    return report

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from coxbrick.bricks import (
     brick_diagram,
     brick_rep,
-    diagram_from_json,
     diagram_to_json,
     render_diagram,
     symbol_vertex,
@@ -305,9 +304,12 @@ def test_diagram_json_roundtrip():
     for w in [*examples, *join_irreducibles(DynkinType(Family.A, 5)), *join_irreducibles(D5)]:
         diag = brick_diagram(w)
         data = diagram_to_json(diag)
-        back = diagram_from_json(data)
-        assert back == diag, w
-        assert diagram_to_json(back) == data, w
+        assert (data["family"], data["rank"]) == (w.dynkin.family.value, w.dynkin.rank), w
+        assert data["window"] == list(w.window) and data["type_l"] == diag.type_l, w
+        params = {"a": diag.a, "b": diag.b, "r": diag.r, "c": diag.c, "R": sorted(diag.r_values)}
+        assert data["params"] == params, w
+        assert sorted(data["symbols"]) == sorted(diag.symbols), w
+        assert {tuple(e) for e in data["arrows"]} == diag.arrows, w
 
 
 def test_diagram_rejects_non_jirr():

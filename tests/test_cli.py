@@ -7,7 +7,7 @@ import pytest
 
 from coxbrick import verify
 from coxbrick.bricks import brick_rep
-from coxbrick.cli import element_from_json, main
+from coxbrick.cli import main
 from coxbrick.coxeter import DynkinType, Family, enumerate_group, identity, parse_window
 from coxbrick.weak_order import GroupPoset, LatticeError
 
@@ -77,8 +77,8 @@ def test_element_json_roundtrip(capsys):
     )
     assert code == EXIT_OK
     data = json.loads(out)
-    w = element_from_json(data)
-    assert w.window == (5, 3, -7, 4, -6, -8, 9, -1, 2)
+    assert (data["family"], data["rank"]) == ("D", 9)
+    assert data["window"] == [5, 3, -7, 4, -6, -8, 9, -1, 2]
     assert data["descents"] == [1, 2, 4, 5, 7]
 
 
@@ -117,8 +117,7 @@ def test_brick_dot(capsys):
 
 
 def test_brick_json_roundtrip(capsys):
-    from coxbrick.bricks import brick_diagram, diagram_from_json
-    from coxbrick.coxeter import DynkinType, Family, parse_window
+    from coxbrick.bricks import brick_diagram, diagram_to_json
 
     code, out, _ = run(
         capsys,
@@ -133,11 +132,8 @@ def test_brick_json_roundtrip(capsys):
         "json",
     )
     assert code == EXIT_OK
-    diag = diagram_from_json(json.loads(out))
-    expected = brick_diagram(
-        parse_window(DynkinType(Family.D, 9), "9,-7,-6,-4,-1,2,3,5,8")
-    )
-    assert diag == expected
+    w = parse_window(DynkinType(Family.D, 9), "9,-7,-6,-4,-1,2,3,5,8")
+    assert json.loads(out) == diagram_to_json(brick_diagram(w))
 
 
 def test_decompose_a3_cjr(capsys):
@@ -485,7 +481,8 @@ def test_verify_cjr_reports_every_element_that_does_not_join_back(capsys, monkey
 
 
 def test_verify_semibrick_with_join(capsys):
-    code, out, _ = run(
+    # the join-back check runs once, in --suite cjr; semibrick has no --join
+    code, out, err = run(
         capsys,
         "verify",
         "--suite",
@@ -498,8 +495,9 @@ def test_verify_semibrick_with_join(capsys):
         "25",
         "--join",
     )
-    assert code == EXIT_OK
-    assert out == "25/25 semibricks verified\n"
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "unrecognized arguments: --join" in err
 
 
 def test_verify_census_suite(capsys):
@@ -520,11 +518,12 @@ def test_unknown_flag_exits_two(capsys):
     [
         ("count", ["--type", "A", "--rank", "5", "--sample", "3"], "--sample"),
         ("count", ["--type", "A", "--rank", "5", "--seed", "1"], "--seed"),
-        ("count", ["--type", "A", "--rank", "5", "--join"], "--join"),
+        # a sampled suite reads --seed only to draw its --sample
+        ("oracle", ["--type", "A", "--rank", "3", "--seed", "5"], "--seed"),
         ("census", ["--type", "D", "--rank", "5", "--sample", "0"], "--sample"),
         ("census", ["--type", "D", "--rank", "5", "--seed", "0"], "--seed"),
-        ("oracle", ["--type", "A", "--rank", "3", "--join"], "--join"),
-        ("cjr", ["--type", "A", "--rank", "3", "--join"], "--join"),
+        ("cjr", ["--type", "A", "--rank", "3", "--seed", "5"], "--seed"),
+        ("semibrick", ["--type", "A", "--rank", "3", "--sample", "0", "--seed", "5"], "--seed"),
         ("semibrick", ["--type", "A", "--rank", "3", "--fixture", "x.txt"], "--fixture"),
     ],
 )
@@ -532,4 +531,6 @@ def test_verify_rejects_flags_it_would_ignore(capsys, suite, args, flag):
     code, out, err = run(capsys, "verify", "--suite", suite, *args)
     assert code == EXIT_INPUT
     assert out == ""
-    assert err == f"error: {flag} does not apply to --suite {suite}\n"
+    sampled = suite in ("oracle", "cjr", "semibrick") and flag == "--seed"
+    reason = "without --sample" if sampled else f"to --suite {suite}"
+    assert err == f"error: {flag} does not apply {reason}\n"

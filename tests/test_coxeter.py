@@ -252,8 +252,8 @@ def test_multiplication_is_associative(u, v, w):
 @given(d4_elements())
 @settings(max_examples=60, deadline=None)
 def test_inverse_inverts(w):
-    assert multiply(w, w.inverse()) == identity(D4)
-    assert w.inverse().inverse() == w
+    assert multiply(w, scan_oracle.inverse(w)) == identity(D4)
+    assert scan_oracle.inverse(scan_oracle.inverse(w)) == w
 
 
 @given(d4_elements())

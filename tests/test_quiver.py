@@ -1,8 +1,7 @@
-"""Sparse arrow matrices: shape checks, the relation checker, and JSON."""
+"""Sparse arrow matrices: shape checks, the relation checker, and the JSON digest."""
 
 import hashlib
 import json
-import re
 
 import pytest
 
@@ -14,14 +13,12 @@ from coxbrick.quiver import (
     RelationError,
     double_quiver,
     rep_from_basis_action,
-    rep_from_json,
     rep_to_json,
     zero_mats,
 )
 from dense_oracle import relation_vanishes
 
 A1 = DynkinType(Family.A, 1)
-A3 = DynkinType(Family.A, 3)
 A4 = DynkinType(Family.A, 4)
 A5 = DynkinType(Family.A, 5)
 D2 = DynkinType(Family.D, 2)
@@ -52,9 +49,6 @@ def test_double_quiver_is_built_once_per_type():
     assert a5.memo["quiver"] is quiver
     other = double_quiver(DynkinType(Family.A, 5))
     assert other == quiver and other is not quiver
-    assert quiver.arrow("alpha2") == next(a for a in quiver.arrows if a.name == "alpha2")
-    with pytest.raises(KeyError):
-        quiver.arrow("gamma1")
 
 
 @pytest.mark.parametrize("dynkin", [A1, D2, D3, A5, D5], ids=str)
@@ -124,9 +118,11 @@ def test_double_quiver_rule_reproduces_the_hand_written_lists(dynkin):
     quiver = double_quiver(dynkin)
     assert [(a.name, a.src, a.tgt) for a in quiver.arrows] == ref_arrows
 
+    src = {a.name: a.src for a in quiver.arrows}
+
     def at_vertex(relations):
         """Each relation's terms as a set, keyed by the vertex its words start at."""
-        return {quiver.arrow(r[0][1][0]).src: frozenset(r) for r in relations}
+        return {src[r[0][1][0]]: frozenset(r) for r in relations}
 
     got, ref = at_vertex(quiver.relations), at_vertex(ref_relations)
     assert len(got) == len(quiver.relations) and got.keys() == ref.keys()
@@ -211,36 +207,3 @@ def test_grid_and_brick_reps_are_byte_identical_to_the_golden_digest(dynkin):
         h.update((json.dumps([list(w.window), *reps], sort_keys=True) + "\n").encode())
     assert h.hexdigest() == GOLDEN[dynkin]
 
-
-@pytest.mark.parametrize("dynkin", [A4, D4], ids=str)
-def test_rep_json_round_trips_on_every_brick(dynkin):
-    for w in join_irreducibles(dynkin):
-        rep = brick_rep(w)
-        data = rep_to_json(rep)
-        back = rep_from_json(rep.quiver, data)
-        assert back == rep, w
-        assert rep_to_json(back) == data, w
-
-
-def test_rep_from_json_rejects_a_row_of_the_wrong_length():
-    rep = brick_rep(next(iter(join_irreducibles(D4))))
-    data = rep_to_json(rep)
-    name, m = next((name, m) for name, m in data["mats"].items() if m and m[0])
-    short = {**data, "mats": {**data["mats"], name: [row[:-1] for row in m]}}
-    with pytest.raises(ValueError, match=re.escape(f"matrix for {name} has a row")):
-        rep_from_json(rep.quiver, short)
-
-
-def test_rep_from_json_rejects_a_vertex_not_in_the_quiver():
-    rep = brick_rep(next(iter(join_irreducibles(A3))))
-    data = rep_to_json(rep)
-    with pytest.raises(ValueError, match="vertex 7 is not in the quiver of A3"):
-        rep_from_json(rep.quiver, {**data, "dims": {**data["dims"], "7": 3}})
-
-
-def test_rep_from_json_rejects_an_arrow_not_in_the_quiver():
-    rep = brick_rep(next(iter(join_irreducibles(A3))))
-    data = rep_to_json(rep)
-    mats = {**data["mats"], "gamma9": [[1]]}
-    with pytest.raises(ValueError, match="arrow 'gamma9' is not in the quiver of A3"):
-        rep_from_json(rep.quiver, {**data, "mats": mats})

@@ -17,7 +17,7 @@ from coxbrick.coxeter import DynkinType, Family
 def row_space_rref(rows: list[tuple]) -> oracle.Mat:
     """Canonical (RREF, zero rows dropped) basis of the span of dense rows."""
     ncols = len(rows[0]) if rows else 0
-    return oracle.dense(rl.rref(rl.sparse(rows))[0], ncols)
+    return oracle.dense(rl.rref(oracle.sparse(rows))[0], ncols)
 
 
 def same_row_space(rows_a: list[tuple], rows_b: list[tuple]) -> bool:
@@ -27,7 +27,7 @@ def same_row_space(rows_a: list[tuple], rows_b: list[tuple]) -> bool:
 def solve_exact(a: oracle.Mat, b: tuple) -> tuple | None:
     """One solution of a x = b, or None when inconsistent."""
     ncols = oracle.shape(a)[1]
-    reduced, pivots = rl.rref(rl.sparse(tuple(row) + (y,) for row, y in zip(a, b)))
+    reduced, pivots = rl.rref(oracle.sparse(tuple(row) + (y,) for row, y in zip(a, b)))
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
@@ -38,14 +38,14 @@ def solve_exact(a: oracle.Mat, b: tuple) -> tuple | None:
 
 def test_rref_basic():
     m = oracle.mat([[2, 4], [1, 2]])
-    reduced, pivots = rl.rref(rl.sparse(m))
+    reduced, pivots = rl.rref(oracle.sparse(m))
     assert pivots == (0,)
     assert reduced == [{0: Fraction(1), 1: Fraction(2)}]
 
 
 def test_nullspace_solves():
     m = oracle.mat([[1, 2, 3], [4, 5, 6]])
-    basis = rl.nullspace(rl.sparse(m), 3)
+    basis = rl.nullspace(oracle.sparse(m), 3)
     assert len(basis) == 1
     (v,) = oracle.dense(basis, 3)
     for row in m:
@@ -107,14 +107,14 @@ def matrices(draw):
 @settings(max_examples=100, deadline=None)
 def test_rank_nullity(m):
     ncols = oracle.shape(m)[1]
-    assert rl.rank(rl.sparse(m)) + len(rl.nullspace(rl.sparse(m), ncols)) == ncols
+    assert rl.rank(oracle.sparse(m)) + len(rl.nullspace(oracle.sparse(m), ncols)) == ncols
 
 
 @given(matrices())
 @settings(max_examples=100, deadline=None)
 def test_nullspace_vectors_annihilate(m):
     ncols = oracle.shape(m)[1]
-    for v in oracle.dense(rl.nullspace(rl.sparse(m), ncols), ncols):
+    for v in oracle.dense(rl.nullspace(oracle.sparse(m), ncols), ncols):
         for row in m:
             assert sum(a * b for a, b in zip(row, v)) == 0
 
@@ -122,7 +122,7 @@ def test_nullspace_vectors_annihilate(m):
 @given(matrices())
 @settings(max_examples=100, deadline=None)
 def test_rref_idempotent(m):
-    reduced, pivots = rl.rref(rl.sparse(m))
+    reduced, pivots = rl.rref(oracle.sparse(m))
     assert rl.rref(reduced) == (reduced, pivots)
 
 
@@ -160,7 +160,7 @@ def _densify(row: dict, ncols: int) -> tuple:
 @settings(max_examples=300, deadline=None)
 def test_sparse_rref_equals_dense_oracle(case):
     m, ncols = case
-    reduced, pivots = rl.rref(rl.sparse(m))
+    reduced, pivots = rl.rref(oracle.sparse(m))
     dense, dense_pivots = oracle.rref(m)
     assert pivots == dense_pivots
     assert [_densify(row, ncols) for row in reduced] == list(dense[: len(pivots)])
@@ -171,7 +171,7 @@ def test_sparse_rref_equals_dense_oracle(case):
 @settings(max_examples=300, deadline=None)
 def test_sparse_nullspace_equals_dense_oracle(case):
     m, ncols = case
-    basis = rl.nullspace(rl.sparse(m), ncols)
+    basis = rl.nullspace(oracle.sparse(m), ncols)
     assert list(oracle.dense(basis, ncols)) == oracle.nullspace(m, ncols)
     # int, or Fraction where not integral, and never a stored zero
     assert all(
@@ -187,7 +187,7 @@ def test_row_space_rref_equals_dense_oracle(case):
     m, _ = case
     dense, pivots = oracle.rref(m)
     assert row_space_rref(list(m)) == dense[: len(pivots)]
-    assert rl.rank(rl.sparse(m)) == len(pivots)
+    assert rl.rank(oracle.sparse(m)) == len(pivots)
 
 
 @given(shaped_matrices(), st.data())
@@ -226,7 +226,7 @@ def product_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_sparse_mat_mul_equals_dense_product(case):
     a, b = case
-    product = rl.mat_mul(tuple(rl.sparse(a)), tuple(rl.sparse(b)))
+    product = rl.mat_mul(tuple(oracle.sparse(a)), tuple(oracle.sparse(b)))
     assert oracle.dense(product, oracle.shape(b)[1]) == oracle.mat_mul(a, b)
     assert all(x != 0 for row in product for x in row.values())
 

@@ -73,8 +73,7 @@ def test_a2_longest_element():
 
 @pytest.mark.parametrize("dynkin", [A4, D4], ids=str)
 def test_routes_agree_exhaustively(dynkin):
-    poset = GroupPoset.build(dynkin)
-    for w in poset.elements:
+    for w in enumerate_group(dynkin):
         via_elements = semibrick(w)
         direct = semibrick_direct(w)
         assert len(via_elements.summands) == len(direct.summands) == len(descents(w))
@@ -83,8 +82,7 @@ def test_routes_agree_exhaustively(dynkin):
             assert a.diagram.symbols == b.diagram.symbols
             assert a.diagram.arrows == b.diagram.arrows
             assert iso_bricks(a.rep, b.rep)
-        report = verify_semibrick(via_elements, poset)
-        assert report.ok and report.join_matches
+        assert verify_semibrick(via_elements).ok
 
 
 @pytest.mark.parametrize("dynkin", [A4, D4], ids=str)
@@ -129,14 +127,13 @@ def test_d9_reference_element_direct():
 
 
 def test_semibrick_json_roundtrip():
-    from coxbrick.bricks import diagram_from_json
-
     w = parse_window(D9, "5,3,-7,4,-6,-8,9,-1,2")
-    payload = semibrick_to_json(semibrick(w))
+    s = semibrick(w)
+    payload = semibrick_to_json(s)
     assert payload["window"] == list(w.window)
-    rebuilt = [diagram_from_json(item["brick"]) for item in payload["summands"]]
-    assert [d.arrows for d in rebuilt] == [
-        sm.diagram.arrows for sm in semibrick(w).summands
+    assert [item["d"] for item in payload["summands"]] == [sm.d for sm in s.summands]
+    assert [{tuple(e) for e in item["brick"]["arrows"]} for item in payload["summands"]] == [
+        sm.diagram.arrows for sm in s.summands
     ]
 
 
@@ -164,8 +161,6 @@ REFERENCE_FIELDS = (
     "positive_root_flags",
     "hom_dims",
     "summands_match_descents",
-    "join_window",
-    "join_matches",
 )
 
 
