@@ -114,6 +114,15 @@ class CoxeterElement:
             if sum(1 for x in w if x < 0) % 2 != 0:
                 raise ValueError(f"odd number of negative entries: {w}")
 
+    @classmethod
+    def _trusted(cls, dynkin: DynkinType, window: tuple[int, ...]) -> "CoxeterElement":
+        """The element of a window its caller generated as valid, made
+        without the checks of `__post_init__`; for `enumerate_group` only."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "dynkin", dynkin)
+        object.__setattr__(w, "window", window)
+        return w
+
     def __call__(self, i: int) -> int:
         """Evaluate w(i); type D extends to negative arguments by w(-i)=-w(i)."""
         try:
@@ -343,7 +352,8 @@ def enumerate_group(
                 w[i] = -w[i]
             windows.append(tuple(w))
     windows.sort()
-    return tuple(CoxeterElement(dynkin, w) for w in windows)
+    trusted = CoxeterElement._trusted  # every window above is valid by construction
+    return tuple(trusted(dynkin, w) for w in windows)
 
 
 def join_irreducibles(

@@ -7,9 +7,17 @@ computed with the characteristic-zero trace-form criterion: x is radical iff
 trace(x . y) vanishes for every y in a basis.  This is valid because the
 algebra acts faithfully on the module and the ground field is Q; positive
 characteristic is deliberately out of scope.
+
+`hom_vanishes` settles Hom(M, N) = 0 without a Hom system, from vertex
+sets alone: when the top of M or the socle of N misses the vertices where
+a common quotient of M and submodule of N can be nonzero.  It reads the
+vertex sets that `vertex_sets` computes once per module, with exact ranks.
 """
 
 from __future__ import annotations
+
+import itertools
+from typing import NamedTuple
 
 from coxbrick import ratlinalg as rl
 from coxbrick.coxeter import DynkinType
@@ -80,6 +88,124 @@ def hom_basis(m: QuiverRepresentation, n: QuiverRepresentation) -> list[Hom]:
 
 def hom_dim(m: QuiverRepresentation, n: QuiverRepresentation) -> int:
     return len(hom_basis(m, n))
+
+
+class VertexSets(NamedTuple):
+    """Where a module lives, at the level of vertices.
+
+    `support`, `top` (m / rad m) and `socle` are vertex sets.  For a vertex
+    v of the support, `generated[v]` lists, as sorted tuples, the minimal
+    sets X of support neighbours whose arrows into v have images spanning
+    m_v, and `faithful[v]` the minimal sets X whose arrows out of v have no
+    common kernel on m_v; v is a top vertex exactly when `generated[v]` is
+    empty, and a socle vertex exactly when `faithful[v]` is.
+    """
+
+    support: frozenset[int]
+    top: frozenset[int]
+    socle: frozenset[int]
+    generated: dict[int, tuple[tuple[int, ...], ...]]
+    faithful: dict[int, tuple[tuple[int, ...], ...]]
+
+
+def vertex_sets(m: QuiverRepresentation) -> VertexSets:
+    """The vertex sets of m, each spanning or kernel test one exact rank.
+
+    An arrow g: u -> v maps the block at v into the block at u, so the
+    images into the block at v come from the arrows with g.src == v, and
+    the maps out of it are the arrows with g.tgt == v.  Neighbour sets are
+    tried by size, skipping those that hold a minimal set already found.
+    """
+    support = frozenset(v for v in m.quiver.vertices if m.dims.get(v, 0))
+    generated, faithful = {}, {}
+    for v in support:
+        dim = m.dims[v]
+        into, out = {}, {}  # neighbour -> the matrix of the arrow into / out of v
+        for a in m.quiver.arrows:
+            if a.src == v and a.tgt in support:
+                into[a.tgt] = a.name
+            if a.tgt == v and a.src in support:
+                out[a.src] = a.name
+        generated[v] = _minimal_sets(
+            sorted(into),
+            lambda xs: _column_rank([(m.mats[into[x]], m.dims[x]) for x in xs], dim) == dim,
+        )
+        faithful[v] = _minimal_sets(
+            sorted(out),
+            lambda xs: rl.rank([row for x in xs for row in m.mats[out[x]] if row]) == dim,
+        )
+    top = frozenset(v for v in support if not generated[v])
+    socle = frozenset(v for v in support if not faithful[v])
+    return VertexSets(support, top, socle, generated, faithful)
+
+
+def _column_rank(blocks: list[tuple[Mat, int]], nrows: int) -> int:
+    """The rank of matrices with `nrows` rows set side by side, each given
+    with its column count."""
+    rows: list[rl.Row] = [{} for _ in range(nrows)]
+    offset = 0
+    for mat, ncols in blocks:
+        for row, block_row in zip(rows, mat):
+            row.update((offset + c, x) for c, x in block_row.items())
+        offset += ncols
+    return rl.rank(rows)
+
+
+def _minimal_sets(items: list[int], holds) -> tuple[tuple[int, ...], ...]:
+    """The minimal nonempty subsets of `items` on which the monotone test
+    `holds` is true, as sorted tuples (a brick table keeps thousands of
+    them, and a tuple takes a quarter of a frozenset's memory)."""
+    found: list[tuple[int, ...]] = []
+    for k in range(1, len(items) + 1):
+        for xs in itertools.combinations(items, k):
+            if not any(set(xs).issuperset(x) for x in found) and holds(xs):
+                found.append(xs)
+    return tuple(found)
+
+
+def _shrink(support: frozenset[int], allowed: frozenset[int], minimal: dict) -> frozenset[int]:
+    """The vertices of `support` left once those outside `allowed` are
+    dropped, and then, repeatedly, every vertex with a set of `minimal[v]`
+    made of dropped vertices only."""
+    kept = set(support & allowed)
+    dropped = set(support - allowed)
+    changed = True
+    while changed:
+        changed = False
+        for v in list(kept):
+            if any(dropped.issuperset(x) for x in minimal[v]):
+                kept.remove(v)
+                dropped.add(v)
+                changed = True
+    return frozenset(kept)
+
+
+def hom_vanishes(m: VertexSets, n: VertexSets) -> bool:
+    """True only if Hom(M, N) = 0, read off the vertex sets of M and N.
+
+    A nonzero f: M -> N has a nonzero image I, a quotient of M and a
+    submodule of N.  Its top lies in top(M) and its socle in soc(N), both
+    nonempty and inside supp(I).  Each vertex set A holding supp(I) gives
+    a smaller one:
+    - I is a quotient of M / <M_v : v not in A>, which is 0 at every
+      vertex whose block is spanned by images from vertices already 0
+      there (`generated`);
+    - I is a submodule of the largest submodule of N supported in A, which
+      is 0 at every vertex whose block is mapped injectively by its arrows
+      to vertices where it is already 0 (`faithful`).
+    Starting from A = supp(N) and shrinking until A stays put, Hom(M, N) is
+    0 when A misses top(M) or soc(N).  The first step alone, top(M)
+    missing supp(N) or supp(M) missing soc(N), settles most pairs and is
+    tried first.  False settles nothing.
+    """
+    if m.top.isdisjoint(n.support) or m.support.isdisjoint(n.socle):
+        return True
+    a = n.support
+    while True:
+        shrunk = _shrink(n.support, _shrink(m.support, a, m.generated), n.faithful)
+        if shrunk == a:
+            return m.top.isdisjoint(a) or n.socle.isdisjoint(a)
+        a = shrunk
 
 
 def radical_basis(end_basis: list[Hom]) -> list[Hom]:

@@ -9,18 +9,34 @@ the test-suite sweeps check.
 
 Summands repeat heavily across a group (D6: 69,120 summands from 530
 bricks), so each Dynkin type keeps a `BrickTable` in its `memo`, keyed by
-R-set, which is the same as keying by w_d.  An entry holds the brick's
-diagram and representation, whose preprojective relations are checked once
-when it is built, its brickness and its positive-root flag; the Hom
-dimension of each ordered pair of R-sets is computed on first use.  The
-direct route still builds a representation once per distinct descent datum
-(a, b, case, R) and compares it with the table brick of R.  The table
-belongs to the `DynkinType` instance, not to the process: two equal
-instances keep separate tables, and a new instance starts empty, so a run
-that builds its types afresh sees every construction again.
+R-set, which is the same as keying by w_d.  It holds:
 
-Table representations are shared by every semibrick of the type; no caller
-may mutate them.
+- one `BrickEntry` per R-set: the brick's diagram and representation,
+  whose preprojective relations are checked once when it is built, its
+  brickness, its positive-root flag, and its vertex sets (support, top,
+  socle, and which neighbours span or detect each block;
+  `homs.vertex_sets`);
+- the Hom dimension of each ordered pair of R-sets met in one semibrick,
+  computed on first use.  Hom(M, N) = 0 whenever top(M) misses supp(N) or
+  supp(M) misses soc(N), or the same holds once supp(N) is shrunk to the
+  vertices where a common quotient of M and submodule of N can live
+  (`homs.hom_vanishes`); such a pair is recorded as 0 with no Hom system
+  solved, and counted in `certified`.  Every other pair is solved by
+  `homs.hom_dim`;
+- the summands themselves, one per (d, R) for `semibrick` and one per
+  (d, a', b', R) for `semibrick_direct`, so that a semibrick met again
+  costs only lookups;
+- the direct route's builds.  Its builders receive (a', b', R), the
+  parameters after the case-(A) swap (a, b) -> (-b, -a), and run once per
+  such triple; each representation built is compared with the table brick
+  of R.
+
+The table belongs to the `DynkinType` instance, not to the process: two
+equal instances keep separate tables, and a new instance starts empty, so
+a run that builds its types afresh sees every construction again.
+
+Table representations and summands are shared by every semibrick of the
+type; no caller may mutate them.
 """
 
 from __future__ import annotations
@@ -37,7 +53,14 @@ from coxbrick.bricks import (
 )
 from coxbrick.canjoin import DescentDatum, decompose, jirr_from_R
 from coxbrick.coxeter import CoxeterElement, DynkinType, descents
-from coxbrick.homs import hom_dim, is_brick, is_positive_root
+from coxbrick.homs import (
+    VertexSets,
+    hom_dim,
+    hom_vanishes,
+    is_brick,
+    is_positive_root,
+    vertex_sets,
+)
 from coxbrick.quiver import QuiverRepresentation
 
 
@@ -56,25 +79,32 @@ class Semibrick:
 
 @dataclass(frozen=True)
 class BrickEntry:
-    """The brick S(w) of one join-irreducible w, with its checks done once."""
+    """The brick S(w) of one join-irreducible w, with its checks done once:
+    brickness, the positive-root flag, and the vertex sets that settle most
+    Hom pairs without a Hom system."""
 
     diagram: BrickDiagram
     rep: QuiverRepresentation
     is_brick: bool
     is_positive_root: bool
+    vertex_sets: VertexSets
 
 
 class BrickTable:
     """The bricks of one Dynkin type, keyed by R-set; see the module docstring.
 
-    Use `brick_table(dynkin)`.  Every representation it returns is shared
-    and must not be mutated.
+    Use `brick_table(dynkin)`.  Every representation and summand it returns
+    is shared and must not be mutated.  `certified` counts the pairs of
+    `pairs` whose zero was read off vertex sets, with no Hom system solved.
     """
 
     def __init__(self, dynkin: DynkinType) -> None:
         self.dynkin = dynkin
         self.entries: dict[frozenset[int], BrickEntry] = {}
         self.pairs: dict[tuple[frozenset[int], frozenset[int]], int] = {}
+        self.certified = 0
+        self._summands: dict[tuple[int, frozenset[int]], SemibrickSummand] = {}
+        self._direct_summands: dict[tuple, SemibrickSummand] = {}
         self._direct: dict[tuple, tuple[BrickDiagram, QuiverRepresentation]] = {}
 
     def entry(self, r_values: frozenset[int]) -> BrickEntry:
@@ -87,38 +117,65 @@ class BrickTable:
             w = jirr_from_R(self.dynkin, r_values)
             rep = brick_rep(w)
             root = is_positive_root(self.dynkin, rep.dim_vector())
-            entry = BrickEntry(brick_diagram(w), rep, is_brick(rep), root)
+            entry = BrickEntry(brick_diagram(w), rep, is_brick(rep), root, vertex_sets(rep))
             self.entries[r_values] = entry
         return entry
 
     def matching(self, sm: SemibrickSummand) -> BrickEntry | None:
         """The entry of the summand's R-set if the summand's representation
-        equals its brick; None otherwise, also for an invalid R-set."""
+        is (or equals) its brick; None otherwise, also for an invalid R-set."""
         try:
             entry = self.entry(sm.diagram.r_values)
         except ValueError:
             return None
-        return entry if sm.rep == entry.rep else None
+        return entry if sm.rep is entry.rep or sm.rep == entry.rep else None
 
     def hom_dim(self, x: frozenset[int], y: frozenset[int]) -> int:
-        """dim Hom between the bricks of two R-sets already in the table."""
-        if (x, y) not in self.pairs:
-            self.pairs[x, y] = hom_dim(self.entries[x].rep, self.entries[y].rep)
-        return self.pairs[x, y]
+        """dim Hom between the bricks of two R-sets already in the table:
+        0 when their vertex sets settle it (`homs.hom_vanishes`), else
+        solved by `homs.hom_dim`; recorded in `pairs` either way."""
+        dim = self.pairs.get((x, y))
+        if dim is None:
+            ex, ey = self.entries[x], self.entries[y]
+            if hom_vanishes(ex.vertex_sets, ey.vertex_sets):
+                dim = 0
+                self.certified += 1
+            else:
+                dim = hom_dim(ex.rep, ey.rep)
+            self.pairs[x, y] = dim
+        return dim
 
-    def direct(self, row: DescentDatum) -> tuple[BrickDiagram, QuiverRepresentation]:
-        """The summand of one descent datum, built from its parameters alone
-        once per datum.  Its representation is compared with the table brick
-        of R when built and replaced by it when equal, so an unequal one
-        reaches every later comparison."""
-        key = (row.a, row.b, row.case, row.r_values)
-        if key not in self._direct:
-            a, b = (-row.b, -row.a) if row.case == "A" else (row.a, row.b)
-            diag = diagram_from_params_d(self.dynkin, a, b, row.r_values)
-            rep = rep_from_params_d(self.dynkin, a, b, row.r_values)
+    def summand(self, row: DescentDatum) -> SemibrickSummand:
+        """The table brick of the row's R-set as the summand at its descent,
+        made once per (d, R)."""
+        key = (row.d, row.r_values)
+        sm = self._summands.get(key)
+        if sm is None:
             entry = self.entry(row.r_values)
-            self._direct[key] = (diag, entry.rep if rep == entry.rep else rep)
-        return self._direct[key]
+            sm = self._summands[key] = SemibrickSummand(row.d, entry.diagram, entry.rep)
+        return sm
+
+    def direct(self, row: DescentDatum) -> SemibrickSummand:
+        """The summand of one descent datum, built from its parameters alone.
+
+        The builders receive (a', b', R), (a', b') = (-b, -a) in case (A)
+        and (a, b) otherwise, and run once per such triple; the summand is
+        made once per (d, a', b', R).  A built representation is compared
+        with the table brick of R and replaced by it when equal, so an
+        unequal one reaches every later comparison.
+        """
+        a, b = (-row.b, -row.a) if row.case == "A" else (row.a, row.b)
+        key = (row.d, a, b, row.r_values)
+        sm = self._direct_summands.get(key)
+        if sm is None:
+            built = self._direct.get(key[1:])
+            if built is None:
+                diag = diagram_from_params_d(self.dynkin, a, b, row.r_values)
+                rep = rep_from_params_d(self.dynkin, a, b, row.r_values)
+                entry = self.entry(row.r_values)
+                built = self._direct[key[1:]] = (diag, entry.rep if rep == entry.rep else rep)
+            sm = self._direct_summands[key] = SemibrickSummand(row.d, *built)
+        return sm
 
 
 def brick_table(dynkin: DynkinType) -> BrickTable:
@@ -132,19 +189,13 @@ def brick_table(dynkin: DynkinType) -> BrickTable:
 def semibrick(w: CoxeterElement) -> Semibrick:
     """S(w) via the canonical join representation: one brick per w_d."""
     table = brick_table(w.dynkin)
-    summands = []
-    for row in decompose(w):
-        entry = table.entry(row.r_values)
-        summands.append(SemibrickSummand(row.d, entry.diagram, entry.rep))
-    return Semibrick(w, tuple(summands))
+    return Semibrick(w, tuple(table.summand(row) for row in decompose(w)))
 
 
 def semibrick_direct(w: CoxeterElement) -> Semibrick:
     """S(w) from descent data alone, without building the elements w_d."""
     table = brick_table(w.dynkin)
-    return Semibrick(
-        w, tuple(SemibrickSummand(row.d, *table.direct(row)) for row in decompose(w))
-    )
+    return Semibrick(w, tuple(table.direct(row) for row in decompose(w)))
 
 
 @dataclass
@@ -180,30 +231,34 @@ def verify_semibrick(s: Semibrick) -> SemibrickReport:
     """
     dynkin = s.element.dynkin
     table = brick_table(dynkin)
-    entries = [table.matching(sm) for sm in s.summands]
-    brick_flags, root_flags = {}, {}
-    for sm, entry in zip(s.summands, entries):
+    brick_flags, root_flags, table_flags = {}, {}, {}
+    checked = []  # (d, R-set, rep, whether the rep is the table brick) per summand
+    for sm in s.summands:
+        entry = table.matching(sm)
+        table_flags[sm.d] = entry is not None
         if entry is None:
             brick_flags[sm.d] = is_brick(sm.rep)
             root_flags[sm.d] = is_positive_root(dynkin, sm.rep.dim_vector())
         else:
             brick_flags[sm.d] = entry.is_brick
             root_flags[sm.d] = entry.is_positive_root
+        checked.append((sm.d, sm.diagram.r_values, sm.rep, entry is not None))
     hom_dims = {}
-    for x, ex in zip(s.summands, entries):
-        for y, ey in zip(s.summands, entries):
-            if x.d != y.d:
-                if ex is None or ey is None:
-                    hom_dims[(x.d, y.d)] = hom_dim(x.rep, y.rep)
+    pairs = table.pairs
+    for dx, rx, mx, in_table_x in checked:
+        for dy, ry, my, in_table_y in checked:
+            if dx != dy:
+                if in_table_x and in_table_y:
+                    dim = pairs.get((rx, ry))
+                    hom_dims[dx, dy] = table.hom_dim(rx, ry) if dim is None else dim
                 else:
-                    r_x, r_y = x.diagram.r_values, y.diagram.r_values
-                    hom_dims[(x.d, y.d)] = table.hom_dim(r_x, r_y)
+                    hom_dims[dx, dy] = hom_dim(mx, my)
     return SemibrickReport(
         element=s.element,
         brick_flags=brick_flags,
         positive_root_flags=root_flags,
         hom_dims=hom_dims,
-        table_flags={sm.d: entry is not None for sm, entry in zip(s.summands, entries)},
+        table_flags=table_flags,
         summands_match_descents=len(s.summands) == len(descents(s.element)),
     )
 

@@ -53,7 +53,9 @@ class SweepResult:
     `counts` holds the suite's other tallies: the closed-form `formula`
     (count), the number of `shapes` (census), the number of bricks also
     checked on the `kernel` route (oracle), and the sizes of the type's
-    brick table after the sweep, `bricks` and Hom `pairs` (semibrick).
+    brick table after the sweep, `bricks` and Hom `pairs`, with the number
+    of those pairs `certified` zero from vertex sets alone, no Hom system
+    solved (semibrick).
     """
 
     suite: str
@@ -172,5 +174,9 @@ def semibrick(
     elements = sample(enumerate_group(dynkin, cap=cap), sample_size, seed)
     failures, errors = _check_each(elements, lambda w: verify_semibrick(semibrick_direct(w)).ok)
     table = brick_table(dynkin)
-    counts = {"bricks": len(table.entries), "pairs": len(table.pairs)}
+    counts = {
+        "bricks": len(table.entries),
+        "pairs": len(table.pairs),
+        "certified": table.certified,
+    }
     return SweepResult("semibrick", dynkin, len(elements), failures, counts, errors)

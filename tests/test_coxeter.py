@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from coxbrick.coxeter import (
     CapacityError,
+    CoxeterElement,
     DynkinType,
     Family,
     Reflection,
@@ -183,6 +184,19 @@ def test_enumeration_counts_and_order():
         assert len(set(group)) == order
         windows = [w.window for w in group]
         assert windows == sorted(windows)
+
+
+@pytest.mark.parametrize(
+    "family, rank", [("A", n) for n in range(1, 7)] + [("D", n) for n in range(2, 7)]
+)
+def test_enumerated_elements_equal_validated_ones(family, rank):
+    dynkin = DynkinType(Family(family), rank)
+    group = enumerate_group(dynkin)
+    assert len(group) == dynkin.group_order
+    for w in group:
+        checked = CoxeterElement(dynkin, w.window)  # runs the window checks
+        assert type(w) is CoxeterElement and type(w.window) is tuple
+        assert w == checked and hash(w) == hash(checked) and w.dynkin is dynkin
 
 
 def test_enumeration_capacity_error_names_cap():

@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 
 from coxbrick import homs
-from coxbrick.bricks import brick_rep
+from coxbrick.bricks import brick_diagram, brick_rep
 from coxbrick.coxeter import DynkinType, Family, join_irreducibles, parse_window
 from coxbrick.grids import j_module
 from coxbrick.homs import (
     hom_basis,
     hom_dim,
+    hom_vanishes,
     is_brick,
     is_positive_root,
     iso_bricks,
@@ -19,12 +20,14 @@ from coxbrick.homs import (
     socle_over_end,
     subrepresentation,
     tits_form,
+    vertex_sets,
 )
 from coxbrick.quiver import (
     QuiverRepresentation,
     double_quiver,
     rep_to_json,
     simple_rep,
+    symbol_vertex,
     zero_mats,
 )
 import dense_oracle
@@ -270,3 +273,97 @@ def test_hom_respects_scalars():
     (f,) = hom_basis(s1, s1)
     block = dense_hom(f, s1)[1]
     assert block in ((Fraction(1),),) or block[0][0] != 0
+
+
+# --- Hom(M, N) = 0 from vertex sets -----------------------------------------
+
+
+def test_vertex_sets_of_simple_and_zero_modules():
+    q = double_quiver(D5)
+    for v in D5.vertices:
+        assert vertex_sets(simple_rep(q, v)) == ({v}, {v}, {v}, {v: ()}, {v: ()})
+    dims = {v: 0 for v in D5.vertices}
+    zero = vertex_sets(QuiverRepresentation(q, dims, zero_mats(q, dims)))
+    assert zero == (set(), set(), set(), {}, {})
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5, 6])
+def test_type_a_brick_top_and_socle_are_the_diagram_sources_and_sinks(rank):
+    # a type-A brick is a string module: its top sits at the symbols no
+    # diagram arrow enters, its socle at those no diagram arrow leaves
+    for w in join_irreducibles(DynkinType(Family.A, rank)):
+        diagram = brick_diagram(w)
+        heads = {y for _, y in diagram.arrows}
+        tails = {x for x, _ in diagram.arrows}
+        want = [
+            {symbol_vertex(s) for s in diagram.symbols if s not in skip}
+            for skip in (set(), heads, tails)
+        ]
+        assert vertex_sets(brick_rep(w))[:3] == tuple(want), w
+
+
+def swapped(sets):
+    """The certificate's mutant: top and socle exchanged."""
+    return sets._replace(top=sets.socle, socle=sets.top)
+
+
+def certified_pairs(left, right, mutate=lambda sets: sets):
+    """Every (m, n), m from `left` and n from `right`, that `hom_vanishes`
+    settles on the (possibly mutated) vertex sets."""
+    sets_l = [mutate(vertex_sets(m)) for m in left]
+    sets_r = [mutate(vertex_sets(n)) for n in right]
+    return [
+        (m, n)
+        for m, sm in zip(left, sets_l)
+        for n, sn in zip(right, sets_r)
+        if hom_vanishes(sm, sn)
+    ]
+
+
+@pytest.mark.parametrize(
+    "family, rank", [("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5)]
+)
+def test_hom_vanishes_is_sound_on_every_pair_of_bricks(family, rank):
+    bricks = [brick_rep(w) for w in join_irreducibles(DynkinType(Family(family), rank))]
+    pairs = certified_pairs(bricks, bricks)
+    assert pairs  # the certificate settles some pairs
+    assert all(hom_dim(m, n) == 0 for m, n in pairs)
+
+
+@pytest.mark.parametrize("dynkin", [A4, D4], ids=str)
+def test_hom_vanishes_is_sound_between_grid_modules_and_bricks(dynkin):
+    elements = join_irreducibles(dynkin)
+    grids, bricks = [j_module(w) for w in elements], [brick_rep(w) for w in elements]
+    pairs = certified_pairs(grids, bricks) + certified_pairs(bricks, grids)
+    assert pairs
+    assert all(hom_dim(m, n) == 0 for m, n in pairs)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_hom_vanishes_settles_every_zero_pair_of_type_a_bricks(rank):
+    bricks = [brick_rep(w) for w in join_irreducibles(DynkinType(Family.A, rank))]
+    pairs = certified_pairs(bricks, bricks)
+    zero = [(m, n) for m in bricks for n in bricks if hom_dim(m, n) == 0]
+    assert {(id(m), id(n)) for m, n in pairs} == {(id(m), id(n)) for m, n in zero}
+
+
+def test_a_tight_top_and_socle_need_the_shrinking_step():
+    # M = 5 -> 4 -> 3 <- 2 -> -1 and N = 1 -> 2 -> 3 on D6: top(M) meets
+    # supp(N) at 2 and supp(M) meets soc(N) at 3, but the quotient of M
+    # supported in supp(N) is the simple at 2, which N does not contain
+    d6 = DynkinType(Family.D, 6)
+    by_arrows = {
+        frozenset(brick_diagram(w).arrows): brick_rep(w) for w in join_irreducibles(d6)
+    }
+    m = by_arrows[frozenset({(2, -1), (2, 3), (4, 3), (5, 4)})]
+    n = by_arrows[frozenset({(1, 2), (2, 3)})]
+    sm, sn = vertex_sets(m), vertex_sets(n)
+    assert not sm.top.isdisjoint(sn.support) and not sm.support.isdisjoint(sn.socle)
+    assert hom_vanishes(sm, sn) and hom_dim(m, n) == 0
+
+
+@pytest.mark.parametrize("dynkin", [A4, D4], ids=str)
+def test_swapped_certificate_claims_a_false_zero(dynkin):
+    # the soundness tests above have teeth: exchanging top and socle is wrong
+    bricks = [brick_rep(w) for w in join_irreducibles(dynkin)]
+    assert any(hom_dim(m, n) for m, n in certified_pairs(bricks, bricks, swapped))

@@ -1,12 +1,14 @@
 """Semibricks: the two construction routes, the brick table and the verification report."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxbrick.coxeter import (
+    CoxeterElement,
     DynkinType,
     Family,
     descents,
@@ -15,8 +17,8 @@ from coxbrick.coxeter import (
     length,
     parse_window,
 )
-from coxbrick import semibricks, verify
-from coxbrick.bricks import brick_rep
+from coxbrick import homs, semibricks, verify
+from coxbrick.bricks import brick_diagram, brick_rep, diagram_from_params_d, rep_from_params_d
 from coxbrick.canjoin import decompose, jirr_from_R
 from coxbrick.homs import iso_bricks
 from coxbrick.quiver import QuiverRepresentation, double_quiver, zero_mats
@@ -272,3 +274,82 @@ def test_dynkin_type_memo_is_per_instance():
     assert repr(a) == "DynkinType(family=<Family.A: 'A'>, rank=4)"
     assert str(a) == "A4"
     assert {a: 1}[b] == 1
+
+
+# --- the Hom certificate and the warm table path ----------------------------
+
+
+@pytest.mark.parametrize("family, rank", [("A", 5), ("D", 5)])
+def test_recorded_hom_dims_equal_solved_ones(family, rank):
+    dynkin = DynkinType(Family(family), rank)
+    result = verify.semibrick(dynkin)
+    table = brick_table(dynkin)
+    assert len(table.pairs) == result.counts["pairs"]
+    certified = 0
+    for (x, y), dim in table.pairs.items():
+        ex, ey = table.entries[x], table.entries[y]
+        assert dim == homs.hom_dim(ex.rep, ey.rep), (x, y)
+        certified += homs.hom_vanishes(ex.vertex_sets, ey.vertex_sets)
+    assert 0 < result.counts["certified"] == certified <= len(table.pairs)
+
+
+def fresh_summands(w):
+    """(d, diagram, rep) of each summand of both routes, built with no table."""
+    via_cjr, direct = [], []
+    for row in decompose(w):
+        via_cjr.append((row.d, brick_diagram(row.element), brick_rep(row.element)))
+        a, b = (-row.b, -row.a) if row.case == "A" else (row.a, row.b)
+        diagram = diagram_from_params_d(w.dynkin, a, b, row.r_values)
+        direct.append((row.d, diagram, rep_from_params_d(w.dynkin, a, b, row.r_values)))
+    return via_cjr, direct
+
+
+@pytest.mark.parametrize("family, rank", [("A", 5), ("D", 5)])
+def test_warm_semibricks_equal_fresh_builds(family, rank):
+    warm = DynkinType(Family(family), rank)
+    elements = enumerate_group(warm)
+    for w in elements:  # fills the table
+        semibrick(w), semibrick_direct(w)
+    fresh = DynkinType(Family(family), rank)
+    for w in elements:
+        want_cjr, want_direct = fresh_summands(CoxeterElement(fresh, w.window))
+        assert [(sm.d, sm.diagram, sm.rep) for sm in semibrick(w).summands] == want_cjr, w
+        got = [(sm.d, sm.diagram, sm.rep) for sm in semibrick_direct(w).summands]
+        assert got == want_direct, w
+
+
+def test_verify_semibrick_equals_reference_on_a_tampered_table():
+    a4 = DynkinType(Family.A, 4)
+    w = parse_window(a4, "2,1,4,3,5")
+    s = semibrick_direct(w)
+    want = semibrick_oracle.verify_semibrick(s)
+    assert_same_report(verify_semibrick(s), want)
+    table = brick_table(a4)
+    (dx, x), (dy, y) = ((sm.d, sm.diagram.r_values) for sm in s.summands)
+    ex, ey = table.entries[x], table.entries[y]
+    # an equal copy of the brick, not the summand's own object, still matches
+    table.entries[x] = dataclasses.replace(ex, rep=dataclasses.replace(ex.rep))
+    assert_same_report(verify_semibrick(s), want)
+    # another brick in its place does not: the summand is then checked on its own rep
+    table.entries[x] = dataclasses.replace(ex, rep=ey.rep)
+    report = verify_semibrick(s)
+    for name in REFERENCE_FIELDS:
+        assert getattr(report, name) == getattr(want, name), name
+    assert report.table_flags == {dx: False, dy: True}
+    assert not report.ok
+
+
+def test_direct_route_builds_once_per_swapped_parameters(monkeypatch):
+    d6 = DynkinType(Family.D, 6)
+    calls = Counter()
+    original = semibricks.rep_from_params_d
+
+    def counting(dynkin, a, b, r_values):
+        calls[a, b, r_values] += 1
+        return original(dynkin, a, b, r_values)
+
+    monkeypatch.setattr(semibricks, "rep_from_params_d", counting)
+    for w in enumerate_group(d6):
+        semibrick_direct(w)
+    assert set(calls.values()) == {1}
+    assert len(calls) == len(brick_table(d6).entries) == 530
