@@ -24,9 +24,11 @@ from coxbrick.coxeter import (
     DynkinType,
     Family,
     descents,
+    enumerate_group,
     format_window,
     join_irreducible_type,
     length,
+    lower_covers,
     parse_window,
 )
 from coxbrick.semibricks import (
@@ -35,7 +37,6 @@ from coxbrick.semibricks import (
     semibrick_direct,
     semibrick_to_json,
 )
-from coxbrick.weak_order import GroupPoset
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -92,6 +93,13 @@ def cmd_element(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _dot(name: str, nodes, edges) -> str:
+    """A DOT digraph named `name` with the given nodes and (tail, head) edges."""
+    lines = [f'digraph "{name}" {{', *(f'  "{x}";' for x in nodes)]
+    lines += [f'  "{x}" -> "{y}";' for x, y in edges]
+    return "\n".join(lines + ["}"])
+
+
 def cmd_brick(args: argparse.Namespace) -> int:
     w = _element(args)
     if join_irreducible_type(w) is None:
@@ -100,13 +108,7 @@ def cmd_brick(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps(diagram_to_json(diag), sort_keys=True))
     elif args.format == "dot":
-        lines = [f'digraph "S({w})" {{']
-        for s in sorted(diag.symbols):
-            lines.append(f'  "{s}";')
-        for s, t in sorted(diag.arrows):
-            lines.append(f'  "{s}" -> "{t}";')
-        lines.append("}")
-        print("\n".join(lines))
+        print(_dot(f"S({w})", sorted(diag.symbols), sorted(diag.arrows)))
     else:
         print(render_diagram(diag))
     return EXIT_OK
@@ -198,11 +200,13 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 def cmd_hasse(args: argparse.Namespace) -> int:
     dynkin = _dynkin(args)
-    poset = GroupPoset.build(dynkin, cap=args.cap)
+    elements = enumerate_group(dynkin, cap=args.cap)
+    # elements run by window, so the edges are sorted by (upper, lower) window
+    edges = [(w, lower) for w in elements for lower in lower_covers(w)]
     if args.format == "dot":
-        print(poset.hasse_dot())
+        print(_dot(str(dynkin), elements, edges))
     else:
-        for upper, lower in poset.hasse_edges():
+        for upper, lower in edges:
             print(f"{upper} -> {lower}")
     return EXIT_OK
 

@@ -271,6 +271,12 @@ def descents(w: CoxeterElement) -> frozenset[int]:
     return frozenset(out)
 
 
+def lower_covers(w: CoxeterElement) -> list[CoxeterElement]:
+    """The elements w s_d, d in des(w), that w covers in weak order, ordered
+    by window (Björner–Brenti, ch. 3)."""
+    return sorted(multiply(w, simple_reflection(w.dynkin, d)) for d in descents(w))
+
+
 def per_join_irreducible(fn):
     """Memoise a function of one join-irreducible in its type's `memo`.
 

@@ -85,14 +85,14 @@ def _successor_rows(dynkin: DynkinType, l: int) -> dict[int, int]:
     return dict(zip(rows, rows[1:]))
 
 
-def gamma_full(dynkin: DynkinType, l: int, eps: int = 1) -> GammaGrid:
+def gamma_full(dynkin: DynkinType, l: int) -> GammaGrid:
     """Gamma[l]: the full index set of Pi e_l."""
     if l not in dynkin.vertices:
         raise ValueError(f"{l} is not a vertex of {dynkin}")
     entries = {
         (i, j) for j in _rows(dynkin, l) for i in _row_entries(dynkin, l, j)
     }
-    return GammaGrid(dynkin, l, frozenset(entries), eps)
+    return GammaGrid(dynkin, l, frozenset(entries))
 
 
 def epsilon_for(w: CoxeterElement) -> int:

@@ -53,10 +53,7 @@ def hom_basis(m: QuiverRepresentation, n: QuiverRepresentation) -> list[Hom]:
         an_rows = n.mats[arrow.name]
         if not (an_rows and mv):
             continue  # f_u * m(g) - n(g) * f_v has no entries
-        am_cols: list[rl.Row] = [{} for _ in range(mv)]
-        for k, am_row in enumerate(m.mats[arrow.name]):
-            for c, x in am_row.items():
-                am_cols[c][k] = x
+        am_cols = rl.transpose(m.mats[arrow.name], mv)
         # an entry (r, c) with column c of m(g) and row r of n(g) both empty reads 0 = 0
         nonempty = [(c, am_col) for c, am_col in enumerate(am_cols) if am_col]
         for r, an_row in enumerate(an_rows):
@@ -128,7 +125,9 @@ def vertex_sets(m: QuiverRepresentation) -> VertexSets:
                 out[a.src] = a.name
         generated[v] = _minimal_sets(
             sorted(into),
-            lambda xs: _column_rank([(m.mats[into[x]], m.dims[x]) for x in xs], dim) == dim,
+            lambda xs: rl.rank(
+                [col for x in xs for col in rl.transpose(m.mats[into[x]], m.dims[x]) if col]
+            ) == dim,
         )
         faithful[v] = _minimal_sets(
             sorted(out),
@@ -137,18 +136,6 @@ def vertex_sets(m: QuiverRepresentation) -> VertexSets:
     top = frozenset(v for v in support if not generated[v])
     socle = frozenset(v for v in support if not faithful[v])
     return VertexSets(support, top, socle, generated, faithful)
-
-
-def _column_rank(blocks: list[tuple[Mat, int]], nrows: int) -> int:
-    """The rank of matrices with `nrows` rows set side by side, each given
-    with its column count."""
-    rows: list[rl.Row] = [{} for _ in range(nrows)]
-    offset = 0
-    for mat, ncols in blocks:
-        for row, block_row in zip(rows, mat):
-            row.update((offset + c, x) for c, x in block_row.items())
-        offset += ncols
-    return rl.rank(rows)
 
 
 def _minimal_sets(items: list[int], holds) -> tuple[tuple[int, ...], ...]:
@@ -266,10 +253,7 @@ def subrepresentation(
     mats = {}
     for arrow in rep.quiver.arrows:
         u, v = arrow.src, arrow.tgt
-        action_cols: list[rl.Row] = [{} for _ in range(rep.dims.get(v, 0))]
-        for r, a_row in enumerate(rep.mats[arrow.name]):
-            for c, x in a_row.items():
-                action_cols[c][r] = x
+        action_cols = rl.transpose(rep.mats[arrow.name], rep.dims.get(v, 0))
         target, pivots = bases[u]
         m: list[rl.Row] = [{} for _ in range(dims[u])]
         for col, b in enumerate(bases[v][0]):

@@ -49,6 +49,15 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return tuple(out)
 
 
+def transpose(a: Mat, ncols: int) -> list[Row]:
+    """The columns of `a`, which has `ncols` columns, as sparse rows."""
+    cols: list[Row] = [{} for _ in range(ncols)]
+    for r, row in enumerate(a):
+        for c, x in row.items():
+            cols[c][r] = x
+    return cols
+
+
 def subtract_multiple(target: Row, f, row: Row) -> None:
     """target -= f * row, in place, keeping only nonzero entries."""
     for k, x in row.items():

@@ -1,7 +1,7 @@
 """The weak order on an enumerated Coxeter group, as a brute-force lattice.
 
 Everything here is an oracle, and it answers the queries the program asks:
-joins, the canonical join representation and the Hasse diagram.
+joins and the canonical join representation.
 Inversion sets are integer bitmasks (one bit per reflection, read by
 `coxeter.inversion_masks`), and the poset is also stored transposed, with
 its elements laid out by length: bit b of a transposed bitset stands for
@@ -37,11 +37,8 @@ from coxbrick.coxeter import (
     Reflection,
     all_reflections,
     cover_pairs,
-    descents,
     enumerate_group,
     inversion_masks,
-    multiply,
-    simple_reflection,
 )
 
 _CHUNK = 1024  # elements transposed per step in GroupPoset.__post_init__
@@ -194,24 +191,6 @@ class GroupPoset:
         """Join of a finite collection, as one `join` query; the empty join is
         the identity."""
         return self.join(*us)
-
-    def hasse_edges(self) -> list[tuple[CoxeterElement, CoxeterElement]]:
-        """Covering pairs (upper, lower); lower covers of w are w s_d for d in des(w)."""
-        edges = []
-        for w in self.elements:
-            for d in sorted(descents(w)):
-                edges.append((w, multiply(w, simple_reflection(self.dynkin, d))))
-        edges.sort(key=lambda e: (e[0].window, e[1].window))
-        return edges
-
-    def hasse_dot(self) -> str:
-        lines = [f'digraph "{self.dynkin}" {{']
-        for w in self.elements:
-            lines.append(f'  "{w}";')
-        for upper, lower in self.hasse_edges():
-            lines.append(f'  "{upper}" -> "{lower}";')
-        lines.append("}")
-        return "\n".join(lines)
 
     def cjr_oracle(self, w: CoxeterElement) -> frozenset[CoxeterElement]:
         """Canonical join representation by brute force.

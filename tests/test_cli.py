@@ -1,6 +1,7 @@
 """Command-line behaviour: output formats, exit codes, round trips."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -303,6 +304,39 @@ def test_hasse_dot(capsys):
     assert code == EXIT_OK
     assert out.startswith('digraph "A2"')
     assert '"2,1,3" -> "1,2,3";' in out
+
+
+def test_hasse_dot_output(capsys):
+    code, dot, _ = run(capsys, "hasse", "--type", "A", "--rank", "3")
+    assert code == EXIT_OK
+    assert dot.startswith('digraph "A3"')
+    assert '"2,1,3,4" -> "1,2,3,4";' in dot
+    assert dot.count("->") == 36
+
+
+# SHA-256 of the stdout of each command, so that any change to the DOT text
+# or to the order of the Hasse edges shows.
+DOT_AND_HASSE_GOLDEN = {
+    ("hasse", "A", "3", "text"): "9927847018c69c7bc44dd5e72c77102be658e978ecc6cce9cad6385cbefd7412",
+    ("hasse", "A", "3", "dot"): "2e4273349b709d4668aec57370090bba1650cea862a14a5195f46214019e4d7d",
+    ("hasse", "D", "4", "text"): "54da663ec61037f5fe7e403b11132ac7a4db3609cdba21f733ed5b752a46b27b",
+    ("hasse", "D", "4", "dot"): "15445e27e3dc31445b3c40aecdfb807e51104e3a4335ede3bcf6212d651bbece",
+    ("brick", "A", "8", "dot", "2,5,8,1,3,4,6,7,9"): (
+        "b995bb91185457a2d6b4f3cb128921a984665afcb7e1077753c60cd878f3201c"
+    ),
+    ("brick", "D", "9", "dot", "9,-7,-6,-4,-1,2,3,5,8"): (
+        "3758420fbb267468db25750679b56ce0b657d0892b5de717fc2701fe39921461"
+    ),
+}
+
+
+@pytest.mark.parametrize("key", DOT_AND_HASSE_GOLDEN, ids=lambda key: "-".join(key[:4]))
+def test_hasse_and_brick_dot_are_byte_identical_to_the_golden_digest(capsys, key):
+    command, family, rank, fmt, *window = key
+    argv = [command, "--type", family, "--rank", rank, "--format", fmt]
+    code, out, _ = run(capsys, *argv, *(["--window", *window] if window else []))
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == DOT_AND_HASSE_GOLDEN[key]
 
 
 def test_capacity_exit_code(capsys):

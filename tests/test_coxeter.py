@@ -25,6 +25,7 @@ from coxbrick.coxeter import (
     inversions,
     join_irreducible_type,
     length,
+    lower_covers,
     multiply,
     parse_window,
     simple_reflection,
@@ -241,6 +242,40 @@ def test_jirr_iff_single_cover_reflection(dynkin):
     for w in enumerate_group(dynkin):
         single = len(cover_reflections(w)) == 1
         assert (join_irreducible_type(w) is not None) == single
+
+
+def hasse_edges(dynkin):
+    """(upper, lower) for every cover of the weak order, as `coxbrick hasse` lists them."""
+    return [(w, lower) for w in enumerate_group(dynkin) for lower in lower_covers(w)]
+
+
+def test_hasse_edge_counts():
+    assert len(hasse_edges(DynkinType(Family.A, 1))) == 1
+    for dynkin in (A3, D4):
+        edges = hasse_edges(dynkin)
+        assert len(edges) == sum(len(descents(w)) for w in enumerate_group(dynkin))
+        # each simple reflection is a descent of exactly half the group
+        assert len(edges) == dynkin.rank * dynkin.group_order // 2
+    assert len(hasse_edges(A3)) == 36
+
+
+def test_hasse_edges_are_covers():
+    # D4 has the fork descent -1, which type A never has
+    for dynkin in (A3, D4):
+        elements = enumerate_group(dynkin)
+        edges = hasse_edges(dynkin)
+        assert edges == sorted(edges, key=lambda e: (e[0].window, e[1].window))
+        for upper, lower in edges:
+            assert weak_leq(lower, upper) and lower != upper
+        # weak_leq(u, w) is inv(u) <= inv(w); read each set once, then every
+        # pair u < w with nothing strictly between is a cover
+        inv = {w: scan_oracle.inversions(w) for w in elements}
+        covers = {
+            (w, u)
+            for u, w in itertools.permutations(elements, 2)
+            if inv[u] < inv[w] and not any(inv[u] < inv[v] < inv[w] for v in elements)
+        }
+        assert set(edges) == covers
 
 
 def test_type_d_products_keep_even_negatives():

@@ -1,5 +1,6 @@
 """Hom spaces, endomorphism radicals, socles, and brick predicates."""
 
+import itertools
 import re
 from fractions import Fraction
 
@@ -300,6 +301,63 @@ def test_type_a_brick_top_and_socle_are_the_diagram_sources_and_sinks(rank):
             for skip in (set(), heads, tails)
         ]
         assert vertex_sets(brick_rep(w))[:3] == tuple(want), w
+
+
+def _dense_rank(blocks, side_by_side):
+    """The rank, by `dense_oracle.rref`, of dense blocks set side by side or
+    stacked, each padded with zeros to the tallest or the widest."""
+    if side_by_side:
+        rows = [
+            tuple(x for b in blocks for x in (b[i] if i < len(b) else (0,) * len(b[0])))
+            for i in range(max(map(len, blocks)))
+        ]
+    else:
+        width = max(len(b[0]) for b in blocks)
+        rows = [row + (0,) * (width - len(row)) for b in blocks for row in b]
+    return len(dense_oracle.rref(dense_oracle.mat(rows))[1])
+
+
+def _minimal(blocks, holds):
+    """The sets of keys of `blocks` whose blocks pass `holds` while those of
+    no proper subset do."""
+    keys = sorted(blocks)
+    passing = [
+        set(xs)
+        for k in range(1, len(keys) + 1)
+        for xs in itertools.combinations(keys, k)
+        if holds([blocks[x] for x in xs])
+    ]
+    return {tuple(sorted(xs)) for xs in passing if not any(ys < xs for ys in passing)}
+
+
+def dense_vertex_sets(m, swap=False):
+    """(generated, faithful) of m by dense ranks: the blocks of the arrows
+    into a vertex set side by side, those of the arrows out of it stacked
+    (the other way round when `swap`)."""
+    support = {v for v in m.quiver.vertices if m.dims.get(v, 0)}
+    mats = dense_mats(m)
+    generated, faithful = {}, {}
+    for v in support:
+        into = {a.tgt: mats[a.name] for a in m.quiver.arrows if a.src == v and a.tgt in support}
+        out = {a.src: mats[a.name] for a in m.quiver.arrows if a.tgt == v and a.src in support}
+        generated[v] = _minimal(into, lambda bs: _dense_rank(bs, not swap) == m.dims[v])
+        faithful[v] = _minimal(out, lambda bs: _dense_rank(bs, swap) == m.dims[v])
+    return generated, faithful
+
+
+@pytest.mark.parametrize("dynkin", [A4, D4], ids=str)
+def test_vertex_sets_equal_a_dense_reference(dynkin):
+    elements = join_irreducibles(dynkin)
+    disagreements = 0
+    for m in [brick_rep(w) for w in elements] + [j_module(w) for w in elements]:
+        sets = vertex_sets(m)
+        got = tuple({v: set(xs) for v, xs in found.items()} for found in sets[3:])
+        want = dense_vertex_sets(m)
+        assert got == want
+        assert sets.top == {v for v, xs in want[0].items() if not xs}
+        assert sets.socle == {v for v, xs in want[1].items() if not xs}
+        disagreements += dense_vertex_sets(m, swap=True) != got
+    assert disagreements  # the reference tells the two sides apart
 
 
 def swapped(sets):

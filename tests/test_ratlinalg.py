@@ -167,6 +167,18 @@ def test_sparse_rref_equals_dense_oracle(case):
     assert all(x != 0 for row in reduced for x in row.values())
 
 
+@given(shaped_matrices(), st.integers(min_value=0, max_value=3))
+@settings(max_examples=300, deadline=None)
+def test_transpose_equals_dense_oracle(case, extra):
+    m, ncols = case
+    a = tuple(oracle.sparse(m))  # an all-zero row of m is an empty sparse row
+    width = ncols + extra  # `extra` all-zero columns past the last one m has
+    d = oracle.dense(a, width)
+    columns = rl.transpose(a, width)
+    assert oracle.dense(columns, len(a)) == tuple(tuple(row[c] for row in d) for c in range(width))
+    assert rl.transpose(columns, len(a)) == list(a)
+
+
 @given(shaped_matrices())
 @settings(max_examples=300, deadline=None)
 def test_sparse_nullspace_equals_dense_oracle(case):

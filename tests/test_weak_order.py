@@ -20,7 +20,6 @@ from coxbrick.coxeter import (
 from coxbrick.canjoin import cjr_direct
 from coxbrick.weak_order import GroupPoset, LatticeError
 
-A1 = DynkinType(Family.A, 1)
 A3 = DynkinType(Family.A, 3)
 A4 = DynkinType(Family.A, 4)
 A5 = DynkinType(Family.A, 5)
@@ -234,40 +233,6 @@ def test_cjr_oracle_errors_on_tampered_masks(a3):
 def test_poset_rejects_shared_inversion_sets(a3):
     with pytest.raises(LatticeError, match="share an inversion set"):
         _hand_built(a3, a3.elements[:2], [0b1, 0b1])
-
-
-def test_hasse_edge_counts(a3, d4):
-    assert len(GroupPoset.build(A1).hasse_edges()) == 1
-    for poset in (a3, d4):
-        expected = sum(len(descents(w)) for w in poset.elements)
-        assert len(poset.hasse_edges()) == expected
-    assert len(a3.hasse_edges()) == 36
-
-
-def test_hasse_edges_are_covers(a3):
-    leq = scan_oracle.weak_leq
-    edges = set(a3.hasse_edges())
-    for upper, lower in edges:
-        assert leq(lower, upper) and lower != upper
-        for v in a3.elements:
-            if v not in (upper, lower):
-                assert not (leq(lower, v) and leq(v, upper))
-    # and conversely every cover is listed
-    for u, w in itertools.permutations(a3.elements, 2):
-        if leq(u, w) and u != w:
-            between = [
-                v
-                for v in a3.elements
-                if v not in (u, w) and leq(u, v) and leq(v, w)
-            ]
-            assert ((w, u) in edges) == (not between)
-
-
-def test_hasse_dot_output(a3):
-    dot = a3.hasse_dot()
-    assert dot.startswith('digraph "A3"')
-    assert '"2,1,3,4" -> "1,2,3,4";' in dot
-    assert dot.count("->") == 36
 
 
 def test_cjr_oracle_examples(a3):
