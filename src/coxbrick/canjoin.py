@@ -2,8 +2,9 @@
 
 A join-irreducible element is determined by its R-set, the window values
 sitting strictly after the unique descent.  `jirr_from_R` inverts that
-correspondence, and `decompose` produces, for each descent d of an arbitrary
-element, the R-set R_d of the join-irreducible w_d appearing in the
+correspondence, `join_irreducibles` finds every join-irreducible through it
+without enumerating the group, and `decompose` produces, for each descent d
+of an arbitrary element, the R-set R_d of the join-irreducible w_d in the
 canonical join representation w = join of the w_d.
 
 The type-D R_d splits into two cases:
@@ -31,6 +32,8 @@ that could fail.
 
 from __future__ import annotations
 
+import itertools
+from contextlib import suppress
 from dataclasses import dataclass
 
 from coxbrick.coxeter import (
@@ -93,6 +96,20 @@ def jirr_from_R(dynkin: DynkinType, r_values: frozenset[int] | set[int]) -> Coxe
         raise ValueError(f"{right} is not an R-set of any join-irreducible")
     dynkin.memo[key] = w
     return w
+
+
+def join_irreducibles(dynkin: DynkinType) -> tuple[CoxeterElement, ...]:
+    """The join-irreducibles ordered by window: `jirr_from_R` keeps the R-sets
+    among all sets of 1 to n-1 values of distinct absolute values in [1, n]."""
+    n = dynkin.window_size
+    signs = (1, -1) if dynkin.family is Family.D else (1,)
+    out = []
+    for k in range(1, n):
+        for absolutes in itertools.combinations(range(1, n + 1), k):
+            for chosen in itertools.product(signs, repeat=k):
+                with suppress(ValueError):  # raised unless an R-set
+                    out.append(jirr_from_R(dynkin, {s * v for s, v in zip(chosen, absolutes)}))
+    return tuple(sorted(out))
 
 
 @dataclass(frozen=True, slots=True)

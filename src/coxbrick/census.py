@@ -13,13 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from coxbrick.bricks import BrickDiagram, arrow_sort_key, brick_diagram
+from coxbrick.canjoin import join_irreducibles
 from coxbrick.coxeter import (
-    DEFAULT_ENUMERATION_CAP,
     CoxeterElement,
     DynkinType,
     Family,
     format_window,
-    join_irreducibles,
     per_join_irreducible,
 )
 
@@ -111,10 +110,9 @@ def global_count(dynkin: DynkinType) -> int:
     return 3**n - n * 2 ** (n - 1) - n - 1
 
 
-def census(
-    dynkin: DynkinType, cap: int = DEFAULT_ENUMERATION_CAP
-) -> dict[ShapeSigma, list[tuple[CoxeterElement, BrickDiagram]]]:
-    """All type-D join-irreducibles grouped by shape.
+def census(dynkin: DynkinType) -> dict[ShapeSigma, list[tuple[CoxeterElement, BrickDiagram]]]:
+    """All type-D join-irreducibles grouped by shape, at any rank: they come
+    from their R-sets (`canjoin.join_irreducibles`), not from enumeration.
 
     Shapes are ordered (a, b, r') ascending and entries within a shape by
     chi in lexicographic order, matching the reference list.
@@ -122,13 +120,9 @@ def census(
     if dynkin.family is not Family.D:
         raise ValueError("the shape census is defined for type D only")
     groups: dict[ShapeSigma, list] = {s: [] for s in feasible_shapes(dynkin.rank)}
-    for w in join_irreducibles(dynkin, cap=cap):
+    for w in join_irreducibles(dynkin):
         groups[sigma(w)].append(w)
-    out: dict[ShapeSigma, list[tuple[CoxeterElement, BrickDiagram]]] = {}
-    for s in sorted(groups):
-        ws = sorted(groups[s], key=chi)
-        out[s] = [(w, brick_diagram(w)) for w in ws]
-    return out
+    return {s: [(w, brick_diagram(w)) for w in sorted(groups[s], key=chi)] for s in groups}
 
 
 # --- fixture format --------------------------------------------------------

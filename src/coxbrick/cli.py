@@ -160,8 +160,12 @@ def _report(result: verify.SweepResult, prefix: str = "") -> int:
     return EXIT_OK if result.ok else EXIT_VERIFY
 
 
+def _cap(args: argparse.Namespace) -> int:
+    return DEFAULT_ENUMERATION_CAP if args.cap is None else args.cap
+
+
 def cmd_count(args: argparse.Namespace) -> int:
-    return _report(verify.count(_dynkin(args), cap=args.cap))
+    return _report(verify.count(_dynkin(args), cap=_cap(args)))
 
 
 def _census_type(args: argparse.Namespace) -> DynkinType:
@@ -187,26 +191,26 @@ def _check_census(args: argparse.Namespace) -> int:
         fixture = verify.default_fixture_lines()
     else:
         raise InputError("only rank 5 has a packaged fixture; pass --fixture")
-    return _report(verify.census(dynkin, fixture, cap=args.cap), prefix=f"census {dynkin}: ")
+    return _report(verify.census(dynkin, fixture), prefix=f"census {dynkin}: ")
 
 
 def cmd_census(args: argparse.Namespace) -> int:
     if args.check or args.fixture:
         return _check_census(args)
-    for line in census_mod.census_lines(census_mod.census(_census_type(args), cap=args.cap)):
+    for line in census_mod.census_lines(census_mod.census(_census_type(args))):
         print(line)
     return EXIT_OK
 
 
 def cmd_hasse(args: argparse.Namespace) -> int:
     dynkin = _dynkin(args)
-    elements = enumerate_group(dynkin, cap=args.cap)
-    # elements run by window, so the edges are sorted by (upper, lower) window
-    edges = [(w, lower) for w in elements for lower in lower_covers(w)]
+    elements = enumerate_group(dynkin, cap=_cap(args))
+    # elements run by window, so the edges come sorted by (upper, lower) window
+    edges = ((w, lower) for w in elements for lower in lower_covers(w))
     if args.format == "dot":
         print(_dot(str(dynkin), elements, edges))
     else:
-        for upper, lower in edges:
+        for upper, lower in edges:  # printed as they come: no edge list is kept
             print(f"{upper} -> {lower}")
     return EXIT_OK
 
@@ -215,12 +219,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # the optional flags each suite reads; passing any other is an input error
     reads = {
         "oracle": ("sample", "seed"),
-        "cjr": ("sample", "seed"),
-        "semibrick": ("sample", "seed"),
-        "count": (),
+        "cjr": ("sample", "seed", "cap"),
+        "semibrick": ("sample", "seed", "cap"),
+        "count": ("cap",),
         "census": ("fixture",),
     }[args.suite]
-    for flag in ("sample", "seed", "fixture"):
+    for flag in ("sample", "seed", "fixture", "cap"):
         if getattr(args, flag) is not None and flag not in reads:
             raise InputError(f"--{flag} does not apply to --suite {args.suite}")
     if args.suite == "count":
@@ -232,7 +236,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.seed is not None and not args.sample:
         raise InputError("--seed does not apply without --sample")
     dynkin = _dynkin(args)
-    options = {"sample_size": args.sample or 0, "seed": args.seed or 0, "cap": args.cap}
+    options = {"sample_size": args.sample or 0, "seed": args.seed or 0}
+    if "cap" in reads:
+        options["cap"] = _cap(args)
     return _report(getattr(verify, args.suite)(dynkin, **options))
 
 
@@ -248,10 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rank", required=True, type=int)
         if window:
             p.add_argument("--window", required=True, help="comma-separated window")
-        else:  # every subcommand without a window enumerates
-            p.add_argument(
-                "--cap", type=int, default=DEFAULT_ENUMERATION_CAP, help="enumeration cap"
-            )
 
     p = sub.add_parser("element", help="inspect one element")
     common(p, window=True)
@@ -300,6 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="seed of the --sample draw (default 0)")
     p.add_argument("--fixture", help="census fixture override")
     p.set_defaults(func=cmd_verify)
+    for name in ("count", "hasse", "verify"):  # the subcommands that enumerate
+        sub.choices[name].add_argument("--cap", type=int, help="enumeration cap")
     return parser
 
 

@@ -361,15 +361,3 @@ def enumerate_group(
     trusted = CoxeterElement._trusted  # every window above is valid by construction
     return tuple(trusted(dynkin, w) for w in windows)
 
-
-def join_irreducibles(
-    dynkin: DynkinType, cap: int = DEFAULT_ENUMERATION_CAP
-) -> tuple[CoxeterElement, ...]:
-    """The join-irreducible elements (exactly one descent), ordered by window.
-
-    They are filtered out of `enumerate_group`, so `cap` bounds |W| and
-    CapacityError is raised the same way.
-    """
-    return tuple(
-        w for w in enumerate_group(dynkin, cap=cap) if join_irreducible_type(w) is not None
-    )

@@ -2,8 +2,9 @@
 
 Every suite is the function of the same name; it takes a Dynkin type and
 returns a `SweepResult`.  `count` compares the closed-form number of
-join-irreducibles with enumeration, `census` the type-D shape census with
-fixture lines, `oracle` the socle of J(w) over End(J(w)) with the
+join-irreducibles, and those generated from R-sets, with enumeration;
+`census` the type-D shape census with fixture lines and each shape's size
+with its formula; `oracle` the socle of J(w) over End(J(w)) with the
 combinatorial brick (and the kernel route with that socle where it
 applies), `cjr` the closed-form canonical join representations with the
 lattice oracle (each must also join back to its element), and
@@ -20,15 +21,15 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from coxbrick.bricks import brick_rep
-from coxbrick.canjoin import cjr_direct
+from coxbrick.canjoin import cjr_direct, join_irreducibles
 from coxbrick.census import census as build_census
-from coxbrick.census import census_diff, global_count
+from coxbrick.census import census_diff, global_count, shape_count
 from coxbrick.coxeter import (
     DEFAULT_ENUMERATION_CAP,
     CoxeterElement,
     DynkinType,
     enumerate_group,
-    join_irreducibles,
+    join_irreducible_type,
 )
 from coxbrick.grids import UnsupportedCaseError, j_module, kernel_socle
 from coxbrick.homs import iso_bricks, socle_over_end
@@ -47,9 +48,9 @@ class SweepResult:
     """How many objects a sweep checked and which of them failed.
 
     `failures` lists the failing elements, except for census (the fixture
-    diff messages) and count (one formula-vs-enumeration message).  An
-    element whose check raised is a failure too, and `errors` holds the
-    exception it raised.
+    diff and shape-count messages) and count (the formula-vs-enumeration
+    and generated-vs-enumerated messages).  An element whose check raised is
+    a failure too, and `errors` holds the exception it raised.
     `counts` holds the suite's other tallies: the closed-form `formula`
     (count), the number of `shapes` (census), the number of bricks also
     checked on the `kernel` route (oracle), and the sizes of the type's
@@ -117,25 +118,30 @@ def default_fixture_lines() -> list[str]:
 
 
 def count(dynkin: DynkinType, cap: int = DEFAULT_ENUMERATION_CAP) -> SweepResult:
+    # the one place that filters an enumerated group for one descent
     formula = global_count(dynkin)
-    enumerated = len(join_irreducibles(dynkin, cap=cap))
-    failures = [] if enumerated == formula else [f"formula {formula} != enumerated {enumerated}"]
-    return SweepResult("count", dynkin, enumerated, failures, {"formula": formula})
+    group = enumerate_group(dynkin, cap=cap)
+    enumerated = tuple(w for w in group if join_irreducible_type(w) is not None)
+    failures = []
+    if len(enumerated) != formula:
+        failures.append(f"formula {formula} != enumerated {len(enumerated)}")
+    if join_irreducibles(dynkin) != enumerated:
+        failures.append("join-irreducibles generated from R-sets != enumerated")
+    return SweepResult("count", dynkin, len(enumerated), failures, {"formula": formula})
 
 
-def census(
-    dynkin: DynkinType, fixture_lines: list[str], cap: int = DEFAULT_ENUMERATION_CAP
-) -> SweepResult:
-    groups = build_census(dynkin, cap=cap)
+def census(dynkin: DynkinType, fixture_lines: list[str]) -> SweepResult:
+    groups = build_census(dynkin)
     total = sum(len(entries) for entries in groups.values())
     problems = census_diff(groups, fixture_lines)
+    for shape, entries in groups.items():
+        if len(entries) != (expected := shape_count(shape, dynkin.rank)):
+            problems.append(f"shape {shape}: {len(entries)} entries, formula {expected}")
     return SweepResult("census", dynkin, total, problems, {"shapes": len(groups)})
 
 
-def oracle(
-    dynkin: DynkinType, sample_size: int = 0, seed: int = 0, cap: int = DEFAULT_ENUMERATION_CAP
-) -> SweepResult:
-    elements = sample(join_irreducibles(dynkin, cap=cap), sample_size, seed)
+def oracle(dynkin: DynkinType, sample_size: int = 0, seed: int = 0) -> SweepResult:
+    elements = sample(join_irreducibles(dynkin), sample_size, seed)
     kernel_checked = 0
 
     def check(w: CoxeterElement) -> bool:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 
+from coxbrick.canjoin import join_irreducibles
 from coxbrick.coxeter import (
     CoxeterElement,
     Family,
@@ -25,7 +26,6 @@ from coxbrick.coxeter import (
     all_reflections,
     cover_pairs,
     identity,
-    join_irreducibles,
 )
 from coxbrick.weak_order import GroupPoset, LatticeError
 

@@ -16,10 +16,10 @@ from coxbrick.bricks import (
     render_diagram,
     symbol_vertex,
 )
+from coxbrick.canjoin import join_irreducibles
 from coxbrick.coxeter import (
     DynkinType,
     Family,
-    join_irreducibles,
     parse_window,
     simple_reflection,
 )

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxbrick.canjoin import cjr_direct, decompose, jirr_from_R, r_set
+from coxbrick.canjoin import cjr_direct, decompose, jirr_from_R, join_irreducibles, r_set
+from coxbrick.census import global_count
 from coxbrick.coxeter import (
     DynkinType,
     Family,
@@ -16,7 +17,6 @@ from coxbrick.coxeter import (
     enumerate_group,
     identity,
     join_irreducible_type,
-    join_irreducibles,
     length,
     parse_window,
 )
@@ -71,6 +71,23 @@ def test_jirr_from_R_type_d_one_descent_at_negative_vertex():
 def test_jirr_from_R_inverts_r_set(dynkin):
     for w in join_irreducibles(dynkin):
         assert jirr_from_R(dynkin, r_set(w)) == w
+
+
+@pytest.mark.parametrize(
+    "family, rank", [*(("A", n) for n in range(1, 8)), *(("D", n) for n in range(2, 7))]
+)
+def test_join_irreducibles_are_the_enumerated_one_descent_elements(family, rank):
+    dynkin = DynkinType(Family(family), rank)
+    enumerated = [w.window for w in enumerate_group(dynkin) if join_irreducible_type(w) is not None]
+    assert [w.window for w in join_irreducibles(dynkin)] == enumerated
+
+
+@pytest.mark.parametrize(
+    "family, rank", [("A", 8), ("A", 9), ("A", 10), ("D", 7), ("D", 8), ("D", 9)]
+)
+def test_join_irreducibles_past_the_enumeration_cap_match_the_formula(family, rank):
+    dynkin = DynkinType(Family(family), rank)
+    assert len(join_irreducibles(dynkin)) == global_count(dynkin)
 
 
 def test_decompose_a8_table():

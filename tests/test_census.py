@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from coxbrick.canjoin import join_irreducibles
 from coxbrick.census import (
     chi_values,
     ShapeSigma,
@@ -19,10 +20,8 @@ from coxbrick.census import (
     sigma,
 )
 from coxbrick.coxeter import (
-    CapacityError,
     DynkinType,
     Family,
-    join_irreducibles,
     parse_window,
     simple_reflection,
 )
@@ -96,9 +95,12 @@ def test_census_rejects_type_a():
         census(DynkinType(Family.A, 4))
 
 
-def test_census_capacity():
-    with pytest.raises(CapacityError):
-        census(D6, cap=100)
+def test_census_d8_past_the_enumeration_cap():
+    # |W(D8)| = 5,160,960 is over the default cap; the census never enumerates
+    groups = census(DynkinType(Family.D, 8))
+    assert sum(len(v) for v in groups.values()) == 5528
+    for shape, entries in groups.items():
+        assert len(entries) == shape_count(shape, 8)
 
 
 def test_chi_injective():

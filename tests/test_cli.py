@@ -345,11 +345,10 @@ def test_capacity_exit_code(capsys):
     assert "cap" in err
 
 
-@pytest.mark.parametrize("command", ["element", "brick", "semibrick", "decompose"])
+@pytest.mark.parametrize("command", ["element", "brick", "semibrick", "decompose", "census"])
 def test_commands_that_never_enumerate_take_no_cap(capsys, command):
-    code, out, err = run(
-        capsys, command, "--type", "A", "--rank", "3", "--window", "2,1,3,4", "--cap", "5"
-    )
+    window = [] if command == "census" else ["--window", "2,1,3,4"]
+    code, out, err = run(capsys, command, "--type", "A", "--rank", "3", *window, "--cap", "5")
     assert code == EXIT_INPUT
     assert out == ""
     assert "unrecognized arguments: --cap 5" in err
@@ -371,6 +370,32 @@ def test_verify_oracle_a3(capsys):
     )
     assert code == EXIT_OK
     assert out == "11/11 bricks match socle oracle\n"
+
+
+def test_verify_oracle_past_the_enumeration_cap(capsys):
+    # |W(D8)| = 5,160,960; the oracle draws from the R-set generator instead
+    argv = ["verify", "--suite", "oracle", "--type", "D", "--rank", "8"]
+    code, out, _ = run(capsys, *argv, "--sample", "20", "--seed", "1")
+    assert code == EXIT_OK
+    assert out == "20/20 bricks match socle oracle\n"
+
+
+def test_verify_count_fails_when_the_generator_drops_an_element(capsys, monkeypatch):
+    original = verify.join_irreducibles
+    monkeypatch.setattr(verify, "join_irreducibles", lambda dynkin: original(dynkin)[1:])
+    code, out, _ = run(capsys, "verify", "--suite", "count", "--type", "A", "--rank", "3")
+    assert code == EXIT_VERIFY
+    assert out == "formula 11, enumerated 11, MISMATCH\n"
+
+
+def test_verify_census_fails_on_an_off_by_one_shape_count(capsys, monkeypatch):
+    original = verify.shape_count
+    monkeypatch.setattr(
+        verify, "shape_count", lambda shape, n: original(shape, n) + (str(shape) == "5,-4,3")
+    )
+    code, out, _ = run(capsys, "verify", "--suite", "census", "--type", "D", "--rank", "5")
+    assert code == EXIT_VERIFY
+    assert out == "census D5: 1 mismatches against fixture\nshape 5,-4,3: 8 entries, formula 9\n"
 
 
 def test_verify_oracle_sampled(capsys):
@@ -559,6 +584,9 @@ def test_unknown_flag_exits_two(capsys):
         ("cjr", ["--type", "A", "--rank", "3", "--seed", "5"], "--seed"),
         ("semibrick", ["--type", "A", "--rank", "3", "--sample", "0", "--seed", "5"], "--seed"),
         ("semibrick", ["--type", "A", "--rank", "3", "--fixture", "x.txt"], "--fixture"),
+        # oracle and census find join-irreducibles from R-sets: nothing to cap
+        ("oracle", ["--type", "A", "--rank", "3", "--cap", "5"], "--cap"),
+        ("census", ["--type", "D", "--rank", "5", "--cap", "5"], "--cap"),
     ],
 )
 def test_verify_rejects_flags_it_would_ignore(capsys, suite, args, flag):

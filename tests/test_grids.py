@@ -5,12 +5,12 @@ import re
 import pytest
 
 from coxbrick import grids
+from coxbrick.canjoin import join_irreducibles
 from coxbrick.coxeter import (
     DynkinType,
     Family,
     enumerate_group,
     join_irreducible_type,
-    join_irreducibles,
     parse_window,
     simple_reflection,
 )

@@ -8,7 +8,8 @@ import pytest
 
 from coxbrick import homs
 from coxbrick.bricks import brick_diagram, brick_rep
-from coxbrick.coxeter import DynkinType, Family, join_irreducibles, parse_window
+from coxbrick.canjoin import join_irreducibles
+from coxbrick.coxeter import DynkinType, Family, parse_window
 from coxbrick.grids import j_module
 from coxbrick.homs import (
     hom_basis,

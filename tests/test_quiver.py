@@ -6,7 +6,8 @@ import json
 import pytest
 
 from coxbrick.bricks import brick_rep
-from coxbrick.coxeter import DynkinType, Family, join_irreducibles
+from coxbrick.canjoin import join_irreducibles
+from coxbrick.coxeter import DynkinType, Family
 from coxbrick.grids import j_module, projective_rep
 from coxbrick.quiver import (
     QuiverRepresentation,

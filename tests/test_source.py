@@ -15,7 +15,6 @@ CALLERS = [*SOURCES, *(ROOT / "scripts").rglob("*.py"), *(ROOT / "benchmark").rg
 
 # definitions nothing in the program calls, kept on purpose
 UNCALLED = {
-    "census.shape_count": "the paper's count per shape, checked against enumeration by test_census",
     "grids.projective_rep": "Pi e_l, the reference that a quiver-built Pi e_l is compared with",
 }
 

@@ -12,12 +12,11 @@ from coxbrick.coxeter import (
     descents,
     identity,
     join_irreducible_type,
-    join_irreducibles,
     multiply,
     parse_window,
     simple_reflection,
 )
-from coxbrick.canjoin import cjr_direct
+from coxbrick.canjoin import cjr_direct, join_irreducibles
 from coxbrick.weak_order import GroupPoset, LatticeError
 
 A3 = DynkinType(Family.A, 3)
