@@ -16,12 +16,13 @@ For example, to compare a parent commit unpacked next to this checkout:
 
 Each run records its exit code and either its wall time and last line of
 output or its end-to-end metrics.  The summary holds, per workload and
-tree, the median wall time, or the median and quartiles of each metric;
-with two trees, each metric also has `wins`, the number of pairs in which
+tree, the median wall time, or the median and quartiles of each metric.
+With two trees, each metric also has `wins`, the number of pairs in which
 the second tree's value is better than the first's, in the direction
-`BENCHMARK.json` gives.  The file is written at the root of this checkout
-and never overwritten: an existing BENCH_<label>.json is an error, raised
-before anything runs.
+`BENCHMARK.json` gives, and a verdict by the rule that accepts or refuses
+a change (`verdict`): `worse`, `unresolved`, `gain` or `even`.  The file
+is written at the root of this checkout and never overwritten: an
+existing BENCH_<label>.json is an error, raised before anything runs.
 """
 
 import argparse
@@ -93,13 +94,38 @@ def run_once(tree: Path, args: list[str], benchmark: bool) -> dict:
     return {"exit": proc.returncode, "metrics": metrics}
 
 
+def verdict(pairs: list[tuple[float, float]], better: str, bound: float) -> str:
+    """How the acceptance rule reads one metric over (first, second) pairs.
+
+    `worse`: the second tree's median is worse than the first's by more
+    than `bound`, a fraction of the first's median.  `unresolved`: the
+    first tree's quartile distance exceeds that bound and not every run of
+    the second tree beats every run of the first.  `gain`: the second tree
+    wins at least 9 pairs in 10, and its median is better by more than the
+    first tree's quartile distance.  `even` otherwise.
+    """
+    sign = 1 if better == "higher" else -1
+    first = [sign * a for a, _ in pairs]
+    second = [sign * b for _, b in pairs]
+    q1, median, q3 = statistics.quantiles(first, n=4)
+    gap = statistics.median(second) - median
+    if -gap > bound * abs(median):
+        return "worse"
+    if abs(q3 - q1) > bound * abs(median) and min(second) <= max(first):
+        return "unresolved"
+    wins = sum(b > a for a, b in zip(first, second))
+    if 10 * wins >= 9 * len(pairs) and gap > abs(q3 - q1):
+        return "gain"
+    return "even"
+
+
 def summarise(runs: list[dict], trees: list[str]) -> dict:
     """Per workload and tree: wall-time median, or per-metric median and
-    quartiles; with two trees, the second tree's wins per metric."""
-    better = {
-        m["name"]: m["better"]
-        for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    }
+    quartiles; with two trees, the second tree's wins and verdict per
+    metric."""
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    better = {m["name"]: m["better"] for m in metrics}
+    bounds = {m["name"]: m["bound"] for m in metrics}
     by_job: dict = {}
     for x in runs:
         by_job.setdefault(x["workload"], {}).setdefault(x["tree"], []).append(x)
@@ -121,13 +147,16 @@ def summarise(runs: list[dict], trees: list[str]) -> dict:
             continue
         first = {x["run"]: x["metrics"] for x in per_tree[trees[0]]}
         second = {x["run"]: x["metrics"] for x in per_tree[trees[1]]}
-        wins = {}
+        wins, verdicts = {}, {}
         for m, direction in better.items():
             pairs = [(first[r][m], second[r][m]) for r in first if r in second
                      if m in first[r] and m in second[r]]
             sign = 1 if direction == "higher" else -1
             wins[m] = f"{sum(sign * (b - a) > 0 for a, b in pairs)}/{len(pairs)}"
+            if len(pairs) >= 2:
+                verdicts[m] = verdict(pairs, direction, bounds[m])
         out[f"{trees[1]}_wins"] = wins
+        out[f"{trees[1]}_verdicts"] = verdicts
     return summary
 
 

@@ -160,16 +160,31 @@ def _tables(
     return r, c, v_minus, v_plus, images
 
 
-def _diagram(
+def diagram_from_params_a(
     dynkin: DynkinType,
     a: int,
     b: int,
     r_values: frozenset[int],
-    window: tuple[int, ...] | None,
-    type_l: int | None,
+    window: tuple[int, ...] | None = None,
+    type_l: int | None = None,
 ) -> BrickDiagram:
-    """The diagram of the tables: an arrow s -> t wherever <s> has a nonzero
-    multiple of <t> among its images."""
+    """The same as `diagram_from_params_d`, which builds type A as its slice;
+    no caller in the package uses it.  It stays only because
+    `benchmark/tracing.py` wraps it by name."""
+    return diagram_from_params_d(dynkin, a, b, r_values, window, type_l)
+
+
+def diagram_from_params_d(
+    dynkin: DynkinType,
+    a: int,
+    b: int,
+    r_values: frozenset[int],
+    window: tuple[int, ...] | None = None,
+    type_l: int | None = None,
+) -> BrickDiagram:
+    """The diagram of the brick with parameters (a, b, R), in either family:
+    an arrow s -> t wherever <s> has a nonzero multiple of <t> among its
+    images."""
     r, c, v_minus, v_plus, images = _tables(a, b, r_values)
     if dynkin.family is Family.A:
         r = c = None
@@ -190,32 +205,6 @@ def _diagram(
     )
 
 
-def diagram_from_params_a(
-    dynkin: DynkinType,
-    a: int,
-    b: int,
-    r_values: frozenset[int],
-    window: tuple[int, ...] | None = None,
-    type_l: int | None = None,
-) -> BrickDiagram:
-    """The same as `diagram_from_params_d`, which builds type A as its slice;
-    no caller in the package uses it.  It stays only because
-    `benchmark/tracing.py` wraps it by name."""
-    return _diagram(dynkin, a, b, r_values, window, type_l)
-
-
-def diagram_from_params_d(
-    dynkin: DynkinType,
-    a: int,
-    b: int,
-    r_values: frozenset[int],
-    window: tuple[int, ...] | None = None,
-    type_l: int | None = None,
-) -> BrickDiagram:
-    """The diagram of the brick with parameters (a, b, R), in either family."""
-    return _diagram(dynkin, a, b, r_values, window, type_l)
-
-
 @per_join_irreducible
 def brick_diagram(w: CoxeterElement) -> BrickDiagram:
     """The diagram of S(w), memoised per join-irreducible w; raises
@@ -224,29 +213,25 @@ def brick_diagram(w: CoxeterElement) -> BrickDiagram:
     return diagram_from_params_d(w.dynkin, a, b, r_values, window=w.window, type_l=l)
 
 
-def _rep(dynkin: DynkinType, a: int, b: int, r_values: frozenset[int]) -> QuiverRepresentation:
-    """The brick on basis <s>, s in V+ u V-, acting by the tables."""
-    images = _tables(a, b, r_values)[4]
-    vertex_of = {s: symbol_vertex(s) for s in images}
-    rep = rep_from_basis_action(double_quiver(dynkin), vertex_of, images)
-    rep.check_relations()
-    return rep
-
-
 def rep_from_params_a(
     dynkin: DynkinType, a: int, b: int, r_values: frozenset[int]
 ) -> QuiverRepresentation:
     """The same as `rep_from_params_d`, which builds type A as its slice; no
     caller in the package uses it.  It stays only because
     `benchmark/tracing.py` wraps it by name."""
-    return _rep(dynkin, a, b, r_values)
+    return rep_from_params_d(dynkin, a, b, r_values)
 
 
 def rep_from_params_d(
     dynkin: DynkinType, a: int, b: int, r_values: frozenset[int]
 ) -> QuiverRepresentation:
-    """The brick with parameters (a, b, R), in either family."""
-    return _rep(dynkin, a, b, r_values)
+    """The brick with parameters (a, b, R), in either family, on basis <s>,
+    s in V+ u V-, acting by the tables."""
+    images = _tables(a, b, r_values)[4]
+    vertex_of = {s: symbol_vertex(s) for s in images}
+    rep = rep_from_basis_action(double_quiver(dynkin), vertex_of, images)
+    rep.check_relations()
+    return rep
 
 
 def brick_rep(w: CoxeterElement) -> QuiverRepresentation:

@@ -94,7 +94,7 @@ class DynkinType:
         return f"{self.family.value}{self.rank}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoxeterElement:
     """A group element as an immutable window; equality is window equality."""
 

@@ -52,7 +52,8 @@ class SweepResult:
     and generated-vs-enumerated messages).  An element whose check raised is
     a failure too, and `errors` holds the exception it raised.
     `counts` holds the suite's other tallies: the closed-form `formula`
-    (count), the number of `shapes` (census), the number of bricks also
+    (count), the number of `shapes` and of `fixture` mismatches, which
+    come first among the failures (census), the number of bricks also
     checked on the `kernel` route (oracle), and the sizes of the type's
     brick table after the sweep, `bricks` and Hom `pairs`, with the number
     of those pairs `certified` zero from vertex sets alone, no Hom system
@@ -71,14 +72,19 @@ class SweepResult:
         return not self.failures
 
     def report(self) -> list[str]:
-        """A summary line, then one line per failing element or census problem."""
+        """A summary line, then one line per failing element or count or
+        census problem."""
         if self.suite == "count":
             status = "OK" if self.ok else "MISMATCH"
-            return [f"formula {self.counts['formula']}, enumerated {self.checked}, {status}"]
+            summary = f"formula {self.counts['formula']}, enumerated {self.checked}, {status}"
+            return [summary, *self.failures]
         if self.suite == "census":
             if self.ok:
                 return [f"{self.checked} entries in {self.counts['shapes']} shapes match fixture"]
-            return [f"{len(self.failures)} mismatches against fixture", *self.failures]
+            fixture = self.counts["fixture"]
+            formula = len(self.failures) - fixture
+            summary = f"{fixture} mismatches against fixture, {formula} against shape formulas"
+            return [summary, *self.failures]
         passed = self.checked - len(self.failures)
         lines = [f"{passed}/{self.checked} {_CLAIMS[self.suite]}"]
         for w in self.failures:
@@ -134,10 +140,11 @@ def census(dynkin: DynkinType, fixture_lines: list[str]) -> SweepResult:
     groups = build_census(dynkin)
     total = sum(len(entries) for entries in groups.values())
     problems = census_diff(groups, fixture_lines)
+    counts = {"shapes": len(groups), "fixture": len(problems)}
     for shape, entries in groups.items():
         if len(entries) != (expected := shape_count(shape, dynkin.rank)):
             problems.append(f"shape {shape}: {len(entries)} entries, formula {expected}")
-    return SweepResult("census", dynkin, total, problems, {"shapes": len(groups)})
+    return SweepResult("census", dynkin, total, problems, counts)
 
 
 def oracle(dynkin: DynkinType, sample_size: int = 0, seed: int = 0) -> SweepResult:

@@ -4,23 +4,21 @@ Everything here is an oracle, and it answers the queries the program asks:
 joins and the canonical join representation.
 Inversion sets are integer bitmasks (one bit per reflection, read by
 `coxeter.inversion_masks`), and the poset is also stored transposed, with
-its elements laid out by length: bit b of a transposed bitset stands for
-element `_order[b]`, and `_order` lists the elements by (length, index).
-For each reflection k one integer `_cols[k]` has bit b set iff k is an
-inversion of element `_order[b]`.  A query then tests every element of the
-group at once with a few big-integer ANDs: the upper bounds of an
+its elements laid out longest first: bit b of a transposed bitset stands
+for element `_order[b]`, and `_order` lists the elements by length, longest
+first.  For each reflection k one integer `_cols[k]` has bit b set iff k is
+an inversion of element `_order[b]`.  A query then tests every element of
+the group at once with a few big-integer ANDs: the upper bounds of an
 inversion set are the AND of the columns of its reflections, its lower
-bounds the AND of the complemented columns of the reflections it lacks,
-started from the prefix of the `_ends[l]` elements no longer than the
-set.  The lowest set bit of the result is its shortest element.  The
-shortest upper bound is the least one iff every upper bound holds the
-reflections that separate it from the query, so a join ANDs only those
-columns.  The join is the unique least upper bound found that way (a join
-of any number of elements is one query on the union of their inversion
-sets), and the canonical join representation follows the cover-reflection
-recipe.  No Coxeter combinatorics (closure of inversion sets, the
-closed-form CJR) is used, so the results stay an independent check of
-`coxbrick.canjoin`.
+bounds the AND of the complemented columns of the reflections it lacks.
+The top set bit of the result is a shortest element of it.  The shortest
+upper bound is the least one iff every upper bound holds the reflections
+that separate it from the query, so a join ANDs only those columns.  The
+join is the unique least upper bound found that way (a join of any number
+of elements is one query on the union of their inversion sets), and the
+canonical join representation follows the cover-reflection recipe.  No
+Coxeter combinatorics (closure of inversion sets, the closed-form CJR) is
+used, so the results stay an independent check of `coxbrick.canjoin`.
 """
 
 from __future__ import annotations
@@ -53,45 +51,41 @@ class GroupPoset:
     """An enumerated group with cached inversion bitmasks.
 
     `build` orders `elements` lexicographically by window (no query relies
-    on that order), and `masks[i]` has one bit per reflection, so u <= w iff
-    masks[u] & ~masks[w] == 0.  The masks must be distinct (the weak order
-    is antisymmetric).  `__post_init__` derives `_pair_bit` (the (a, b) of a
-    reflection to its bit) from `reflections`, `_index` (window to
-    position) from `elements` and the transposed view from the masks.
-    There bit b stands for element `_order[b]`, and `_order` (an
-    `array('I')`) runs through the element indices by length, ties in index
-    order: `_cols[k]` holds the elements whose inversion set holds
-    reflection k, `_cocols[k]` those whose set lacks it, and the elements of
-    length at most l are the lowest `_ends[l]` bits (a count, not a bitset,
-    which spares one big integer per length).
+    on that order), and `masks[i]` has one bit per reflection of
+    `all_reflections(dynkin)`, so u <= w iff masks[u] & ~masks[w] == 0.
+    The masks must be distinct (the weak order is antisymmetric).
+    `__post_init__` derives `_pair_bit` (the (a, b) of a reflection to its
+    bit), `_index` (window to position) and the transposed view.  There
+    bit b stands for element `_order[b]`, and `_order` (an `array('I')`)
+    runs through the element indices by length, longest first, ties in
+    index order: `_cols[k]` holds the elements whose inversion set holds
+    reflection k, `_cocols[k]` those whose set lacks it.
     """
 
     dynkin: DynkinType
     elements: tuple[CoxeterElement, ...]
-    reflections: tuple[Reflection, ...]
     masks: tuple[int, ...] = field(repr=False)
     _pair_bit: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
     _index: dict[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
     _order: array = field(init=False, repr=False, compare=False)
     _cols: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _cocols: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _ends: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _everything: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if any(a == b for a, b in itertools.pairwise(sorted(self.masks))):
             raise LatticeError("two elements share an inversion set")
-        self._pair_bit = {(t.a, t.b): k for k, t in enumerate(self.reflections)}
+        reflections = all_reflections(self.dynkin)
+        self._pair_bit = {(t.a, t.b): k for k, t in enumerate(reflections)}
         self._index = {w.window: i for i, w in enumerate(self.elements)}
-        n, width = len(self.masks), len(self.reflections)
+        n, width = len(self.masks), len(reflections)
         self._everything = (1 << n) - 1
-        # Counting sort by length; scanning the indices upwards keeps ties in
-        # index order.
+        # Counting sort by length, the longest first; scanning the indices
+        # upwards keeps ties in index order.
         counts = [0] * (width + 1)
         for m in self.masks:
             counts[m.bit_count()] += 1
-        self._ends = tuple(itertools.accumulate(counts))
-        slot = [end - count for end, count in zip(self._ends, counts)]
+        slot = list(itertools.accumulate(reversed(counts), initial=0))[-2::-1]
         order = array("I", [0]) * n
         for i, m in enumerate(self.masks):
             length = m.bit_count()
@@ -118,7 +112,6 @@ class GroupPoset:
         return cls(
             dynkin=dynkin,
             elements=elements,
-            reflections=all_reflections(dynkin),
             masks=tuple(inversion_masks(dynkin, (w.window for w in elements))),
         )
 
@@ -149,25 +142,23 @@ class GroupPoset:
         return self._select(self._cols, mask, self._everything)
 
     def _below(self, mask: int) -> int:
-        """Bitset of the elements whose inversion set lies inside `mask`;
-        none is longer than `mask`, so the AND starts from that prefix."""
+        """Bitset of the elements whose inversion set lies inside `mask`."""
         lacked = ~mask & ((1 << len(self._cols)) - 1)
-        prefix = (1 << self._ends[mask.bit_count()]) - 1
-        return self._select(self._cocols, lacked, prefix)
+        return self._select(self._cocols, lacked, self._everything)
 
     def _extreme(self, candidates: int, query: int) -> int | None:
         """Index of the unique minimum of a nonempty bitset, or None when it
         has none.
 
-        Every candidate must contain the inversion set `query`.  The lowest
-        bit is the shortest candidate, and it is the minimum iff every
+        Every candidate must contain the inversion set `query`.  The top
+        bit is a shortest candidate, and it is the minimum iff every
         candidate holds the reflections that separate it from `query`.  A
         unique minimum is strictly shorter than every other candidate, so
         the tie-break never matters.
         """
         if not candidates:
             raise LatticeError("empty candidate set")
-        best = self._order[(candidates & -candidates).bit_length() - 1]
+        best = self._order[candidates.bit_length() - 1]
         if self._select(self._cols, self.masks[best] & ~query, candidates) != candidates:
             return None
         return best

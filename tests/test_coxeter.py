@@ -1,5 +1,6 @@
 """Group-level combinatorics: windows, inversions, descents, enumeration."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -198,6 +199,27 @@ def test_enumerated_elements_equal_validated_ones(family, rank):
         checked = CoxeterElement(dynkin, w.window)  # runs the window checks
         assert type(w) is CoxeterElement and type(w.window) is tuple
         assert w == checked and hash(w) == hash(checked) and w.dynkin is dynkin
+
+
+@pytest.mark.parametrize("dynkin", [A3, D4], ids=str)
+def test_elements_are_slotted_windows(dynkin):
+    # No instance dict; equality, hashing, order and `replace` are those of
+    # the (type, window) pair, as for a plain frozen dataclass.
+    group = enumerate_group(dynkin)
+    for w in group:
+        assert not hasattr(w, "__dict__")
+        same = dataclasses.replace(w)
+        assert same == w and same is not w and hash(same) == hash(w)
+        assert hash(w) == hash((w.dynkin, w.window))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            w.window = w.window
+    assert identity(A3) != identity(D4)  # the same window in another type
+    for u, v in itertools.product(group[::7], group[::5]):
+        assert (u == v) == (u.window == v.window)
+        assert (u < v) == (u.window < v.window)
+        assert dataclasses.replace(u, window=v.window) == v
+    with pytest.raises(ValueError):
+        dataclasses.replace(group[0], window=group[0].window[:-1])
 
 
 def test_enumeration_capacity_error_names_cap():

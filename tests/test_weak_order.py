@@ -116,14 +116,18 @@ def test_columns_transpose_masks():
     poset = GroupPoset.build(DynkinType(Family.D, 5))
     order, masks = poset._order, poset.masks
     assert sorted(order) == list(range(len(masks)))
-    keys = [(masks[i].bit_count(), i) for i in order]
-    assert keys == sorted(keys)
     for k, col in enumerate(poset._cols):
         assert col == sum(1 << b for b, i in enumerate(order) if masks[i] >> k & 1), k
-    assert len(poset._ends) == len(poset.reflections) + 1
-    for length, end in enumerate(poset._ends):
-        prefix = sum(1 << b for b, i in enumerate(order) if masks[i].bit_count() <= length)
-        assert (1 << end) - 1 == prefix, length
+        assert poset._cocols[k] == poset._everything ^ col, k
+    # Each length is one contiguous run, the longest first.
+    runs = [length for length, _ in itertools.groupby(masks[i].bit_count() for i in order)]
+    assert runs == sorted(set(runs), reverse=True)
+    # So the top bit of any set of elements is a shortest one of them.
+    rng = random.Random(5)
+    for _ in range(200):
+        bits = rng.sample(range(len(order)), rng.randint(1, 40))
+        top = order[(sum(1 << b for b in bits)).bit_length() - 1]
+        assert masks[top].bit_count() == min(masks[order[b]].bit_count() for b in bits)
 
 
 def _hand_built(poset, elements, masks):
@@ -131,7 +135,6 @@ def _hand_built(poset, elements, masks):
     return GroupPoset(
         dynkin=poset.dynkin,
         elements=tuple(elements),
-        reflections=poset.reflections,
         masks=tuple(masks),
     )
 
