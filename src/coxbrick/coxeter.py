@@ -117,7 +117,8 @@ class CoxeterElement:
     @classmethod
     def _trusted(cls, dynkin: DynkinType, window: tuple[int, ...]) -> "CoxeterElement":
         """The element of a window its caller generated as valid, made
-        without the checks of `__post_init__`; for `enumerate_group` only."""
+        without the checks of `__post_init__`; for `stream_group` and
+        `enumerate_group` only."""
         w = object.__new__(cls)
         object.__setattr__(w, "dynkin", dynkin)
         object.__setattr__(w, "window", window)
@@ -330,6 +331,47 @@ def cover_pairs(w: CoxeterElement) -> list[tuple[int, int]]:
     return pairs
 
 
+def _check_cap(dynkin: DynkinType, cap: int) -> None:
+    order = dynkin.group_order
+    if order > cap:
+        raise CapacityError(
+            f"|W({dynkin})| = {order} exceeds the enumeration cap {cap}"
+        )
+
+
+def _windows(dynkin: DynkinType) -> Iterator[tuple[int, ...]]:
+    """Every window of the group once, one at a time: each permutation,
+    then its sign flips on the nonempty even sets of positions (type D
+    only).  Not ordered by window in type D."""
+    n = dynkin.window_size
+    flips = []
+    if dynkin.family is Family.D:
+        flips = [
+            negs for k in range(2, n + 1, 2) for negs in itertools.combinations(range(n), k)
+        ]
+    for perm in itertools.permutations(range(1, n + 1)):
+        yield perm
+        for negs in flips:
+            w = list(perm)
+            for i in negs:
+                w[i] = -w[i]
+            yield tuple(w)
+
+
+def stream_group(
+    dynkin: DynkinType, cap: int = DEFAULT_ENUMERATION_CAP
+) -> Iterator[CoxeterElement]:
+    """All group elements, one at a time and not ordered by window, with
+    no tuple of the group held.
+
+    Raises CapacityError at the call, before any element, when the group
+    order exceeds `cap`.
+    """
+    _check_cap(dynkin, cap)
+    trusted = CoxeterElement._trusted  # every window of the stream is valid by construction
+    return (trusted(dynkin, w) for w in _windows(dynkin))
+
+
 def enumerate_group(
     dynkin: DynkinType, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> tuple[CoxeterElement, ...]:
@@ -338,26 +380,6 @@ def enumerate_group(
     Raises CapacityError when the group order exceeds `cap`; the cap is a
     parameter so callers (tests, CLI) choose their own budget.
     """
-    order = dynkin.group_order
-    if order > cap:
-        raise CapacityError(
-            f"|W({dynkin})| = {order} exceeds the enumeration cap {cap}"
-        )
-    n = dynkin.window_size
-    flips = []  # the nonempty even sets of positions to negate, in type D only
-    if dynkin.family is Family.D:
-        flips = [
-            negs for k in range(2, n + 1, 2) for negs in itertools.combinations(range(n), k)
-        ]
-    windows = []
-    for perm in itertools.permutations(range(1, n + 1)):
-        windows.append(perm)
-        for negs in flips:
-            w = list(perm)
-            for i in negs:
-                w[i] = -w[i]
-            windows.append(tuple(w))
-    windows.sort()
-    trusted = CoxeterElement._trusted  # every window above is valid by construction
-    return tuple(trusted(dynkin, w) for w in windows)
-
+    _check_cap(dynkin, cap)
+    trusted = CoxeterElement._trusted
+    return tuple(trusted(dynkin, w) for w in sorted(_windows(dynkin)))

@@ -17,12 +17,14 @@ R-set, which is the same as keying by w_d.  It holds:
   socle, and which neighbours span or detect each block;
   `homs.vertex_sets`);
 - the Hom dimension of each ordered pair of R-sets met in one semibrick,
-  computed on first use.  Hom(M, N) = 0 whenever top(M) misses supp(N) or
-  supp(M) misses soc(N), or the same holds once supp(N) is shrunk to the
-  vertices where a common quotient of M and submodule of N can live
-  (`homs.hom_vanishes`); such a pair is recorded as 0 with no Hom system
-  solved, and counted in `certified`.  Every other pair is solved by
-  `homs.hom_dim`;
+  computed on first use and kept by entry id: per entry, a bitset of the
+  partners whose Hom from it is zero, and a dict of the few nonzero
+  dimensions (a brick against itself, say).  Hom(M, N) = 0 whenever
+  top(M) misses supp(N) or supp(M) misses soc(N), or the same holds once
+  supp(N) is shrunk to the vertices where a common quotient of M and
+  submodule of N can live (`homs.hom_vanishes`); such a pair is recorded
+  as 0 with no Hom system solved, and counted in `certified`.  Every
+  other pair is solved by `homs.hom_dim`;
 - the summands themselves, one per (d, R) for `semibrick` and one per
   (d, a', b', R) for `semibrick_direct`, so that a semibrick met again
   costs only lookups;
@@ -81,8 +83,10 @@ class Semibrick:
 class BrickEntry:
     """The brick S(w) of one join-irreducible w, with its checks done once:
     brickness, the positive-root flag, and the vertex sets that settle most
-    Hom pairs without a Hom system."""
+    Hom pairs without a Hom system.  `id` is its position in the table,
+    the bit that stands for it in the table's Hom bitsets."""
 
+    id: int
     diagram: BrickDiagram
     rep: QuiverRepresentation
     is_brick: bool
@@ -94,14 +98,17 @@ class BrickTable:
     """The bricks of one Dynkin type, keyed by R-set; see the module docstring.
 
     Use `brick_table(dynkin)`.  Every representation and summand it returns
-    is shared and must not be mutated.  `certified` counts the pairs of
-    `pairs` whose zero was read off vertex sets, with no Hom system solved.
+    is shared and must not be mutated.  The Hom dimension of the pair of
+    entries with ids (i, j) is recorded as bit j of `zero[i]` when it is 0,
+    and as `nonzero[i, j]` otherwise.  `certified` counts the recorded
+    pairs whose zero was read off vertex sets, with no Hom system solved.
     """
 
     def __init__(self, dynkin: DynkinType) -> None:
         self.dynkin = dynkin
         self.entries: dict[frozenset[int], BrickEntry] = {}
-        self.pairs: dict[tuple[frozenset[int], frozenset[int]], int] = {}
+        self.zero: list[int] = []  # indexed by entry id
+        self.nonzero: dict[tuple[int, int], int] = {}
         self.certified = 0
         self._summands: dict[tuple[int, frozenset[int]], SemibrickSummand] = {}
         self._direct_summands: dict[tuple, SemibrickSummand] = {}
@@ -117,8 +124,11 @@ class BrickTable:
             w = jirr_from_R(self.dynkin, r_values)
             rep = brick_rep(w)
             root = is_positive_root(self.dynkin, rep.dim_vector())
-            entry = BrickEntry(brick_diagram(w), rep, is_brick(rep), root, vertex_sets(rep))
+            entry = BrickEntry(
+                len(self.zero), brick_diagram(w), rep, is_brick(rep), root, vertex_sets(rep)
+            )
             self.entries[r_values] = entry
+            self.zero.append(0)
         return entry
 
     def matching(self, sm: SemibrickSummand) -> BrickEntry | None:
@@ -130,20 +140,29 @@ class BrickTable:
             return None
         return entry if sm.rep is entry.rep or sm.rep == entry.rep else None
 
-    def hom_dim(self, x: frozenset[int], y: frozenset[int]) -> int:
-        """dim Hom between the bricks of two R-sets already in the table:
-        0 when their vertex sets settle it (`homs.hom_vanishes`), else
-        solved by `homs.hom_dim`; recorded in `pairs` either way."""
-        dim = self.pairs.get((x, y))
+    def hom_dim(self, x: BrickEntry, y: BrickEntry) -> int:
+        """dim Hom(x, y) between two entries of the table: read off its
+        bits when recorded, else 0 when their vertex sets settle it
+        (`homs.hom_vanishes`) or solved by `homs.hom_dim`, and recorded."""
+        i, j = x.id, y.id
+        if self.zero[i] >> j & 1:
+            return 0
+        dim = self.nonzero.get((i, j))
         if dim is None:
-            ex, ey = self.entries[x], self.entries[y]
-            if hom_vanishes(ex.vertex_sets, ey.vertex_sets):
+            if hom_vanishes(x.vertex_sets, y.vertex_sets):
                 dim = 0
                 self.certified += 1
             else:
-                dim = hom_dim(ex.rep, ey.rep)
-            self.pairs[x, y] = dim
+                dim = hom_dim(x.rep, y.rep)
+            if dim:
+                self.nonzero[i, j] = dim
+            else:
+                self.zero[i] |= 1 << j
         return dim
+
+    def pair_count(self) -> int:
+        """The number of ordered pairs whose Hom dimension is recorded."""
+        return sum(bits.bit_count() for bits in self.zero) + len(self.nonzero)
 
     def summand(self, row: DescentDatum) -> SemibrickSummand:
         """The table brick of the row's R-set as the summand at its descent,
@@ -207,7 +226,7 @@ class SemibrickReport:
     positive_root_flags: dict[int, bool]
     hom_dims: dict[tuple[int, int], int]  # off-diagonal Hom dimensions
     table_flags: dict[int, bool]  # the summand's rep is the table brick of its R-set
-    summands_match_descents: bool
+    summands_match_descents: bool  # one summand at each descent, in order
 
     @property
     def ok(self) -> bool:
@@ -222,9 +241,10 @@ class SemibrickReport:
 
 def verify_semibrick(s: Semibrick) -> SemibrickReport:
     """Check brickness, Hom-orthogonality, positive roots, that every summand
-    is the table brick of its R-set, and that there is one summand per
-    descent.  That the canonical join representation joins back to the
-    element is checked once, by `verify.cjr`.
+    is the table brick of its R-set, and that the summands sit at the
+    descents, one each, in order (-1 first).  That the canonical join
+    representation joins back to the element is checked once, by
+    `verify.cjr`.
 
     Flags and Hom dimensions of a summand equal to its table brick come from
     the table; those of any other summand are computed on its own rep.
@@ -232,7 +252,7 @@ def verify_semibrick(s: Semibrick) -> SemibrickReport:
     dynkin = s.element.dynkin
     table = brick_table(dynkin)
     brick_flags, root_flags, table_flags = {}, {}, {}
-    checked = []  # (d, R-set, rep, whether the rep is the table brick) per summand
+    checked = []  # (d, table entry or None, rep) per summand
     for sm in s.summands:
         entry = table.matching(sm)
         table_flags[sm.d] = entry is not None
@@ -242,15 +262,13 @@ def verify_semibrick(s: Semibrick) -> SemibrickReport:
         else:
             brick_flags[sm.d] = entry.is_brick
             root_flags[sm.d] = entry.is_positive_root
-        checked.append((sm.d, sm.diagram.r_values, sm.rep, entry is not None))
+        checked.append((sm.d, entry, sm.rep))
     hom_dims = {}
-    pairs = table.pairs
-    for dx, rx, mx, in_table_x in checked:
-        for dy, ry, my, in_table_y in checked:
+    for dx, ex, mx in checked:
+        for dy, ey, my in checked:
             if dx != dy:
-                if in_table_x and in_table_y:
-                    dim = pairs.get((rx, ry))
-                    hom_dims[dx, dy] = table.hom_dim(rx, ry) if dim is None else dim
+                if ex is not None and ey is not None:
+                    hom_dims[dx, dy] = table.hom_dim(ex, ey)
                 else:
                     hom_dims[dx, dy] = hom_dim(mx, my)
     return SemibrickReport(
@@ -259,7 +277,7 @@ def verify_semibrick(s: Semibrick) -> SemibrickReport:
         positive_root_flags=root_flags,
         hom_dims=hom_dims,
         table_flags=table_flags,
-        summands_match_descents=len(s.summands) == len(descents(s.element)),
+        summands_match_descents=[sm.d for sm in s.summands] == sorted(descents(s.element)),
     )
 
 

@@ -9,7 +9,9 @@ combinatorial brick (and the kernel route with that socle where it
 applies), `cjr` the closed-form canonical join representations with the
 lattice oracle (each must also join back to its element), and
 `semibrick` runs the structural checks on the direct semibrick of every
-element, against the type's brick table.  The CLI,
+element, against the type's brick table; unsampled, it reads the group
+as a stream (`coxeter.stream_group`), so it holds no tuple of the group
+and runs past D7 and A8 with a larger cap.  The CLI,
 `scripts/run_verification.py` and the acceptance tests all call these
 functions.
 """
@@ -30,6 +32,7 @@ from coxbrick.coxeter import (
     DynkinType,
     enumerate_group,
     join_irreducible_type,
+    stream_group,
 )
 from coxbrick.grids import UnsupportedCaseError, j_module, kernel_socle
 from coxbrick.homs import iso_bricks, socle_over_end
@@ -47,10 +50,11 @@ _CLAIMS = {
 class SweepResult:
     """How many objects a sweep checked and which of them failed.
 
-    `failures` lists the failing elements, except for census (the fixture
-    diff and shape-count messages) and count (the formula-vs-enumeration
-    and generated-vs-enumerated messages).  An element whose check raised is
-    a failure too, and `errors` holds the exception it raised.
+    `failures` lists the failing elements in window order, except for
+    census (the fixture diff and shape-count messages) and count (the
+    formula-vs-enumeration and generated-vs-enumerated messages).  An
+    element whose check raised is a failure too, and `errors` holds the
+    exception it raised.
     `counts` holds the suite's other tallies: the closed-form `formula`
     (count), the number of `shapes` and of `fixture` mismatches, which
     come first among the failures (census), the number of bricks also
@@ -94,18 +98,20 @@ class SweepResult:
         return lines
 
 
-def _check_each(elements, check) -> tuple[list, dict]:
-    """The elements on which `check` is false or raises, in order, and the
-    exception of each one that raised; the sweep goes on past both."""
-    failures, errors = [], {}
+def _check_each(elements, check) -> tuple[int, list, dict]:
+    """How many elements `check` ran on, those on which it is false or
+    raises, in order, and the exception of each one that raised; the sweep
+    goes on past both.  `elements` may be any iterable, read once."""
+    checked, failures, errors = 0, [], {}
     for w in elements:
+        checked += 1
         try:
             ok = check(w)
         except Exception as exc:  # a check that raises is a counterexample
             ok, errors[w] = False, exc
         if not ok:
             failures.append(w)
-    return failures, errors
+    return checked, failures, errors
 
 
 def sample(items, size: int, seed: int) -> list:
@@ -162,9 +168,9 @@ def oracle(dynkin: DynkinType, sample_size: int = 0, seed: int = 0) -> SweepResu
         kernel_checked += 1
         return ok and kernel.dims == socle.dims and kernel.mats == socle.mats
 
-    failures, errors = _check_each(elements, check)
+    checked, failures, errors = _check_each(elements, check)
     counts = {"kernel": kernel_checked}
-    return SweepResult("oracle", dynkin, len(elements), failures, counts, errors)
+    return SweepResult("oracle", dynkin, checked, failures, counts, errors)
 
 
 def cjr(
@@ -177,19 +183,25 @@ def cjr(
         cjr = cjr_direct(w)
         return cjr == poset.cjr_oracle(w) and poset.join_all(cjr) == w
 
-    failures, errors = _check_each(elements, check)
-    return SweepResult("cjr", dynkin, len(elements), failures, errors=errors)
+    checked, failures, errors = _check_each(elements, check)
+    return SweepResult("cjr", dynkin, checked, failures, errors=errors)
 
 
 def semibrick(
     dynkin: DynkinType, sample_size: int = 0, seed: int = 0, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> SweepResult:
-    elements = sample(enumerate_group(dynkin, cap=cap), sample_size, seed)
-    failures, errors = _check_each(elements, lambda w: verify_semibrick(semibrick_direct(w)).ok)
+    if sample_size:
+        elements = sample(enumerate_group(dynkin, cap=cap), sample_size, seed)
+    else:  # the whole group, streamed: no tuple of it is held
+        elements = stream_group(dynkin, cap=cap)
+    checked, failures, errors = _check_each(
+        elements, lambda w: verify_semibrick(semibrick_direct(w)).ok
+    )
+    failures.sort()  # the stream is not in window order
     table = brick_table(dynkin)
     counts = {
         "bricks": len(table.entries),
-        "pairs": len(table.pairs),
+        "pairs": table.pair_count(),
         "certified": table.certified,
     }
-    return SweepResult("semibrick", dynkin, len(elements), failures, counts, errors)
+    return SweepResult("semibrick", dynkin, checked, failures, counts, errors)

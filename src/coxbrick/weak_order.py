@@ -53,7 +53,10 @@ class GroupPoset:
     `build` orders `elements` lexicographically by window (no query relies
     on that order), and `masks[i]` has one bit per reflection of
     `all_reflections(dynkin)`, so u <= w iff masks[u] & ~masks[w] == 0.
-    The masks must be distinct (the weak order is antisymmetric).
+    The masks, given as any iterable of ints, are kept as one
+    `array('Q')`, 8 bytes each; one wider than 64 bits raises ValueError
+    (no type enumerated anywhere has more than D8's 56 reflections).  They
+    must be distinct (the weak order is antisymmetric).
     `__post_init__` derives `_pair_bit` (the (a, b) of a reflection to its
     bit), `_index` (window to position) and the transposed view.  There
     bit b stands for element `_order[b]`, and `_order` (an `array('I')`)
@@ -64,7 +67,7 @@ class GroupPoset:
 
     dynkin: DynkinType
     elements: tuple[CoxeterElement, ...]
-    masks: tuple[int, ...] = field(repr=False)
+    masks: array = field(repr=False)
     _pair_bit: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
     _index: dict[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
     _order: array = field(init=False, repr=False, compare=False)
@@ -73,6 +76,10 @@ class GroupPoset:
     _everything: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        try:
+            self.masks = array("Q", self.masks)
+        except OverflowError:
+            raise ValueError("an inversion mask does not fit in 64 unsigned bits") from None
         if any(a == b for a, b in itertools.pairwise(sorted(self.masks))):
             raise LatticeError("two elements share an inversion set")
         reflections = all_reflections(self.dynkin)
@@ -112,7 +119,7 @@ class GroupPoset:
         return cls(
             dynkin=dynkin,
             elements=elements,
-            masks=tuple(inversion_masks(dynkin, (w.window for w in elements))),
+            masks=inversion_masks(dynkin, (w.window for w in elements)),
         )
 
     def index(self, w: CoxeterElement) -> int:

@@ -43,5 +43,5 @@ def verify_semibrick(s: Semibrick) -> SemibrickReport:
         positive_root_flags=root_flags,
         hom_dims=hom_dims,
         table_flags={},
-        summands_match_descents=len(s.summands) == len(descents(s.element)),
+        summands_match_descents=[sm.d for sm in s.summands] == sorted(descents(s.element)),
     )

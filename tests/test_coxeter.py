@@ -20,6 +20,7 @@ from coxbrick.coxeter import (
     cover_pairs,
     descents,
     enumerate_group,
+    stream_group,
     format_window,
     identity,
     inversion_masks,
@@ -225,6 +226,21 @@ def test_elements_are_slotted_windows(dynkin):
 def test_enumeration_capacity_error_names_cap():
     with pytest.raises(CapacityError, match="1000"):
         enumerate_group(A8, cap=1000)
+    with pytest.raises(CapacityError, match="1000"):
+        stream_group(A8, cap=1000)  # at the call, before any element
+
+
+@pytest.mark.parametrize(
+    "family, rank", [("A", n) for n in range(1, 8)] + [("D", n) for n in range(2, 7)]
+)
+def test_stream_is_the_enumerated_group_unsorted(family, rank):
+    dynkin = DynkinType(Family(family), rank)
+    streamed = []
+    for w in stream_group(dynkin):
+        assert type(w) is CoxeterElement and w.dynkin is dynkin
+        streamed.append(w.window)
+    assert len(streamed) == len(set(streamed)) == dynkin.group_order
+    assert sorted(streamed) == [w.window for w in enumerate_group(dynkin)]
 
 
 def _bfs_lengths(dynkin):

@@ -18,6 +18,7 @@ from coxbrick.coxeter import (
     parse_window,
 )
 from coxbrick import homs, semibricks, verify
+from coxbrick.cli import main
 from coxbrick.bricks import brick_diagram, brick_rep, diagram_from_params_d, rep_from_params_d
 from coxbrick.canjoin import decompose, jirr_from_R
 from coxbrick.homs import iso_bricks
@@ -104,6 +105,19 @@ def test_verify_flags_duplicated_summand():
     assert not report.summands_match_descents
 
 
+def test_verify_flags_summands_off_the_descents():
+    w = parse_window(A4, "2,1,4,3,5")
+    assert sorted(descents(w)) == [1, 3]
+    x, y = semibrick(w).summands
+    moved = Semibrick(w, (dataclasses.replace(x, d=4), y))  # a summand at a non-descent
+    reordered = Semibrick(w, (y, x))  # the right descents, out of order
+    for bad in (moved, reordered):
+        for report in (verify_semibrick(bad), semibrick_oracle.verify_semibrick(bad)):
+            assert all(d == 0 for d in report.hom_dims.values())
+            assert not report.summands_match_descents
+            assert not report.ok
+
+
 def test_single_descent_direct_matches_brick_diagram():
     from coxbrick.bricks import brick_diagram
 
@@ -183,11 +197,11 @@ def test_verify_semibrick_equals_reference(family, rank):
         expected.append(semibrick_oracle.verify_semibrick(s))
         assert_same_report(verify_semibrick(s), expected[-1])
     table = brick_table(dynkin)
-    sizes = len(table.entries), len(table.pairs)
+    sizes = len(table.entries), table.pair_count()
     for w, want in zip(elements, expected):  # warm: every entry and pair cached
         assert_same_report(verify_semibrick(semibrick_direct(w)), want)
         assert_same_report(verify_semibrick(semibrick(w)), want)
-    assert (len(table.entries), len(table.pairs)) == sizes
+    assert (len(table.entries), table.pair_count()) == sizes
 
 
 def test_summand_not_its_table_brick_is_flagged():
@@ -284,13 +298,77 @@ def test_recorded_hom_dims_equal_solved_ones(family, rank):
     dynkin = DynkinType(Family(family), rank)
     result = verify.semibrick(dynkin)
     table = brick_table(dynkin)
-    assert len(table.pairs) == result.counts["pairs"]
+    by_id = {entry.id: r for r, entry in table.entries.items()}
+    assert sorted(by_id) == list(range(len(table.zero)))
+    recorded = {(by_id[i], by_id[j]): dim for (i, j), dim in table.nonzero.items()}
+    for i, bits in enumerate(table.zero):
+        recorded.update(((by_id[i], by_id[j]), 0) for j in by_id if bits >> j & 1)
+    assert len(recorded) == table.pair_count() == result.counts["pairs"]
+    assert table.nonzero == {}  # the sweep passes, so every pair it met is zero
     certified = 0
-    for (x, y), dim in table.pairs.items():
+    for (x, y), dim in recorded.items():
         ex, ey = table.entries[x], table.entries[y]
         assert dim == homs.hom_dim(ex.rep, ey.rep), (x, y)
         certified += homs.hom_vanishes(ex.vertex_sets, ey.vertex_sets)
-    assert 0 < result.counts["certified"] == certified <= len(table.pairs)
+    assert 0 < result.counts["certified"] == certified <= len(recorded)
+
+
+def test_brick_against_itself_is_a_recorded_nonzero_pair(monkeypatch):
+    a4 = DynkinType(Family.A, 4)
+    table = brick_table(a4)
+    entry = table.entry(decompose(parse_window(a4, "2,1,4,3,5"))[0].r_values)
+    before = table.pair_count()
+    assert table.hom_dim(entry, entry) == 1  # a brick's End is the field
+    assert table.nonzero == {(entry.id, entry.id): 1}
+    assert table.zero[entry.id] == 0
+    assert table.pair_count() == before + 1 and table.certified == 0
+    monkeypatch.setattr(semibricks, "hom_dim", None)  # read back, not solved again
+    assert table.hom_dim(entry, entry) == 1
+    assert table.pair_count() == before + 1
+
+
+# --- the streamed sweep -----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "family, rank, counts",
+    [
+        ("A", 5, (57, 604, 604)),
+        ("D", 5, (157, 1604, 1432)),
+        ("A", 6, (120, 2382, 2382)),
+        ("D", 6, (530, 11102, 8350)),
+    ],
+)
+def test_streamed_sweep_reports_as_before(family, rank, counts):
+    # the summary and the table counts of the sweep over the sorted group
+    dynkin = DynkinType(Family(family), rank)
+    result = verify.semibrick(dynkin)
+    order = dynkin.group_order
+    assert result.report() == [f"{order}/{order} semibricks verified"]
+    assert result.counts == dict(zip(("bricks", "pairs", "certified"), counts))
+    assert result.failures == [] and result.errors == {}
+
+
+def test_streamed_counterexamples_come_in_window_order(monkeypatch, capsys):
+    d4 = DynkinType(Family.D, 4)
+    rows = decompose(parse_window(d4, "-2,-1,4,3"))
+    target = rows[0].r_values
+    other = jirr_from_R(d4, rows[-1].r_values)
+    original = semibricks.rep_from_params_d
+
+    def wrong(dynkin, a, b, r_values):
+        if r_values == target:
+            return brick_rep(other)
+        return original(dynkin, a, b, r_values)
+
+    monkeypatch.setattr(semibricks, "rep_from_params_d", wrong)
+    expected = [w for w in enumerate_group(d4) if target in {row.r_values for row in decompose(w)}]
+    result = verify.semibrick(DynkinType(Family.D, 4))
+    assert result.failures == expected and len(expected) == 32
+    lines = [f"counterexample: {w}" for w in expected]
+    assert result.report() == ["160/192 semibricks verified", *lines]
+    assert main(["verify", "--suite", "semibrick", "--type", "D", "--rank", "4"]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == lines
 
 
 def fresh_summands(w):

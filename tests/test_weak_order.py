@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from array import array
 
 import pytest
 
@@ -11,6 +12,7 @@ from coxbrick.coxeter import (
     Family,
     descents,
     identity,
+    inversion_masks,
     join_irreducible_type,
     multiply,
     parse_window,
@@ -128,6 +130,14 @@ def test_columns_transpose_masks():
         bits = rng.sample(range(len(order)), rng.randint(1, 40))
         top = order[(sum(1 << b for b in bits)).bit_length() - 1]
         assert masks[top].bit_count() == min(masks[order[b]].bit_count() for b in bits)
+
+
+def test_masks_are_one_array_of_64_bit_words(a3):
+    assert isinstance(a3.masks, array) and a3.masks.typecode == "Q"
+    assert list(a3.masks) == list(inversion_masks(A3, (w.window for w in a3.elements)))
+    u, v = a3.elements[:2]
+    with pytest.raises(ValueError, match="64"):
+        _hand_built(a3, [u, v], [0, 1 << 64])  # 65 bits
 
 
 def _hand_built(poset, elements, masks):
