@@ -20,7 +20,8 @@ tree, the median wall time, or the median and quartiles of each metric.
 With two trees, each metric also has `wins`, the number of pairs in which
 the second tree's value is better than the first's, in the direction
 `BENCHMARK.json` gives, and a verdict by the rule that accepts or refuses
-a change (`verdict`): `worse`, `unresolved`, `gain` or `even`.  The file
+a change (`verdict`): `worse`, `unresolved`, `gain` or `even`.  Each
+tree's `src_lines` is the line count of its `src/coxbrick/*.py`.  The file
 is written at the root of this checkout and never overwritten: an
 existing BENCH_<label>.json is an error, raised before anything runs.
 """
@@ -73,6 +74,11 @@ def parse_tree(text: str) -> tuple[str, Path]:
     if not (tree / "src" / "coxbrick").is_dir():
         raise argparse.ArgumentTypeError(f"no coxbrick sources under {tree}")
     return name, tree
+
+
+def src_lines(tree: Path) -> int:
+    """Lines of the tree's `src/coxbrick/*.py`, counted as `wc -l` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "coxbrick").glob("*.py"))
 
 
 def run_once(tree: Path, args: list[str], benchmark: bool) -> dict:
@@ -192,6 +198,7 @@ def main() -> int:
         "end-to-end metrics of each benchmark workload and seed, in pairs across trees",
         "commands": {name: ["python3", *command] for name, command, _, _ in planned},
         "trees": [name for name, _ in trees],
+        "src_lines": {name: src_lines(tree) for name, tree in trees},
         "host": {
             "cpus": os.cpu_count(),
             "python": platform.python_version(),

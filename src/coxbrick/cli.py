@@ -44,23 +44,12 @@ EXIT_INPUT = 2
 EXIT_CAPACITY = 3
 
 
-class InputError(Exception):
-    pass
-
-
 def _dynkin(args: argparse.Namespace) -> DynkinType:
-    try:
-        return DynkinType(Family(args.type), args.rank)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    return DynkinType(Family(args.type), args.rank)
 
 
 def _element(args: argparse.Namespace) -> CoxeterElement:
-    dynkin = _dynkin(args)
-    try:
-        return parse_window(dynkin, args.window)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    return parse_window(_dynkin(args), args.window)
 
 
 def element_to_json(w: CoxeterElement) -> dict:
@@ -103,7 +92,7 @@ def _dot(name: str, nodes, edges) -> str:
 def cmd_brick(args: argparse.Namespace) -> int:
     w = _element(args)
     if join_irreducible_type(w) is None:
-        raise InputError(f"{w} is not join-irreducible; use the semibrick command")
+        raise ValueError(f"{w} is not join-irreducible; use the semibrick command")
     diag = brick_diagram(w)
     if args.format == "json":
         print(json.dumps(diagram_to_json(diag), sort_keys=True))
@@ -161,17 +150,17 @@ def _report(result: verify.SweepResult, prefix: str = "") -> int:
 
 
 def _cap(args: argparse.Namespace) -> int:
-    return DEFAULT_ENUMERATION_CAP if args.cap is None else args.cap
-
-
-def cmd_count(args: argparse.Namespace) -> int:
-    return _report(verify.count(_dynkin(args), cap=_cap(args)))
+    if args.cap is None:
+        return DEFAULT_ENUMERATION_CAP
+    if args.cap < 1:
+        raise ValueError(f"--cap must be 1 or more, got {args.cap}")
+    return args.cap
 
 
 def _census_type(args: argparse.Namespace) -> DynkinType:
     dynkin = _dynkin(args)
     if dynkin.family is not Family.D:
-        raise InputError("the census is defined for type D only")
+        raise ValueError("the census is defined for type D only")
     return dynkin
 
 
@@ -180,7 +169,7 @@ def _read_fixture(path: str) -> list[str]:
         with open(path) as fh:
             return fh.read().splitlines()
     except OSError as exc:
-        raise InputError(f"cannot read fixture {path}: {exc.strerror}") from None
+        raise ValueError(f"cannot read fixture {path}: {exc.strerror}") from None
 
 
 def _check_census(args: argparse.Namespace) -> int:
@@ -190,13 +179,11 @@ def _check_census(args: argparse.Namespace) -> int:
     elif dynkin.rank == 5:
         fixture = verify.default_fixture_lines()
     else:
-        raise InputError("only rank 5 has a packaged fixture; pass --fixture")
+        raise ValueError("only rank 5 has a packaged fixture; pass --fixture")
     return _report(verify.census(dynkin, fixture), prefix=f"census {dynkin}: ")
 
 
 def cmd_census(args: argparse.Namespace) -> int:
-    if args.check or args.fixture:
-        return _check_census(args)
     for line in census_mod.census_lines(census_mod.census(_census_type(args))):
         print(line)
     return EXIT_OK
@@ -226,15 +213,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     }[args.suite]
     for flag in ("sample", "seed", "fixture", "cap"):
         if getattr(args, flag) is not None and flag not in reads:
-            raise InputError(f"--{flag} does not apply to --suite {args.suite}")
+            raise ValueError(f"--{flag} does not apply to --suite {args.suite}")
     if args.suite == "count":
-        return cmd_count(args)
+        return _report(verify.count(_dynkin(args), cap=_cap(args)))
     if args.suite == "census":
         return _check_census(args)
     if args.sample is not None and args.sample < 0:
-        raise InputError(f"--sample must be 0 or more, got {args.sample}")
+        raise ValueError(f"--sample must be 0 or more, got {args.sample}")
     if args.seed is not None and not args.sample:
-        raise InputError("--seed does not apply without --sample")
+        raise ValueError("--seed does not apply without --sample")
     dynkin = _dynkin(args)
     options = {"sample_size": args.sample or 0, "seed": args.seed or 0}
     if "cap" in reads:
@@ -276,14 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("count", help="join-irreducible count: formula vs enumeration")
+    p = sub.add_parser("census", help="type-D shape census")
     common(p)
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("census", help="type-D shape census (rank 5 has a fixture)")
-    common(p)
-    p.add_argument("--fixture", help="fixture file to diff against")
-    p.add_argument("--check", action="store_true", help="diff against packaged fixture")
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("hasse", help="Hasse diagram of the weak order")
@@ -302,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="seed of the --sample draw (default 0)")
     p.add_argument("--fixture", help="census fixture override")
     p.set_defaults(func=cmd_verify)
-    for name in ("count", "hasse", "verify"):  # the subcommands that enumerate
+    for name in ("hasse", "verify"):  # the subcommands that enumerate
         sub.choices[name].add_argument("--cap", type=int, help="enumeration cap")
     return parser
 
@@ -336,9 +317,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

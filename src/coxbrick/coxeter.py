@@ -51,8 +51,6 @@ class DynkinType:
       (`canjoin.decompose`), one per key (d, a, b, X), X the value set
       after the descent stored as a bitmask with bit v + n for each value
       v (n the rank);
-    - ``"reflections"``: `all_reflections` and, for the k-th reflection
-      (a b), the test (a, b, 1 << k) (`inversion_masks`);
     - ``"quiver"``: the double quiver (`quiver.double_quiver`);
     - ``"bricks"``: the brick table (`semibricks.brick_table`).
 
@@ -215,19 +213,6 @@ def normalised_pair(x: int, y: int) -> tuple[int, int]:
     return x, y
 
 
-def _reflection_tests(
-    dynkin: DynkinType,
-) -> tuple[tuple[Reflection, ...], tuple[tuple[int, int, int], ...]]:
-    """`all_reflections` and, for the k-th reflection (a b), the test
-    (a, b, 1 << k); built once per type and kept in its memo."""
-    entry = dynkin.memo.get("reflections")
-    if entry is None:
-        refl = all_reflections(dynkin)
-        tests = tuple((t.a, t.b, 1 << k) for k, t in enumerate(refl))
-        entry = dynkin.memo["reflections"] = (refl, tests)
-    return entry
-
-
 def inversion_masks(dynkin: DynkinType, windows: Iterable[tuple[int, ...]]) -> Iterator[int]:
     """The inversion set of each window as a bitmask, bit k standing for
     `all_reflections(dynkin)[k]`.
@@ -238,7 +223,7 @@ def inversion_masks(dynkin: DynkinType, windows: Iterable[tuple[int, ...]]) -> I
     windows, indexed by the signed value: a negative value -v lands at
     index len(pos) - v, clear of the positive ones.
     """
-    _, tests = _reflection_tests(dynkin)
+    tests = [(t.a, t.b, 1 << k) for k, t in enumerate(all_reflections(dynkin))]
     pos = [0] * (2 * dynkin.rank + 3)
     for window in windows:
         for i, v in enumerate(window, start=1):
@@ -253,9 +238,8 @@ def inversion_masks(dynkin: DynkinType, windows: Iterable[tuple[int, ...]]) -> I
 
 def inversions(w: CoxeterElement) -> frozenset[Reflection]:
     """Inversion set; its cardinality is the Coxeter length of w."""
-    refl, _ = _reflection_tests(w.dynkin)
     mask = next(inversion_masks(w.dynkin, (w.window,)))
-    return frozenset(t for k, t in enumerate(refl) if mask >> k & 1)
+    return frozenset(t for k, t in enumerate(all_reflections(w.dynkin)) if mask >> k & 1)
 
 
 def length(w: CoxeterElement) -> int:

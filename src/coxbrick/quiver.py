@@ -8,9 +8,10 @@ columns (rows indexed by the map's target block, columns by its source
 block).  Each matrix is a tuple of sparse rows (`coxbrick.ratlinalg`): one
 {column: value} dict per row, holding `int` values, or `Fraction` where a
 value is not integral, and never a stored zero, so equal maps are equal
-matrices.  A relation word g1 g2 ... gk therefore evaluates to the matrix
-product mats[g1] * mats[g2] * ... * mats[gk] in word order.  Dense matrices
-appear only in the JSON form that `rep_to_json` writes.
+matrices.  Every term of a mesh relation is a two-arrow round trip
+(g, h), g: u -> v and h: v -> u for a neighbour v of u, and therefore acts
+as the matrix product mats[g] * mats[h].  Dense matrices appear only in the
+JSON form that `rep_to_json` writes.
 
 One rule on the Dynkin graph builds the double quiver and its mesh
 relations in both families (`_build_double_quiver`): type A_n's quiver is
@@ -46,7 +47,9 @@ class Arrow:
 @dataclass(frozen=True)
 class DoubleQuiver:
     """The double quiver of the Dynkin diagram, with preprojective relations:
-    each relation is a tuple of (coefficient, word) pairs summing to zero."""
+    each relation is a tuple of (coefficient, (g, h)) terms summing to zero,
+    g and h the names of the two arrows of a round trip through one
+    neighbour."""
 
     dynkin: DynkinType
     arrows: tuple[Arrow, ...]
@@ -77,8 +80,9 @@ def _build_double_quiver(dynkin: DynkinType) -> DoubleQuiver:
     and an arrow beta{|u|+1} back; the two fork vertices +-1 of D_n mark
     their arrows with their sign.  Arrows are listed by |u|, alphas before
     betas, + before -.  The relation at x sums the round trips (x -> y)(y -> x)
-    over the neighbours y of x, the one up to |x|+1 first with sign + and the
-    others with sign -, each relation scaled so that its first term is +.
+    over the neighbours y of x, each written as the pair (g, h) of its two
+    arrows' names, the one up to |x|+1 first with sign + and the others with
+    sign -, each relation scaled so that its first term is +.
     A1 and D2 have no arrow and no relation.
     """
     vertices = dynkin.vertices
@@ -142,27 +146,19 @@ class QuiverRepresentation:
     def dim_vector(self) -> dict[int, int]:
         return {v: self.dims.get(v, 0) for v in self.quiver.vertices}
 
-    def word_action(self, word: tuple[str, ...]) -> Mat:
-        """Action matrix of a path word, multiplied left to right."""
-        if not word:
-            raise ValueError("empty word")
-        out = self.mats[word[0]]
-        for name in word[1:]:
-            out = rl.mat_mul(out, self.mats[name])
-        return out
-
     def check_relations(self) -> None:
         """Raise RelationError unless every preprojective relation vanishes.
 
-        Each relation's words start at one vertex, so their actions share
-        the row count of the first word's first arrow; the weighted sum is
-        accumulated row by row.
+        Each term of a relation is a round trip (g, h) through one
+        neighbour, acting as mats[g] * mats[h]; all terms start at one
+        vertex, so they share the row count of the first term's g, and the
+        weighted sum is accumulated row by row.
         """
         for relation in self.quiver.relations:
             nrows = len(self.mats[relation[0][1][0]])
             total: list[rl.Row] = [{} for _ in range(nrows)]
-            for coeff, word in relation:
-                for t, row in zip(total, self.word_action(word)):
+            for coeff, (g, h) in relation:
+                for t, row in zip(total, rl.mat_mul(self.mats[g], self.mats[h])):
                     rl.subtract_multiple(t, -coeff, row)
             if any(total):
                 raise RelationError(f"relation {relation} fails")

@@ -144,15 +144,6 @@ class GroupPoset:
             reflections ^= low
         return out
 
-    def _above(self, mask: int) -> int:
-        """Bitset of the elements whose inversion set contains `mask`."""
-        return self._select(self._cols, mask, self._everything)
-
-    def _below(self, mask: int) -> int:
-        """Bitset of the elements whose inversion set lies inside `mask`."""
-        lacked = ~mask & ((1 << len(self._cols)) - 1)
-        return self._select(self._cocols, lacked, self._everything)
-
     def _extreme(self, candidates: int, query: int) -> int | None:
         """Index of the unique minimum of a nonempty bitset, or None when it
         has none.
@@ -180,7 +171,7 @@ class GroupPoset:
         mask = 0
         for u in us:
             mask |= self.mask(u)
-        best = self._extreme(self._above(mask), mask)
+        best = self._extreme(self._select(self._cols, mask, self._everything), mask)
         if best is None:
             raise LatticeError("no unique extreme element; lattice property violated")
         return self.elements[best]
@@ -198,7 +189,9 @@ class GroupPoset:
         non-unique minimal element would contradict the semidistributivity
         of the weak order, so it raises LatticeError.
         """
-        below_w = self._below(self.mask(w))
+        # the elements whose inversion set lacks every reflection w lacks
+        lacked = ~self.mask(w) & ((1 << len(self._cols)) - 1)
+        below_w = self._select(self._cocols, lacked, self._everything)
         out = set()
         for pair in cover_pairs(w):
             k = self._pair_bit[pair]

@@ -59,3 +59,13 @@ def test_summary_gives_each_metric_its_verdict():
         "item_ms_p50": "gain",
         "peak_rss_mb": "even",
     }
+
+
+def test_src_lines_counts_the_package_modules_only(tmp_path):
+    package = tmp_path / "src" / "coxbrick"
+    (package / "data").mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("z = 3\n\nw = 4")  # no final newline, as `wc -l` counts
+    (package / "data" / "c.py").write_text("skipped = True\n")
+    (package / "notes.txt").write_text("skipped\n")
+    assert bench.src_lines(tmp_path) == 4

@@ -199,13 +199,13 @@ def test_semibrick_direct_json(capsys):
 
 
 def test_count_d5(capsys):
-    code, out, _ = run(capsys, "count", "--type", "D", "--rank", "5")
+    code, out, _ = run(capsys, "verify", "--suite", "count", "--type", "D", "--rank", "5")
     assert code == EXIT_OK
     assert out == "formula 157, enumerated 157, OK\n"
 
 
 def test_census_check(capsys):
-    code, out, _ = run(capsys, "census", "--type", "D", "--rank", "5", "--check")
+    code, out, _ = run(capsys, "verify", "--suite", "census", "--type", "D", "--rank", "5")
     assert code == EXIT_OK
     assert out == "census D5: 157 entries in 40 shapes match fixture\n"
 
@@ -218,6 +218,23 @@ def test_census_listing(capsys):
     assert lines[0].startswith("sigma=2,-4,0 window=")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["count"], "invalid choice: 'count'"),
+        (["census", "--check"], "unrecognized arguments: --check"),
+        (["census", "--fixture", "d5.txt"], "unrecognized arguments: --fixture d5.txt"),
+    ],
+    ids=["count", "census-check", "census-fixture"],
+)
+def test_sweeps_run_through_verify_only(capsys, argv, message):
+    command, *flags = argv
+    code, out, err = run(capsys, command, "--type", "D", "--rank", "5", *flags)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert message in err
+
+
 def test_census_fixture_roundtrip_other_rank(capsys, tmp_path):
     from coxbrick.census import census, census_lines
     from coxbrick.coxeter import DynkinType, Family
@@ -226,15 +243,14 @@ def test_census_fixture_roundtrip_other_rank(capsys, tmp_path):
     fixture.write_text(
         "\n".join(census_lines(census(DynkinType(Family.D, 4)))) + "\n"
     )
-    code, out, _ = run(
-        capsys, "census", "--type", "D", "--rank", "4", "--fixture", str(fixture)
-    )
+    argv = ["verify", "--suite", "census", "--type", "D", "--rank", "4", "--fixture"]
+    code, out, _ = run(capsys, *argv, str(fixture))
     assert code == EXIT_OK
     assert out == "census D4: 44 entries in 20 shapes match fixture\n"
 
 
 def test_census_check_requires_fixture_off_rank5(capsys):
-    code, _, err = run(capsys, "census", "--type", "D", "--rank", "4", "--check")
+    code, _, err = run(capsys, "verify", "--suite", "census", "--type", "D", "--rank", "4")
     assert code == EXIT_INPUT
     assert "--fixture" in err
 
@@ -244,6 +260,8 @@ def test_census_fixture_mismatch_exits_one(capsys, tmp_path):
     fixture.write_text("sigma=2,1,0 window=2,1,3,4,5 symbols=1 arrows=\n")
     code, out, _ = run(
         capsys,
+        "verify",
+        "--suite",
         "census",
         "--type",
         "D",
@@ -258,9 +276,8 @@ def test_census_fixture_mismatch_exits_one(capsys, tmp_path):
 @pytest.mark.parametrize("missing", [False, True], ids=["directory", "missing-file"])
 def test_census_unreadable_fixture_exits_two(capsys, tmp_path, missing):
     fixture = tmp_path / "absent.txt" if missing else tmp_path
-    code, out, err = run(
-        capsys, "census", "--type", "D", "--rank", "5", "--fixture", str(fixture)
-    )
+    argv = ["verify", "--suite", "census", "--type", "D", "--rank", "5", "--fixture"]
+    code, out, err = run(capsys, *argv, str(fixture))
     assert code == EXIT_INPUT
     assert out == ""
     assert err.startswith("error: cannot read fixture")
@@ -269,9 +286,8 @@ def test_census_unreadable_fixture_exits_two(capsys, tmp_path, missing):
 def test_census_fixture_line_without_symbols_exits_two(capsys, tmp_path):
     fixture = tmp_path / "partial.txt"
     fixture.write_text("sigma=2,1,0 window=2,1,3,4,5 arrows=\n")
-    code, _, err = run(
-        capsys, "census", "--type", "D", "--rank", "5", "--fixture", str(fixture)
-    )
+    argv = ["verify", "--suite", "census", "--type", "D", "--rank", "5", "--fixture"]
+    code, _, err = run(capsys, *argv, str(fixture))
     assert code == EXIT_INPUT
     assert err.startswith("error: census line lacks symbols=")
 
@@ -285,7 +301,7 @@ def test_census_fixture_line_without_symbols_exits_two(capsys, tmp_path):
     ],
     ids=["short-sigma", "long-sigma", "arrow-path"],
 )
-@pytest.mark.parametrize("command", [["census"], ["verify", "--suite", "census"]], ids=" ".join)
+@pytest.mark.parametrize("command", [["verify", "--suite", "census"]], ids=" ".join)
 def test_census_fixture_line_with_a_malformed_field_exits_two(
     capsys, tmp_path, command, line, field
 ):
@@ -352,6 +368,19 @@ def test_commands_that_never_enumerate_take_no_cap(capsys, command):
     assert code == EXIT_INPUT
     assert out == ""
     assert "unrecognized arguments: --cap 5" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize(
+    "command",
+    [["hasse"], *(["verify", "--suite", suite] for suite in ("count", "cjr", "semibrick"))],
+    ids=" ".join,
+)
+def test_cap_below_one_is_an_input_error(capsys, command, cap):
+    code, out, err = run(capsys, *command, "--type", "A", "--rank", "3", "--cap", cap)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == f"error: --cap must be 1 or more, got {cap}\n"
 
 
 def test_verify_reads_its_cap(capsys):

@@ -130,6 +130,12 @@ def test_double_quiver_rule_reproduces_the_hand_written_lists(dynkin):
     for x, terms in ref.items():
         negated = frozenset((-c, word) for c, word in terms)
         assert got[x] in (terms, negated), x
+    # check_relations acts by each term (g, h) as mats[g] * mats[h]: a round trip
+    arrows = {a.name: a for a in quiver.arrows}
+    for relation in quiver.relations:
+        for _, term in relation:
+            g, h = (arrows[name] for name in term)
+            assert (g.src, g.tgt) == (h.tgt, h.src), term
 
 
 def test_sign_flipped_arrow_raises_relation_error():
