@@ -15,8 +15,11 @@ For example, to compare a parent commit unpacked next to this checkout:
     python3 scripts/bench.py --label my_change --tree parent=../parent --tree change=.
 
 Each run records its exit code and either its wall time and last line of
-output or its end-to-end metrics.  The summary holds, per workload and
-tree, the median wall time, or the median and quartiles of each metric.
+output or its end-to-end metrics with the `attempted` and `failed` item
+counts of its result line.  The summary holds, per workload and tree, the
+median wall time, or the summed `attempted` and `failed` counts, their
+`fail_ratio` (None when nothing was attempted) and the median and quartiles
+of each metric.
 With two trees, each metric also has `wins`, the number of pairs in which
 the second tree's value is better than the first's, in the direction
 `BENCHMARK.json` gives, and a verdict by the rule that accepts or refuses
@@ -94,10 +97,12 @@ def run_once(tree: Path, args: list[str], benchmark: bool) -> dict:
     if not benchmark:
         return {"seconds": round(seconds, 3), "exit": proc.returncode, "last_line": last}
     try:
-        metrics = {k: v["value"] for k, v in json.loads(last)["metrics"].items()}
-    except (json.JSONDecodeError, KeyError, TypeError):
-        metrics = {}
-    return {"exit": proc.returncode, "metrics": metrics}
+        result = json.loads(last)
+        metrics = {k: v["value"] for k, v in result["metrics"].items()}
+        counts = {"attempted": result["attempted"], "failed": result["failed"]}
+    except (json.JSONDecodeError, KeyError, TypeError, AttributeError):
+        metrics, counts = {}, {}
+    return {"exit": proc.returncode, **counts, "metrics": metrics}
 
 
 def verdict(pairs: list[tuple[float, float]], better: str, bound: float) -> str:
@@ -126,9 +131,9 @@ def verdict(pairs: list[tuple[float, float]], better: str, bound: float) -> str:
 
 
 def summarise(runs: list[dict], trees: list[str]) -> dict:
-    """Per workload and tree: wall-time median, or per-metric median and
-    quartiles; with two trees, the second tree's wins and verdict per
-    metric."""
+    """Per workload and tree: wall-time median, or item counts, fail ratio
+    and per-metric median and quartiles; with two trees, the second tree's
+    wins and verdict per metric."""
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     better = {m["name"]: m["better"] for m in metrics}
     bounds = {m["name"]: m["bound"] for m in metrics}
@@ -144,6 +149,10 @@ def summarise(runs: list[dict], trees: list[str]) -> dict:
                 entry["runs_s"] = [x["seconds"] for x in xs]
                 entry["median_s"] = round(statistics.median(entry["runs_s"]), 3)
                 continue
+            attempted = sum(x.get("attempted", 0) for x in xs)
+            failed = sum(x.get("failed", 0) for x in xs)
+            entry["attempted"], entry["failed"] = attempted, failed
+            entry["fail_ratio"] = failed / attempted if attempted else None
             entry["metrics"] = {}
             for m in better:
                 if all(m in x["metrics"] for x in xs):

@@ -1,12 +1,15 @@
 """Command-line surface: inspect elements, build bricks, decompose, verify.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 capacity.
+A reader that closes the output pipe early (`| head`) ends the run quietly
+with 141, the status a shell reports for a process killed by SIGPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from coxbrick import census as census_mod
@@ -42,6 +45,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_CAPACITY = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE
 
 
 def _dynkin(args: argparse.Namespace) -> DynkinType:
@@ -316,7 +320,13 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on bad flags, which matches the input-error code
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # the final flush at exit would fail again: send it to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

@@ -154,16 +154,21 @@ def _shrink(support: frozenset[int], allowed: frozenset[int], minimal: dict) -> 
     """The vertices of `support` left once those outside `allowed` are
     dropped, and then, repeatedly, every vertex with a set of `minimal[v]`
     made of dropped vertices only."""
-    kept = set(support & allowed)
+    kept = support & allowed
     dropped = set(support - allowed)
+    if not dropped:  # every set of `minimal` is nonempty
+        return kept
+    kept = set(kept)
     changed = True
     while changed:
         changed = False
         for v in list(kept):
-            if any(dropped.issuperset(x) for x in minimal[v]):
-                kept.remove(v)
-                dropped.add(v)
-                changed = True
+            for x in minimal[v]:
+                if dropped.issuperset(x):
+                    kept.remove(v)
+                    dropped.add(v)
+                    changed = True
+                    break
     return frozenset(kept)
 
 

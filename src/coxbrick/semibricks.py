@@ -33,6 +33,11 @@ R-set, which is the same as keying by w_d.  It holds:
   such triple; each representation built is compared with the table brick
   of R.
 
+`verify_semibrick` reads its verdict off this table: entries, their flags
+and their zero-Hom bitsets.  It builds the full report of its five checks
+only for a semibrick that fails them; a passing one gets a report whose
+fields are computed from the same entries when first read.
+
 The table belongs to the `DynkinType` instance, not to the process: two
 equal instances keep separate tables, and a new instance starts empty, so
 a run that builds its types afresh sees every construction again.
@@ -44,6 +49,7 @@ type; no caller may mutate them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from coxbrick.bricks import (
     BrickDiagram,
@@ -219,14 +225,26 @@ def semibrick_direct(w: CoxeterElement) -> Semibrick:
 
 @dataclass
 class SemibrickReport:
-    """Outcome of the structural checks on one semibrick."""
+    """Outcome of the structural checks on one semibrick, keyed by descent:
+
+    - `brick_flags[d]`: the summand at d is a brick;
+    - `positive_root_flags[d]`: its dimension vector is a positive root;
+    - `hom_dims[dx, dy]`: dim Hom between the summands at two distinct
+      descents;
+    - `table_flags[d]`: its representation is the table brick of its R-set;
+    - `summands_match_descents`: one summand at each descent, in order.
+
+    `ok` holds when every flag holds and every Hom dimension is 0.
+    `verify_semibrick` returns a report whose fields are computed when
+    first read for a semibrick that passes (`_PassedReport`).
+    """
 
     element: CoxeterElement
     brick_flags: dict[int, bool]
     positive_root_flags: dict[int, bool]
     hom_dims: dict[tuple[int, int], int]  # off-diagonal Hom dimensions
-    table_flags: dict[int, bool]  # the summand's rep is the table brick of its R-set
-    summands_match_descents: bool  # one summand at each descent, in order
+    table_flags: dict[int, bool]
+    summands_match_descents: bool
 
     @property
     def ok(self) -> bool:
@@ -239,6 +257,41 @@ class SemibrickReport:
         )
 
 
+class _PassedReport(SemibrickReport):
+    """The report of a semibrick that passed on its table entries alone:
+    `ok` is known, and each other field is computed from the (d, entry)
+    pairs, one per summand, when first read."""
+
+    ok = True
+    summands_match_descents = True
+
+    def __init__(self, element: CoxeterElement, checked: list[tuple[int, BrickEntry]]) -> None:
+        self.element = element
+        self._checked = checked
+
+    @cached_property
+    def brick_flags(self) -> dict[int, bool]:
+        return {d: entry.is_brick for d, entry in self._checked}
+
+    @cached_property
+    def positive_root_flags(self) -> dict[int, bool]:
+        return {d: entry.is_positive_root for d, entry in self._checked}
+
+    @cached_property
+    def table_flags(self) -> dict[int, bool]:
+        return {d: True for d, _ in self._checked}
+
+    @cached_property
+    def hom_dims(self) -> dict[tuple[int, int], int]:
+        table = brick_table(self.element.dynkin)
+        return {
+            (dx, dy): table.hom_dim(ex, ey)
+            for dx, ex in self._checked
+            for dy, ey in self._checked
+            if dx != dy
+        }
+
+
 def verify_semibrick(s: Semibrick) -> SemibrickReport:
     """Check brickness, Hom-orthogonality, positive roots, that every summand
     is the table brick of its R-set, and that the summands sit at the
@@ -246,11 +299,41 @@ def verify_semibrick(s: Semibrick) -> SemibrickReport:
     representation joins back to the element is checked once, by
     `verify.cjr`.
 
-    Flags and Hom dimensions of a summand equal to its table brick come from
-    the table; those of any other summand are computed on its own rep.
+    The verdict is read off the type's brick table: each summand's rep must
+    be the table entry's own object, the entries distinct, each flagged a
+    brick and a positive root, and every ordered pair zero in the entries'
+    Hom bitsets, a pair not yet recorded going through `BrickTable.hom_dim`.
+    Such a semibrick gets a `_PassedReport`.  Any other, and so every
+    failing one, gets the full report of `_full_report`.
     """
+    table = brick_table(s.element.dynkin)
+    checked, mask = [], 0  # (d, entry) per summand; the entries' id bits
+    for sm in s.summands:
+        entry = table.entries.get(sm.diagram.r_values)
+        if (
+            entry is None
+            or sm.rep is not entry.rep
+            or not (entry.is_brick and entry.is_positive_root)
+            or mask >> entry.id & 1
+        ):
+            return _full_report(s, table)
+        checked.append((sm.d, entry))
+        mask |= 1 << entry.id
+    if [d for d, _ in checked] != sorted(descents(s.element)):
+        return _full_report(s, table)
+    zero = table.zero
+    for _, x in checked:
+        if (zero[x.id] | 1 << x.id) & mask != mask:  # a pair from x not recorded zero
+            if any(y is not x and table.hom_dim(x, y) for _, y in checked):
+                return _full_report(s, table)
+    return _PassedReport(s.element, checked)
+
+
+def _full_report(s: Semibrick, table: BrickTable) -> SemibrickReport:
+    """Every field computed now.  Flags and Hom dimensions of a summand equal
+    to its table brick come from the table; those of any other summand are
+    computed on its own rep."""
     dynkin = s.element.dynkin
-    table = brick_table(dynkin)
     brick_flags, root_flags, table_flags = {}, {}, {}
     checked = []  # (d, table entry or None, rep) per summand
     for sm in s.summands:

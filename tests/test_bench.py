@@ -1,6 +1,7 @@
 """The acceptance-rule verdicts of `scripts/bench.py`, on synthetic runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -59,6 +60,30 @@ def test_summary_gives_each_metric_its_verdict():
         "item_ms_p50": "gain",
         "peak_rss_mb": "even",
     }
+
+
+def test_benchmark_runs_keep_their_item_counts(tmp_path):
+    line = {"correct": False, "attempted": 40, "failed": 3, "metrics": {"items_per_s": {"value": 9.5}}}
+    (tmp_path / "fake.py").write_text(f"print('warm-up')\nprint({json.dumps(line)!r})\n")
+    record = bench.run_once(tmp_path, ["fake.py"], benchmark=True)
+    assert record == {"exit": 0, "attempted": 40, "failed": 3, "metrics": {"items_per_s": 9.5}}
+    (tmp_path / "fake.py").write_text("raise SystemExit(3)\n")  # no result line at all
+    assert bench.run_once(tmp_path, ["fake.py"], benchmark=True) == {"exit": 3, "metrics": {}}
+
+
+def test_summary_gives_each_tree_its_fail_ratio():
+    runs = [
+        {"run": r, "workload": "socle@seed1", "tree": tree, "exit": 0,
+         "attempted": 100, "failed": failed, "metrics": {"items_per_s": 10.0 + r}}
+        for r in range(4)
+        for tree, failed in (("parent", 0), ("change", r))
+    ]
+    runs.append({"run": 4, "workload": "socle@seed1", "tree": "change", "exit": 1, "metrics": {}})
+    summary = bench.summarise(runs, ["parent", "change"])["socle@seed1"]
+    assert (summary["parent"]["attempted"], summary["parent"]["failed"]) == (400, 0)
+    assert summary["parent"]["fail_ratio"] == 0
+    assert (summary["change"]["attempted"], summary["change"]["failed"]) == (400, 6)
+    assert summary["change"]["fail_ratio"] == 6 / 400
 
 
 def test_src_lines_counts_the_package_modules_only(tmp_path):

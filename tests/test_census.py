@@ -195,5 +195,11 @@ def test_census_diff_detects_tampering():
     assert census_diff(groups, fixture[:-1])
 
 
+def test_census_diff_reports_a_reordered_fixture():
+    fixture = default_fixture_lines()
+    swapped = [fixture[1], fixture[0], *fixture[2:]]
+    assert census_diff(census(D5), swapped) == ["entry order differs from fixture"]
+
+
 def test_census_lines_match_fixture_text():
     assert census_lines(census(D5)) == default_fixture_lines()

@@ -3,12 +3,16 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from coxbrick import verify
 from coxbrick.bricks import brick_rep
-from coxbrick.cli import main
+from coxbrick.cli import EXIT_PIPE, main
 from coxbrick.coxeter import DynkinType, Family, enumerate_group, identity, parse_window
 from coxbrick.weak_order import GroupPoset, LatticeError
 
@@ -177,6 +181,25 @@ def test_semibrick_text(capsys):
         "S_6: 5 <- 6 -> 7\n"
         "S_7: 1 <- 2 <- 3 <- 4\n"
     )
+
+
+@pytest.mark.parametrize("direct", [[], ["--direct"]], ids=["cjr", "direct"])
+def test_semibrick_text_type_d(capsys, direct):
+    # a type-D row is flattened onto one line; an empty arrow list keeps its space
+    argv = ["semibrick", "--type", "D", "--rank", "4", "--window", "-2,-1,4,3", *direct]
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert out == "S_-1: lower: -1 | arrows: \nS_3: lower: 3 | arrows: \n"
+
+
+@pytest.mark.parametrize(
+    "fmt, expected", [("json", "[]\n"), ("text", "(identity: empty canonical join representation)\n")]
+)
+def test_decompose_identity(capsys, fmt, expected):
+    argv = ["decompose", "--type", "A", "--rank", "3", "--window", "1,2,3,4", "--format", fmt]
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert out == expected
 
 
 def test_semibrick_direct_json(capsys):
@@ -420,6 +443,13 @@ def test_verify_count_fails_when_the_generator_drops_an_element(capsys, monkeypa
     )
 
 
+def test_verify_count_fails_when_the_formula_disagrees(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "global_count", lambda dynkin: 12)
+    code, out, _ = run(capsys, "verify", "--suite", "count", "--type", "A", "--rank", "3")
+    assert code == EXIT_VERIFY
+    assert out == "formula 12, enumerated 11, MISMATCH\nformula 12 != enumerated 11\n"
+
+
 def test_verify_census_fails_on_an_off_by_one_shape_count(capsys, monkeypatch):
     original = verify.shape_count
     monkeypatch.setattr(
@@ -450,6 +480,29 @@ def test_verify_oracle_sampled(capsys):
     )
     assert code == EXIT_OK
     assert out == "12/12 bricks match socle oracle\n"
+
+
+def test_verify_semibrick_sampled(capsys, monkeypatch):
+    checked = []
+    original = verify.semibrick_direct
+
+    def recording(w):
+        checked.append(w)
+        return original(w)
+
+    monkeypatch.setattr(verify, "semibrick_direct", recording)
+    argv = ["verify", "--suite", "semibrick", "--type", "D", "--rank", "5"]
+    code, out, _ = run(capsys, *argv, "--sample", "50", "--seed", "3")
+    assert code == EXIT_OK
+    assert out == "50/50 semibricks verified\n"
+    assert checked == verify.sample(enumerate_group(DynkinType(Family.D, 5)), 50, 3)
+
+
+def test_verify_below_the_family_rank_is_an_input_error(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "semibrick", "--type", "D", "--rank", "1")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "error: type D needs rank >= 2, got 1\n"
 
 
 def test_verify_cjr_a3(capsys):
@@ -631,3 +684,33 @@ def test_verify_rejects_flags_it_would_ignore(capsys, suite, args, flag):
     sampled = suite in ("oracle", "cjr", "semibrick") and flag == "--seed"
     reason = "without --sample" if sampled else f"to --suite {suite}"
     assert err == f"error: {flag} does not apply {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, first",
+    [
+        # 134,400 bytes of edges, more than a pipe holds before its writer blocks
+        (["hasse", "--type", "D", "--rank", "5", "--format", "text"],
+         "-5,-4,-3,-2,1 -> 4,5,-3,-2,1"),
+        # 5,528 census lines
+        (["census", "--type", "D", "--rank", "8"], None),
+    ],
+    ids=["hasse", "census"],
+)
+def test_a_closed_output_pipe_ends_the_run_quietly(argv, first):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "coxbrick.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+        text=True,
+    )
+    line = proc.stdout.readline()
+    proc.stdout.close()  # as `| head -1` does
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == EXIT_PIPE == 141
+    assert err == ""
+    assert line.endswith("\n") and (first is None or line == first + "\n")

@@ -180,6 +180,12 @@ def test_weak_leq_examples():
         assert weak_leq(identity(A3), w)
 
 
+def test_dynkin_type_takes_its_family_by_letter():
+    dynkin = DynkinType("D", 4)
+    assert dynkin.family is Family.D
+    assert dynkin == D4
+
+
 def test_enumeration_counts_and_order():
     for dynkin, order in [(A3, 24), (D4, 192), (DynkinType(Family.D, 5), 1920)]:
         group = enumerate_group(dynkin)

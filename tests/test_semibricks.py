@@ -431,3 +431,131 @@ def test_direct_route_builds_once_per_swapped_parameters(monkeypatch):
         semibrick_direct(w)
     assert set(calls.values()) == {1}
     assert len(calls) == len(brick_table(d6).entries) == 530
+
+
+# --- the verdict read off the table, against fixed failing reports ----------
+
+
+def report_fields(report):
+    return {name: getattr(report, name) for name in (*REFERENCE_FIELDS[1:], "table_flags", "ok")}
+
+
+def _moved(table, s):
+    x, y = s.summands
+    return Semibrick(s.element, (dataclasses.replace(x, d=4), y))
+
+
+def _one_brick_twice(table, s):
+    x, y = s.summands
+    return Semibrick(s.element, (x, dataclasses.replace(x, d=y.d)))
+
+
+def _swapped_reps(table, s):
+    x, y = s.summands
+    return Semibrick(
+        s.element, (dataclasses.replace(x, rep=y.rep), dataclasses.replace(y, rep=x.rep))
+    )
+
+
+def _flag_unset(flag):
+    def tamper(table, s):
+        r_values = s.summands[0].diagram.r_values
+        table.entries[r_values] = dataclasses.replace(table.entries[r_values], **{flag: False})
+        return s
+
+    return tamper
+
+
+ALL_TRUE = {1: True, 3: True}
+ZERO_HOMS = {(1, 3): 0, (3, 1): 0}
+
+
+@pytest.mark.parametrize(
+    "tamper, expected",
+    [
+        # the summand at descent 1 moved to the non-descent 4
+        (_moved, {
+            "brick_flags": {4: True, 3: True}, "positive_root_flags": {4: True, 3: True},
+            "hom_dims": {(4, 3): 0, (3, 4): 0}, "summands_match_descents": False,
+            "table_flags": {4: True, 3: True}, "ok": False,
+        }),
+        # at the right descents, so only the Hom between the copies catches it
+        (_one_brick_twice, {
+            "brick_flags": ALL_TRUE, "positive_root_flags": ALL_TRUE,
+            "hom_dims": {(1, 3): 1, (3, 1): 1}, "summands_match_descents": True,
+            "table_flags": ALL_TRUE, "ok": False,
+        }),
+        (_swapped_reps, {
+            "brick_flags": ALL_TRUE, "positive_root_flags": ALL_TRUE,
+            "hom_dims": ZERO_HOMS, "summands_match_descents": True,
+            "table_flags": {1: False, 3: False}, "ok": False,
+        }),
+        (_flag_unset("is_brick"), {
+            "brick_flags": {1: False, 3: True}, "positive_root_flags": ALL_TRUE,
+            "hom_dims": ZERO_HOMS, "summands_match_descents": True,
+            "table_flags": ALL_TRUE, "ok": False,
+        }),
+        (_flag_unset("is_positive_root"), {
+            "brick_flags": ALL_TRUE, "positive_root_flags": {1: False, 3: True},
+            "hom_dims": ZERO_HOMS, "summands_match_descents": True,
+            "table_flags": ALL_TRUE, "ok": False,
+        }),
+    ],
+    ids=["moved", "one-brick-twice", "not-the-table-brick", "not-a-brick", "not-a-root"],
+)
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_failing_semibricks_get_their_full_report(tamper, expected, warm):
+    a4 = DynkinType(Family.A, 4)
+    s = semibrick_direct(parse_window(a4, "2,1,4,3,5"))
+    table = brick_table(a4)
+    if warm:  # every pair of the true semibrick already recorded zero
+        assert verify_semibrick(s).ok
+    report = verify_semibrick(tamper(table, s))
+    assert report_fields(report) == expected
+
+
+def test_a_rep_equal_to_its_table_brick_passes():
+    a4 = DynkinType(Family.A, 4)
+    s = semibrick_direct(parse_window(a4, "2,1,4,3,5"))
+    x, y = s.summands
+    copy = Semibrick(s.element, (dataclasses.replace(x, rep=dataclasses.replace(x.rep)), y))
+    assert copy.summands[0].rep is not x.rep and copy.summands[0].rep == x.rep
+    report = verify_semibrick(copy)
+    assert report.ok
+    assert_same_report(report, semibrick_oracle.verify_semibrick(copy))
+
+
+def test_a_passing_report_computes_its_fields_when_read():
+    a4 = DynkinType(Family.A, 4)
+    s = semibrick_direct(parse_window(a4, "2,1,4,3,5"))
+    report = verify_semibrick(s)
+    assert report.ok
+    fields = (*REFERENCE_FIELDS[1:], "table_flags")
+    assert not any(name in vars(report) for name in fields)
+    assert report_fields(report) == {
+        "brick_flags": ALL_TRUE, "positive_root_flags": ALL_TRUE, "hom_dims": ZERO_HOMS,
+        "summands_match_descents": True, "table_flags": ALL_TRUE, "ok": True,
+    }
+
+
+def test_sampled_counterexamples_come_in_window_order(monkeypatch):
+    d4 = DynkinType(Family.D, 4)
+    rows = decompose(parse_window(d4, "-2,-1,4,3"))
+    target = rows[0].r_values
+    other = jirr_from_R(d4, rows[-1].r_values)
+    original = semibricks.rep_from_params_d
+
+    def wrong(dynkin, a, b, r_values):
+        if r_values == target:
+            return brick_rep(other)
+        return original(dynkin, a, b, r_values)
+
+    monkeypatch.setattr(semibricks, "rep_from_params_d", wrong)
+    drawn = verify.sample(enumerate_group(d4), 60, 3)
+    expected = [w for w in drawn if target in {row.r_values for row in decompose(w)}]
+    result = verify.semibrick(DynkinType(Family.D, 4), sample_size=60, seed=3)
+    assert result.failures == expected == sorted(expected) and len(expected) > 1
+    assert result.report() == [
+        f"{60 - len(expected)}/60 semibricks verified",
+        *(f"counterexample: {w}" for w in expected),
+    ]
