@@ -18,8 +18,9 @@ Each run records its exit code and either its wall time and last line of
 output or its end-to-end metrics with the `attempted` and `failed` item
 counts of its result line.  The summary holds, per workload and tree, the
 median wall time, or the summed `attempted` and `failed` counts, their
-`fail_ratio` (None when nothing was attempted) and the median and quartiles
-of each metric.
+`fail_ratio` (None when nothing was attempted), `no_result`, the number of
+runs that gave no result line, and the median and quartiles of each metric
+over the runs that report it.
 With two trees, each metric also has `wins`, the number of pairs in which
 the second tree's value is better than the first's, in the direction
 `BENCHMARK.json` gives, and a verdict by the rule that accepts or refuses
@@ -131,9 +132,10 @@ def verdict(pairs: list[tuple[float, float]], better: str, bound: float) -> str:
 
 
 def summarise(runs: list[dict], trees: list[str]) -> dict:
-    """Per workload and tree: wall-time median, or item counts, fail ratio
-    and per-metric median and quartiles; with two trees, the second tree's
-    wins and verdict per metric."""
+    """Per workload and tree: wall-time median, or item counts, fail ratio,
+    runs with no result, and per-metric median and quartiles over the runs
+    that report the metric; with two trees, the second tree's wins and
+    verdict per metric."""
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     better = {m["name"]: m["better"] for m in metrics}
     bounds = {m["name"]: m["bound"] for m in metrics}
@@ -153,10 +155,14 @@ def summarise(runs: list[dict], trees: list[str]) -> dict:
             failed = sum(x.get("failed", 0) for x in xs)
             entry["attempted"], entry["failed"] = attempted, failed
             entry["fail_ratio"] = failed / attempted if attempted else None
+            entry["no_result"] = sum(not x["metrics"] for x in xs)
             entry["metrics"] = {}
             for m in better:
-                if all(m in x["metrics"] for x in xs):
-                    q1, median, q3 = statistics.quantiles([x["metrics"][m] for x in xs], n=4)
+                values = [x["metrics"][m] for x in xs if m in x["metrics"]]
+                if len(values) == 1:  # `quantiles` needs two points
+                    values *= 2
+                if values:
+                    q1, median, q3 = statistics.quantiles(values, n=4)
                     entry["metrics"][m] = {"median": median, "q1": q1, "q3": q3}
         if len(trees) != 2 or "seconds" in per_tree[trees[0]][0]:
             continue

@@ -34,9 +34,9 @@ R-set, which is the same as keying by w_d.  It holds:
   of R.
 
 `verify_semibrick` reads its verdict off this table: entries, their flags
-and their zero-Hom bitsets.  It builds the full report of its five checks
-only for a semibrick that fails them; a passing one gets a report whose
-fields are computed from the same entries when first read.
+and their zero-Hom bitsets.  Its `SemibrickReport` derives each of its
+five fields once, when first read, from the same entries; a summand that
+is not its table brick is checked on its own representation.
 
 The table belongs to the `DynkinType` instance, not to the process: two
 equal instances keep separate tables, and a new instance starts empty, so
@@ -56,6 +56,7 @@ from coxbrick.bricks import (
     brick_diagram,
     brick_rep,
     diagram_from_params_d,
+    diagram_to_json,
     rep_from_params_d,
     render_diagram,
 )
@@ -137,15 +138,6 @@ class BrickTable:
             self.zero.append(0)
         return entry
 
-    def matching(self, sm: SemibrickSummand) -> BrickEntry | None:
-        """The entry of the summand's R-set if the summand's representation
-        is (or equals) its brick; None otherwise, also for an invalid R-set."""
-        try:
-            entry = self.entry(sm.diagram.r_values)
-        except ValueError:
-            return None
-        return entry if sm.rep is entry.rep or sm.rep == entry.rep else None
-
     def hom_dim(self, x: BrickEntry, y: BrickEntry) -> int:
         """dim Hom(x, y) between two entries of the table: read off its
         bits when recorded, else 0 when their vertex sets settle it
@@ -223,7 +215,6 @@ def semibrick_direct(w: CoxeterElement) -> Semibrick:
     return Semibrick(w, tuple(table.direct(row) for row in decompose(w)))
 
 
-@dataclass
 class SemibrickReport:
     """Outcome of the structural checks on one semibrick, keyed by descent:
 
@@ -234,62 +225,73 @@ class SemibrickReport:
     - `table_flags[d]`: its representation is the table brick of its R-set;
     - `summands_match_descents`: one summand at each descent, in order.
 
-    `ok` holds when every flag holds and every Hom dimension is 0.
-    `verify_semibrick` returns a report whose fields are computed when
-    first read for a semibrick that passes (`_PassedReport`).
+    `ok` holds when every flag holds and every Hom dimension is 0.  Each
+    field is computed when first read, from one row per summand: a summand
+    whose rep is (or equals) the table brick of its R-set reads that
+    entry, and any other is checked on its own rep.  `verify_semibrick`
+    passes `ok=True` in for a semibrick that passed on its table entries;
+    otherwise `ok` computes every field, so a failing report records the
+    same Hom pairs in the table whichever check fails.
     """
 
-    element: CoxeterElement
-    brick_flags: dict[int, bool]
-    positive_root_flags: dict[int, bool]
-    hom_dims: dict[tuple[int, int], int]  # off-diagonal Hom dimensions
-    table_flags: dict[int, bool]
-    summands_match_descents: bool
+    def __init__(self, s: Semibrick, ok: bool | None = None) -> None:
+        self.element = s.element
+        self._summands = s.summands
+        if ok is not None:
+            self.ok = ok
 
-    @property
-    def ok(self) -> bool:
-        return (
-            all(self.brick_flags.values())
-            and all(self.positive_root_flags.values())
-            and all(d == 0 for d in self.hom_dims.values())
-            and all(self.table_flags.values())
-            and self.summands_match_descents
-        )
-
-
-class _PassedReport(SemibrickReport):
-    """The report of a semibrick that passed on its table entries alone:
-    `ok` is known, and each other field is computed from the (d, entry)
-    pairs, one per summand, when first read."""
-
-    ok = True
-    summands_match_descents = True
-
-    def __init__(self, element: CoxeterElement, checked: list[tuple[int, BrickEntry]]) -> None:
-        self.element = element
-        self._checked = checked
+    @cached_property
+    def _rows(self) -> list[tuple[int, BrickEntry | None, QuiverRepresentation]]:
+        """(d, entry, rep) per summand; the entry is None when the rep is not
+        (and does not equal) the table brick of its R-set, also for an
+        invalid R-set."""
+        table = brick_table(self.element.dynkin)
+        rows = []
+        for sm in self._summands:
+            try:
+                entry = table.entry(sm.diagram.r_values)
+            except ValueError:
+                entry = None
+            if entry is not None and sm.rep is not entry.rep and sm.rep != entry.rep:
+                entry = None
+            rows.append((sm.d, entry, sm.rep))
+        return rows
 
     @cached_property
     def brick_flags(self) -> dict[int, bool]:
-        return {d: entry.is_brick for d, entry in self._checked}
+        return {d: entry.is_brick if entry else is_brick(rep) for d, entry, rep in self._rows}
 
     @cached_property
     def positive_root_flags(self) -> dict[int, bool]:
-        return {d: entry.is_positive_root for d, entry in self._checked}
+        dynkin = self.element.dynkin
+        return {
+            d: entry.is_positive_root if entry else is_positive_root(dynkin, rep.dim_vector())
+            for d, entry, rep in self._rows
+        }
+
+    @cached_property
+    def hom_dims(self) -> dict[tuple[int, int], int]:  # off-diagonal Hom dimensions
+        table = brick_table(self.element.dynkin)
+        return {
+            (dx, dy): table.hom_dim(ex, ey) if ex and ey else hom_dim(mx, my)
+            for dx, ex, mx in self._rows
+            for dy, ey, my in self._rows
+            if dx != dy
+        }
 
     @cached_property
     def table_flags(self) -> dict[int, bool]:
-        return {d: True for d, _ in self._checked}
+        return {d: entry is not None for d, entry, _ in self._rows}
 
     @cached_property
-    def hom_dims(self) -> dict[tuple[int, int], int]:
-        table = brick_table(self.element.dynkin)
-        return {
-            (dx, dy): table.hom_dim(ex, ey)
-            for dx, ex in self._checked
-            for dy, ey in self._checked
-            if dx != dy
-        }
+    def summands_match_descents(self) -> bool:
+        return [d for d, _, _ in self._rows] == sorted(descents(self.element))
+
+    @cached_property
+    def ok(self) -> bool:
+        flags = self.brick_flags, self.positive_root_flags, self.table_flags
+        homs, placed = self.hom_dims, self.summands_match_descents
+        return all(all(f.values()) for f in flags) and not any(homs.values()) and placed
 
 
 def verify_semibrick(s: Semibrick) -> SemibrickReport:
@@ -303,11 +305,11 @@ def verify_semibrick(s: Semibrick) -> SemibrickReport:
     be the table entry's own object, the entries distinct, each flagged a
     brick and a positive root, and every ordered pair zero in the entries'
     Hom bitsets, a pair not yet recorded going through `BrickTable.hom_dim`.
-    Such a semibrick gets a `_PassedReport`.  Any other, and so every
-    failing one, gets the full report of `_full_report`.
+    Such a semibrick gets a report with `ok=True` and its other fields
+    unread; any other gets a report whose `ok` computes every field.
     """
     table = brick_table(s.element.dynkin)
-    checked, mask = [], 0  # (d, entry) per summand; the entries' id bits
+    checked, mask = [], 0  # the summands' entries; their id bits
     for sm in s.summands:
         entry = table.entries.get(sm.diagram.r_values)
         if (
@@ -316,68 +318,29 @@ def verify_semibrick(s: Semibrick) -> SemibrickReport:
             or not (entry.is_brick and entry.is_positive_root)
             or mask >> entry.id & 1
         ):
-            return _full_report(s, table)
-        checked.append((sm.d, entry))
+            return SemibrickReport(s)
+        checked.append(entry)
         mask |= 1 << entry.id
-    if [d for d, _ in checked] != sorted(descents(s.element)):
-        return _full_report(s, table)
+    if [sm.d for sm in s.summands] != sorted(descents(s.element)):
+        return SemibrickReport(s)
     zero = table.zero
-    for _, x in checked:
+    for x in checked:
         if (zero[x.id] | 1 << x.id) & mask != mask:  # a pair from x not recorded zero
-            if any(y is not x and table.hom_dim(x, y) for _, y in checked):
-                return _full_report(s, table)
-    return _PassedReport(s.element, checked)
-
-
-def _full_report(s: Semibrick, table: BrickTable) -> SemibrickReport:
-    """Every field computed now.  Flags and Hom dimensions of a summand equal
-    to its table brick come from the table; those of any other summand are
-    computed on its own rep."""
-    dynkin = s.element.dynkin
-    brick_flags, root_flags, table_flags = {}, {}, {}
-    checked = []  # (d, table entry or None, rep) per summand
-    for sm in s.summands:
-        entry = table.matching(sm)
-        table_flags[sm.d] = entry is not None
-        if entry is None:
-            brick_flags[sm.d] = is_brick(sm.rep)
-            root_flags[sm.d] = is_positive_root(dynkin, sm.rep.dim_vector())
-        else:
-            brick_flags[sm.d] = entry.is_brick
-            root_flags[sm.d] = entry.is_positive_root
-        checked.append((sm.d, entry, sm.rep))
-    hom_dims = {}
-    for dx, ex, mx in checked:
-        for dy, ey, my in checked:
-            if dx != dy:
-                if ex is not None and ey is not None:
-                    hom_dims[dx, dy] = table.hom_dim(ex, ey)
-                else:
-                    hom_dims[dx, dy] = hom_dim(mx, my)
-    return SemibrickReport(
-        element=s.element,
-        brick_flags=brick_flags,
-        positive_root_flags=root_flags,
-        hom_dims=hom_dims,
-        table_flags=table_flags,
-        summands_match_descents=[sm.d for sm in s.summands] == sorted(descents(s.element)),
-    )
+            if any(y is not x and table.hom_dim(x, y) for y in checked):
+                return SemibrickReport(s)
+    return SemibrickReport(s, ok=True)
 
 
 def render_semibrick(s: Semibrick) -> str:
     """Stacked per-descent diagrams; type-D rows are flattened onto one line."""
     lines = []
     for sm in s.summands:
-        body = render_diagram(sm.diagram)
-        if "\n" in body:
-            body = " | ".join(part for part in body.split("\n"))
+        body = render_diagram(sm.diagram).replace("\n", " | ")
         lines.append(f"S_{sm.d}: {body}")
     return "\n".join(lines)
 
 
 def semibrick_to_json(s: Semibrick) -> dict:
-    from coxbrick.bricks import diagram_to_json
-
     return {
         "window": list(s.element.window),
         "summands": [

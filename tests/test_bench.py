@@ -86,6 +86,37 @@ def test_summary_gives_each_tree_its_fail_ratio():
     assert summary["change"]["fail_ratio"] == 6 / 400
 
 
+def test_a_run_with_no_result_keeps_the_summary_of_the_rest():
+    runs = [
+        {"run": r, "workload": "semibrick@seed1", "tree": tree, "exit": 0,
+         "attempted": 100, "failed": 0, "metrics": {"items_per_s": value, "peak_rss_mb": 40.0}}
+        for r, value in enumerate(STEADY[:4])
+        for tree in ("parent", "change")
+    ]
+    runs.append(
+        {"run": 4, "workload": "semibrick@seed1", "tree": "change", "exit": 1, "metrics": {}}
+    )
+    summary = bench.summarise(runs, ["parent", "change"])["semibrick@seed1"]
+    assert (summary["parent"]["no_result"], summary["change"]["no_result"]) == (0, 1)
+    for tree in ("parent", "change"):
+        assert summary[tree]["metrics"] == {
+            "items_per_s": {"median": 101.5, "q1": 100.25, "q3": 102.75},
+            "peak_rss_mb": {"median": 40.0, "q1": 40.0, "q3": 40.0},
+        }
+    assert summary["change_wins"]["items_per_s"] == "0/4"
+
+
+def test_a_metric_reported_by_one_run_is_its_own_median():
+    runs = [
+        {"run": 0, "workload": "lattice@seed2", "tree": "change", "exit": 0,
+         "attempted": 10, "failed": 0, "metrics": {"items_per_s": 7.0}},
+        {"run": 1, "workload": "lattice@seed2", "tree": "change", "exit": 1, "metrics": {}},
+    ]
+    entry = bench.summarise(runs, ["change"])["lattice@seed2"]["change"]
+    assert entry["no_result"] == 1
+    assert entry["metrics"] == {"items_per_s": {"median": 7.0, "q1": 7.0, "q3": 7.0}}
+
+
 def test_src_lines_counts_the_package_modules_only(tmp_path):
     package = tmp_path / "src" / "coxbrick"
     (package / "data").mkdir(parents=True)

@@ -12,7 +12,11 @@ from hypothesis import strategies as st
 from coxbrick.bricks import (
     brick_diagram,
     brick_rep,
+    diagram_from_params_a,
+    diagram_from_params_d,
     diagram_to_json,
+    rep_from_params_a,
+    rep_from_params_d,
     render_diagram,
     symbol_vertex,
 )
@@ -234,6 +238,16 @@ def test_every_diagram_is_byte_identical_to_the_golden_digest(key):
         line = json.dumps(diagram_to_json(brick_diagram(w)), sort_keys=True)
         h.update((line + "\n").encode())
     assert h.hexdigest() == DIAGRAM_GOLDEN[key]
+
+
+def test_type_a_builders_equal_their_type_d_slice():
+    a5 = DynkinType(Family.A, 5)
+    for w in join_irreducibles(a5):
+        diag = brick_diagram(w)
+        a, b, r_values = diag.a, diag.b, diag.r_values
+        got = diagram_from_params_a(a5, a, b, r_values)
+        assert got == diagram_from_params_d(a5, a, b, r_values), w
+        assert rep_from_params_a(a5, a, b, r_values) == rep_from_params_d(a5, a, b, r_values), w
 
 
 @pytest.mark.parametrize(

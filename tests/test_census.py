@@ -91,7 +91,7 @@ def test_census_entries_sorted_by_chi():
 
 
 def test_census_rejects_type_a():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^the shape census is defined for type D only$"):
         census(DynkinType(Family.A, 4))
 
 

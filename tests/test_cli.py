@@ -272,6 +272,17 @@ def test_census_fixture_roundtrip_other_rank(capsys, tmp_path):
     assert out == "census D4: 44 entries in 20 shapes match fixture\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["census"], ["verify", "--suite", "census"]],
+    ids=["census", "verify-census"],
+)
+def test_census_of_type_a_is_an_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--type", "A", "--rank", "4")
+    assert code == EXIT_INPUT
+    assert (out, err) == ("", "error: the census is defined for type D only\n")
+
+
 def test_census_check_requires_fixture_off_rank5(capsys):
     code, _, err = run(capsys, "verify", "--suite", "census", "--type", "D", "--rank", "4")
     assert code == EXIT_INPUT

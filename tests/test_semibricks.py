@@ -514,6 +514,22 @@ def test_failing_semibricks_get_their_full_report(tamper, expected, warm):
     assert report_fields(report) == expected
 
 
+@pytest.mark.parametrize(
+    "tamper, grown",
+    [(_one_brick_twice, (1, 0)), (_flag_unset("is_brick"), (2, 2))],
+    ids=["one-brick-twice", "not-a-brick"],
+)
+def test_a_failing_report_records_every_hom_pair(tamper, grown):
+    # (recorded pairs, certified pairs) that the report adds to a fresh table
+    a4 = DynkinType(Family.A, 4)
+    s = semibrick_direct(parse_window(a4, "2,1,4,3,5"))
+    table = brick_table(a4)
+    tampered = tamper(table, s)
+    before = table.pair_count(), table.certified
+    assert not verify_semibrick(tampered).ok
+    assert (table.pair_count() - before[0], table.certified - before[1]) == grown
+
+
 def test_a_rep_equal_to_its_table_brick_passes():
     a4 = DynkinType(Family.A, 4)
     s = semibrick_direct(parse_window(a4, "2,1,4,3,5"))

@@ -27,6 +27,18 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name}: assert at lines {lines}"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_are_at_module_level(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    top = {id(node) for node in tree.body}
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+    ]
+    assert not lines, f"{path.name}: import below module level at lines {lines}"
+
+
 def _definitions(path: Path):
     """(qualified name, name) of each top-level function and class of a
     module and of each method of its classes other than dunders."""
