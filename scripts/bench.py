@@ -16,11 +16,13 @@ For example, to compare a parent commit unpacked next to this checkout:
 
 Each run records its exit code and either its wall time and last line of
 output or its end-to-end metrics with the `attempted` and `failed` item
-counts of its result line.  The summary holds, per workload and tree, the
-median wall time, or the summed `attempted` and `failed` counts, their
-`fail_ratio` (None when nothing was attempted), `no_result`, the number of
-runs that gave no result line, and the median and quartiles of each metric
-over the runs that report it.
+counts of its result line and its output `digest` (None when it printed
+none).  The summary holds, per workload and tree, the median wall time, or
+the summed `attempted` and `failed` counts, their `fail_ratio` (None when
+nothing was attempted), `no_result`, the number of runs that gave no result
+line, and the median and quartiles of each metric over the runs that
+report it.  Each benchmark workload's `same_digest` says whether every run
+of every tree printed one and the same digest.
 With two trees, each metric also has `wins`, the number of pairs in which
 the second tree's value is better than the first's, in the direction
 `BENCHMARK.json` gives, and a verdict by the rule that accepts or refuses
@@ -50,6 +52,7 @@ BENCHMARKS = ("socle", "semibrick", "lattice")
 SEEDS = (1, 2)
 PAIRS = 10
 SECONDS = 35
+DIGEST = "digest sha256:"  # starts the line with the output digest of `benchmark/run.py`
 
 
 def benchmark_command(workload: str, seed: int) -> list[str]:
@@ -103,7 +106,8 @@ def run_once(tree: Path, args: list[str], benchmark: bool) -> dict:
         counts = {"attempted": result["attempted"], "failed": result["failed"]}
     except (json.JSONDecodeError, KeyError, TypeError, AttributeError):
         metrics, counts = {}, {}
-    return {"exit": proc.returncode, **counts, "metrics": metrics}
+    digest = next((x.removeprefix(DIGEST) for x in lines if x.startswith(DIGEST)), None)
+    return {"exit": proc.returncode, **counts, "digest": digest, "metrics": metrics}
 
 
 def verdict(pairs: list[tuple[float, float]], better: str, bound: float) -> str:
@@ -134,8 +138,9 @@ def verdict(pairs: list[tuple[float, float]], better: str, bound: float) -> str:
 def summarise(runs: list[dict], trees: list[str]) -> dict:
     """Per workload and tree: wall-time median, or item counts, fail ratio,
     runs with no result, and per-metric median and quartiles over the runs
-    that report the metric; with two trees, the second tree's wins and
-    verdict per metric."""
+    that report the metric.  Per benchmark workload: whether every run gave
+    one digest and, with two trees, the second tree's wins and verdict per
+    metric."""
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     better = {m["name"]: m["better"] for m in metrics}
     bounds = {m["name"]: m["bound"] for m in metrics}
@@ -164,7 +169,11 @@ def summarise(runs: list[dict], trees: list[str]) -> dict:
                 if values:
                     q1, median, q3 = statistics.quantiles(values, n=4)
                     entry["metrics"][m] = {"median": median, "q1": q1, "q3": q3}
-        if len(trees) != 2 or "seconds" in per_tree[trees[0]][0]:
+        if "seconds" in next(iter(per_tree.values()))[0]:
+            continue
+        digests = {x.get("digest") for xs in per_tree.values() for x in xs}
+        out["same_digest"] = len(digests) == 1 and None not in digests
+        if len(trees) != 2:
             continue
         first = {x["run"]: x["metrics"] for x in per_tree[trees[0]]}
         second = {x["run"]: x["metrics"] for x in per_tree[trees[1]]}

@@ -12,10 +12,12 @@ The type-D R_d splits into two cases:
   (A)  a_d + b_d < 0 and w([1,|d|]) lies in +/-[a_d, n];
   (B)  otherwise,
 
-with different interval formulas for each.  Each row also recomputes the
-left-value set L(w_d) from its own closed form and checks it against the
-reconstructed window, and checks that R(w_d) gives back R_d, so a formula
-transcription error cannot pass silently.
+with different interval formulas for each.  Each row builds w_d from R_d
+by `jirr_from_R` and checks the left-value set L(w_d), computed from its own
+closed form, against the absolute values of w_d's window before its R
+block, so a formula transcription error cannot pass silently.  R(w_d) is
+R_d by construction: `jirr_from_R` writes sorted R_d after the increasing
+complement of |R_d|, so the one descent it requires ends that left block.
 
 Type A is the all-positive slice of type D (an A_n window is a D_{n+1}
 window with positive values), so each function has one body over the window
@@ -124,35 +126,6 @@ class DescentDatum:
     element: CoxeterElement  # the join-irreducible w_d
 
 
-@per_join_irreducible
-def _left_values(w: CoxeterElement) -> frozenset[int]:
-    """Absolute window values before the unique descent (positions [1, |l|]).
-
-    Memoised per join-irreducible; raises ValueError on any other element.
-    """
-    return frozenset(abs(v) for v in w.window[: abs(unique_descent(w))])
-
-
-def _datum(
-    dynkin: DynkinType,
-    d: int,
-    a: int,
-    b: int,
-    case: str | None,
-    r: set[int],
-    expected_left: set[int],
-) -> DescentDatum:
-    """The row for R-set r, after both cross-checks on w_d = jirr_from_R(r):
-    its left values must be `expected_left` and its R-set must be r."""
-    wd = jirr_from_R(dynkin, r)
-    if _left_values(wd) != expected_left:
-        raise AssertionError(f"left-value cross-check failed at d={d}, a={a}, b={b}")
-    r_values = r_set(wd)
-    if r_values != r:
-        raise AssertionError(f"R-set round trip failed at d={d}, a={a}, b={b}")
-    return DescentDatum(d, a, b, case, r_values, wd)
-
-
 def _row(dynkin: DynkinType, d: int, a: int, b: int, x: set[int]) -> DescentDatum:
     """The row of the descent d with a = w(d), b = w(|d|+1), x = w([|d|+1, n]),
     n the window size.
@@ -193,8 +166,11 @@ def _row(dynkin: DynkinType, d: int, a: int, b: int, x: set[int]) -> DescentDatu
             expected_left = (interval(1, -b - 1) - pm(x)) | (interval(-b + 1, a) - x)
         else:
             expected_left = interval(1, a) - pm(x)
+    wd = jirr_from_R(dynkin, r)
+    if {abs(v) for v in wd.window[: -len(r)]} != expected_left:
+        raise AssertionError(f"left-value cross-check failed at d={d}, a={a}, b={b}")
     case = None if dynkin.family is Family.A else "A" if case_a else "B"
-    return _datum(dynkin, d, a, b, case, r, expected_left)
+    return DescentDatum(d, a, b, case, r_set(wd), wd)
 
 
 def decompose(w: CoxeterElement) -> list[DescentDatum]:

@@ -45,8 +45,8 @@ class DynkinType:
     - ``("jirr", R)``: the join-irreducible with R-set R (`canjoin.jirr_from_R`);
     - ``(name, window)``: the value of the function `name` on the
       join-irreducible with that window, for the functions decorated with
-      `per_join_irreducible` (`canjoin.r_set` and `_left_values`,
-      `bricks.brick_diagram`, `census.sigma` and `chi`);
+      `per_join_irreducible` (`canjoin.r_set`, `bricks.brick_diagram`,
+      `census.sigma` and `chi`);
     - ``"cjr_rows"``: the rows of canonical join representations
       (`canjoin.decompose`), one per key (d, a, b, X), X the value set
       after the descent stored as a bitmask with bit v + n for each value

@@ -64,11 +64,35 @@ def test_summary_gives_each_metric_its_verdict():
 
 def test_benchmark_runs_keep_their_item_counts(tmp_path):
     line = {"correct": False, "attempted": 40, "failed": 3, "metrics": {"items_per_s": {"value": 9.5}}}
-    (tmp_path / "fake.py").write_text(f"print('warm-up')\nprint({json.dumps(line)!r})\n")
+    (tmp_path / "fake.py").write_text(
+        f"print('warm-up')\nprint('digest sha256:ab12')\nprint({json.dumps(line)!r})\n"
+    )
     record = bench.run_once(tmp_path, ["fake.py"], benchmark=True)
-    assert record == {"exit": 0, "attempted": 40, "failed": 3, "metrics": {"items_per_s": 9.5}}
+    assert record == {
+        "exit": 0, "attempted": 40, "failed": 3, "digest": "ab12", "metrics": {"items_per_s": 9.5}
+    }
     (tmp_path / "fake.py").write_text("raise SystemExit(3)\n")  # no result line at all
-    assert bench.run_once(tmp_path, ["fake.py"], benchmark=True) == {"exit": 3, "metrics": {}}
+    record = bench.run_once(tmp_path, ["fake.py"], benchmark=True)
+    assert record == {"exit": 3, "digest": None, "metrics": {}}
+
+
+@pytest.mark.parametrize(
+    "change_digests, same",
+    [
+        (["ab12", "ab12", "ab12"], True),
+        (["ab12", "cd34", "ab12"], False),  # one run different
+        (["ab12", None, "ab12"], False),  # one run printed no digest
+    ],
+    ids=["all-equal", "one-different", "one-missing"],
+)
+def test_summary_says_whether_every_run_gave_one_digest(change_digests, same):
+    runs = [
+        {"run": r, "workload": "socle@seed1", "tree": tree, "exit": 0, "attempted": 10,
+         "failed": 0, "digest": digest, "metrics": {"items_per_s": 10.0}}
+        for r, changed in enumerate(change_digests)
+        for tree, digest in (("parent", "ab12"), ("change", changed))
+    ]
+    assert bench.summarise(runs, ["parent", "change"])["socle@seed1"]["same_digest"] is same
 
 
 def test_summary_gives_each_tree_its_fail_ratio():

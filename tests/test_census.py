@@ -54,6 +54,13 @@ def test_shape_count_examples():
         shape_count(ShapeSigma(2, -2, 0), 5)
 
 
+@pytest.mark.parametrize("a", [1, 6])
+def test_shape_count_rejects_a_outside_the_rank(a):
+    # the one way to reach `feasible`'s first `return False`
+    with pytest.raises(ValueError, match=f"^infeasible shape {a},1,0 for rank 5$"):
+        shape_count(ShapeSigma(a, 1, 0), 5)
+
+
 def test_global_count_examples():
     assert global_count(A3) == 11
     assert global_count(DynkinType(Family.A, 8)) == 502

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import re
 from collections import deque
 
 import pytest
@@ -98,6 +99,11 @@ def test_window_validation():
         parse_window(D4, "1,2,3,-4")  # odd number of negatives
     with pytest.raises(ValueError):
         parse_window(D4, "1,2,3,5")
+
+
+def test_reflection_rejects_a_pair_outside_its_normal_form():
+    with pytest.raises(ValueError, match=re.escape("need a > |b| >= 1, got (1, 2)")):
+        Reflection(1, 2)
 
 
 def test_inversions_examples():

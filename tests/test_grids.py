@@ -120,6 +120,11 @@ def test_j_module_rejects_non_jirr():
         j_module(parse_window(A2, "3,2,1"))
 
 
+def test_gamma_full_rejects_a_non_vertex():
+    with pytest.raises(ValueError, match="^7 is not a vertex of D5$"):
+        gamma_full(D5, 7)
+
+
 def test_projectivity_dimension_identity():
     # dim Hom(Pi e_l, M) = dim e_l M
     w = parse_window(A8, "2,5,8,1,3,4,6,7,9")

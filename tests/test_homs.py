@@ -62,6 +62,22 @@ def test_semibrick_predicate():
     assert not is_semibrick([s1, s1])
 
 
+def test_hom_basis_rejects_representations_over_different_quivers():
+    with pytest.raises(ValueError, match="^representations live over different quivers$"):
+        hom_basis(simple_rep(double_quiver(A4), 1), simple_rep(double_quiver(D4), 1))
+
+
+def test_socle_of_the_zero_module_is_undefined():
+    q = double_quiver(D5)
+    dims = {v: 0 for v in D5.vertices}
+    with pytest.raises(ValueError, match="^socle of the zero module is undefined$"):
+        socle_over_end(QuiverRepresentation(q, dims, zero_mats(q, dims)))
+
+
+def test_radical_of_an_empty_basis_is_empty():
+    assert radical_basis([]) == []
+
+
 def test_example_brick_has_one_dimensional_end():
     w = parse_window(A8, "2,5,8,1,3,4,6,7,9")
     S = socle_over_end(j_module(w))

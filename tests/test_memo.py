@@ -4,7 +4,7 @@ import pytest
 
 from coxbrick import canjoin, verify
 from coxbrick.bricks import brick_diagram
-from coxbrick.canjoin import _left_values, decompose, r_set
+from coxbrick.canjoin import decompose, jirr_from_R, r_set
 from coxbrick.census import chi, sigma
 from coxbrick.coxeter import (
     CoxeterElement,
@@ -15,8 +15,8 @@ from coxbrick.coxeter import (
 )
 
 MEMOISED = {
-    Family.A: (r_set, _left_values, brick_diagram),
-    Family.D: (r_set, _left_values, brick_diagram, sigma, chi),
+    Family.A: (r_set, brick_diagram),
+    Family.D: (r_set, brick_diagram, sigma, chi),
 }
 NAMES = {fn.__name__ for fns in MEMOISED.values() for fn in fns}
 
@@ -53,7 +53,7 @@ def test_sweeps_memoise_join_irreducibles_only():
     assert verify.cjr(d5).ok
     assert verify.census(d5, verify.default_fixture_lines()).ok
     keys = [key for key in d5.memo if isinstance(key, tuple) and key[0] in NAMES]
-    assert {name for name, _ in keys} >= {"_left_values", "brick_diagram", "sigma", "chi"}
+    assert {name for name, _ in keys} >= {"r_set", "brick_diagram", "sigma", "chi"}
     for _name, window in keys:
         assert join_irreducible_type(CoxeterElement(d5, window)) is not None, window
 
@@ -100,13 +100,17 @@ def test_rows_of_one_join_irreducible_share_its_r_set(family):
             assert row.r_values is r_set(row.element), (w, row.d)
 
 
-@pytest.mark.parametrize(
-    "name, wrong",
-    [("_left_values", lambda w: frozenset({0})), ("r_set", lambda w: frozenset({0}))],
-)
+def _reversed_jirr(dynkin, r_values):
+    """w_d with its window reversed.  Of the n - |R| values that the row check
+    reads before the R block, one then lies in +/-R, so their absolute values
+    never give L(w_d), the complement of |R|."""
+    w = jirr_from_R(dynkin, r_values)
+    return CoxeterElement(dynkin, w.window[::-1])
+
+
 @pytest.mark.parametrize("family", [Family.A, Family.D])
-def test_failed_row_check_raises_and_stores_no_row(monkeypatch, family, name, wrong):
-    monkeypatch.setattr(canjoin, name, wrong)
+def test_failed_row_check_raises_and_stores_no_row(monkeypatch, family):
+    monkeypatch.setattr(canjoin, "jirr_from_R", _reversed_jirr)
     for w in enumerate_group(DynkinType(family, 3)):
         if join_irreducible_type(w) is None:
             continue

@@ -161,6 +161,13 @@ def test_post_init_rejects_malformed_rows():
         QuiverRepresentation(q, dims, {**mats, "alpha1": ({}, {})})
 
 
+def test_post_init_rejects_a_negative_dimension():
+    q = double_quiver(A4)
+    mats = zero_mats(q, {v: 0 for v in A4.vertices})
+    with pytest.raises(ValueError, match="^negative dimension at vertex 3$"):
+        QuiverRepresentation(q, {1: 0, 2: 0, 3: -1, 4: 0}, mats)
+
+
 def test_rep_from_basis_action_sums_images_and_drops_cancelled_entries():
     q = double_quiver(A4)
     vertex_of = {"x": 1, "y": 2, "z": 2}

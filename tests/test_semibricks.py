@@ -20,7 +20,7 @@ from coxbrick.coxeter import (
 from coxbrick import homs, semibricks, verify
 from coxbrick.cli import main
 from coxbrick.bricks import brick_diagram, brick_rep, diagram_from_params_d, rep_from_params_d
-from coxbrick.canjoin import decompose, jirr_from_R
+from coxbrick.canjoin import decompose, jirr_from_R, r_set
 from coxbrick.homs import iso_bricks
 from coxbrick.quiver import QuiverRepresentation, double_quiver, zero_mats
 from coxbrick.semibricks import (
@@ -528,6 +528,32 @@ def test_a_failing_report_records_every_hom_pair(tamper, grown):
     before = table.pair_count(), table.certified
     assert not verify_semibrick(tampered).ok
     assert (table.pair_count() - before[0], table.certified - before[1]) == grown
+
+
+@pytest.mark.parametrize(
+    "family, window, d, other, homs",
+    [
+        ("A", "1,2,5,4,3", 4, "1,2,4,5,3", {(3, 4): 0, (4, 3): 1}),
+        ("D", "-4,-3,-1,-2", 3, "1,2,-4,-3", {(-1, 3): 1, (3, -1): 1}),
+    ],
+    ids=["A4", "D4"],
+)
+def test_table_bricks_with_a_nonzero_hom_fail(family, window, d, other, homs):
+    # the summand at d becomes the table brick of `other`: two distinct table
+    # bricks, flagged, at the descents, so only the Hom between them fails
+    dynkin = DynkinType(Family(family), 4)
+    entry = brick_table(dynkin).entry(r_set(parse_window(dynkin, other)))
+    s = semibrick(parse_window(dynkin, window))
+    bad = Semibrick(s.element, tuple(
+        dataclasses.replace(sm, diagram=entry.diagram, rep=entry.rep) if sm.d == d else sm
+        for sm in s.summands
+    ))
+    want = semibrick_oracle.verify_semibrick(bad)
+    assert want.hom_dims == homs
+    for _table in ("fresh", "warm"):  # warm: the pair's Hom is recorded
+        report = verify_semibrick(bad)
+        assert not report.ok
+        assert_same_report(report, want)
 
 
 def test_a_rep_equal_to_its_table_brick_passes():
