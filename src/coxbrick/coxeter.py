@@ -88,6 +88,17 @@ class DynkinType:
             return math.factorial(n + 1)
         return (1 << (n - 1)) * math.factorial(n)
 
+    # Written out, with the generated meaning and hash, because every
+    # element comparison and hash compares types: rank first, then the
+    # family, an enum member, by identity.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not DynkinType:
+            return NotImplemented
+        return self.rank == other.rank and self.family is other.family
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.rank))
+
     def __str__(self) -> str:
         return f"{self.family.value}{self.rank}"
 
@@ -101,16 +112,17 @@ class CoxeterElement:
 
     def __post_init__(self) -> None:
         t, w = self.dynkin, self.window
-        if len(w) != t.window_size:
-            raise ValueError(f"window length {len(w)} != {t.window_size} for {t}")
-        if t.family is Family.A:
-            if sorted(w) != list(range(1, t.rank + 2)):
-                raise ValueError(f"not a permutation of [1,{t.rank + 1}]: {w}")
-        else:
-            if sorted(abs(x) for x in w) != list(range(1, t.rank + 1)):
-                raise ValueError(f"absolute values must form [1,{t.rank}]: {w}")
-            if sum(1 for x in w if x < 0) % 2 != 0:
-                raise ValueError(f"odd number of negative entries: {w}")
+        signed = t.family is Family.D
+        n = t.rank if signed else t.rank + 1
+        if len(w) != n:
+            raise ValueError(f"window length {len(w)} != {n} for {t}")
+        if not signed:
+            if sorted(w) != list(range(1, n + 1)):
+                raise ValueError(f"not a permutation of [1,{n}]: {w}")
+        elif sorted(map(abs, w)) != list(range(1, n + 1)):
+            raise ValueError(f"absolute values must form [1,{n}]: {w}")
+        elif math.prod(w) < 0:  # no entry is 0, so the sign counts the negatives
+            raise ValueError(f"odd number of negative entries: {w}")
 
     @classmethod
     def _trusted(cls, dynkin: DynkinType, window: tuple[int, ...]) -> "CoxeterElement":
@@ -250,9 +262,9 @@ def descents(w: CoxeterElement) -> frozenset[int]:
     """Vertices d with w s_d < w: window descents, plus -1 when -w(1) > w(2)
     (never in type A, whose values are positive)."""
     window = w.window
-    out = {i for i in range(1, len(window)) if window[i - 1] > window[i]}
+    out = [i for i in range(1, len(window)) if window[i - 1] > window[i]]
     if -window[0] > window[1]:
-        out.add(-1)
+        out.append(-1)
     return frozenset(out)
 
 

@@ -11,6 +11,12 @@ an inversion of element `_order[b]`.  A query then tests every element of
 the group at once with a few big-integer ANDs: the upper bounds of an
 inversion set are the AND of the columns of its reflections, its lower
 bounds the AND of the complemented columns of the reflections it lacks.
+Those ANDs come from tables, as in the method of Four Russians
+(Arlazarov, Dinic, Kronrod and Faradzev, 1970): the columns are cut into
+groups of four bits, and each group keeps the AND of every subset of its
+columns, so a query costs one AND per group its reflections touch.  An
+upper bound is at least as long as the set it bounds, so a join starts
+from the low bits, the elements that long.
 The top set bit of the result is a shortest element of it.  The shortest
 upper bound is the least one iff every upper bound holds the reflections
 that separate it from the query, so a join ANDs only those columns.  The
@@ -40,6 +46,21 @@ from coxbrick.coxeter import (
 )
 
 _CHUNK = 1024  # elements transposed per step in GroupPoset.__post_init__
+_GROUP = 4  # columns per subset table
+_PART = (1 << _GROUP) - 1
+
+
+def _subset_tables(columns: tuple[int, ...], everything: int) -> tuple[tuple[int, ...], ...]:
+    """One table per `_GROUP` consecutive columns, in bit order: entry s is
+    the AND of the group's columns at the set bits of s (a column itself
+    when s has one bit), entry 0 is `everything`."""
+    tables = []
+    for start in range(0, len(columns), _GROUP):
+        table = [everything]
+        for col in columns[start : start + _GROUP]:
+            table += [col, *(entry & col for entry in table[1:])]
+        tables.append(tuple(table))
+    return tuple(tables)
 
 
 class LatticeError(Exception):
@@ -55,14 +76,21 @@ class GroupPoset:
     `all_reflections(dynkin)`, so u <= w iff masks[u] & ~masks[w] == 0.
     The masks, given as any iterable of ints, are kept as one
     `array('Q')`, 8 bytes each; one wider than 64 bits raises ValueError
-    (no type enumerated anywhere has more than D8's 56 reflections).  They
-    must be distinct (the weak order is antisymmetric).
+    (no type enumerated anywhere has more than D8's 56 reflections), and
+    so does a mask with a bit past the type's reflections, or a count of
+    masks other than the count of elements.  They must be distinct (the
+    weak order is antisymmetric).
     `__post_init__` derives `_pair_bit` (the (a, b) of a reflection to its
     bit), `_index` (window to position) and the transposed view.  There
     bit b stands for element `_order[b]`, and `_order` (an `array('I')`)
     runs through the element indices by length, longest first, ties in
     index order: `_cols[k]` holds the elements whose inversion set holds
-    reflection k, `_cocols[k]` those whose set lacks it.
+    reflection k, `_cocols[k]` those whose set lacks it.  `_col_tables[g]`
+    and `_cocol_tables[g]` hold, for the columns 4g to 4g + 3, the AND of
+    the columns at the set bits of each index (`_subset_tables`), and
+    `_at_least[l]` the elements at least l long, the low bits.  A whole
+    group adds 11 bitsets to each view: its 16 entries less the columns
+    themselves and entry 0, which is `_everything`.
     """
 
     dynkin: DynkinType
@@ -73,6 +101,9 @@ class GroupPoset:
     _order: array = field(init=False, repr=False, compare=False)
     _cols: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _cocols: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _col_tables: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _cocol_tables: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _at_least: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _everything: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -80,19 +111,30 @@ class GroupPoset:
             self.masks = array("Q", self.masks)
         except OverflowError:
             raise ValueError("an inversion mask does not fit in 64 unsigned bits") from None
+        if len(self.elements) != len(self.masks):
+            raise ValueError(
+                f"{len(self.elements)} elements need as many masks, got {len(self.masks)}"
+            )
+        reflections = all_reflections(self.dynkin)
+        width = len(reflections)
+        if max(self.masks, default=0) >> width:
+            raise ValueError(
+                f"an inversion mask has a bit beyond the {width} reflections of {self.dynkin}"
+            )
         if any(a == b for a, b in itertools.pairwise(sorted(self.masks))):
             raise LatticeError("two elements share an inversion set")
-        reflections = all_reflections(self.dynkin)
         self._pair_bit = {(t.a, t.b): k for k, t in enumerate(reflections)}
         self._index = {w.window: i for i, w in enumerate(self.elements)}
-        n, width = len(self.masks), len(reflections)
+        n = len(self.masks)
         self._everything = (1 << n) - 1
         # Counting sort by length, the longest first; scanning the indices
-        # upwards keeps ties in index order.
+        # upwards keeps ties in index order.  at_least[l] elements are at
+        # least l long, so the longer ones fill the slots below length l.
         counts = [0] * (width + 1)
         for m in self.masks:
             counts[m.bit_count()] += 1
-        slot = list(itertools.accumulate(reversed(counts), initial=0))[-2::-1]
+        at_least = list(itertools.accumulate(reversed(counts), initial=0))[::-1]
+        slot = at_least[1:]
         order = array("I", [0]) * n
         for i, m in enumerate(self.masks):
             length = m.bit_count()
@@ -111,6 +153,9 @@ class GroupPoset:
                 cols[k] |= int(rows[width - 1 - k :: width], 2) << start
         self._cols = tuple(cols)
         self._cocols = tuple(self._everything ^ col for col in self._cols)
+        self._col_tables = _subset_tables(self._cols, self._everything)
+        self._cocol_tables = _subset_tables(self._cocols, self._everything)
+        self._at_least = tuple((1 << k) - 1 for k in at_least)
 
     @classmethod
     def build(cls, dynkin: DynkinType, cap: int = DEFAULT_ENUMERATION_CAP) -> "GroupPoset":
@@ -136,12 +181,16 @@ class GroupPoset:
         return self.masks[self.index(w)]
 
     @staticmethod
-    def _select(columns: tuple[int, ...], reflections: int, out: int) -> int:
-        """`out` ANDed with `columns[k]` for every bit k of `reflections`."""
-        while reflections and out:
-            low = reflections & -reflections
-            out &= columns[low.bit_length() - 1]
-            reflections ^= low
+    def _select(tables: tuple[tuple[int, ...], ...], reflections: int, out: int) -> int:
+        """`out` ANDed with column k for every bit k of `reflections`, one
+        table entry per group of `_GROUP` bits."""
+        for table in tables:
+            if not (reflections and out):
+                break
+            part = reflections & _PART
+            if part:
+                out &= table[part]
+            reflections >>= _GROUP
         return out
 
     def _extreme(self, candidates: int, query: int) -> int | None:
@@ -157,7 +206,7 @@ class GroupPoset:
         if not candidates:
             raise LatticeError("empty candidate set")
         best = self._order[candidates.bit_length() - 1]
-        if self._select(self._cols, self.masks[best] & ~query, candidates) != candidates:
+        if self._select(self._col_tables, self.masks[best] & ~query, candidates) != candidates:
             return None
         return best
 
@@ -171,7 +220,9 @@ class GroupPoset:
         mask = 0
         for u in us:
             mask |= self.mask(u)
-        best = self._extreme(self._select(self._cols, mask, self._everything), mask)
+        # An upper bound is at least as long as the union it bounds.
+        start = self._at_least[mask.bit_count()]
+        best = self._extreme(self._select(self._col_tables, mask, start), mask)
         if best is None:
             raise LatticeError("no unique extreme element; lattice property violated")
         return self.elements[best]
@@ -191,7 +242,7 @@ class GroupPoset:
         """
         # the elements whose inversion set lacks every reflection w lacks
         lacked = ~self.mask(w) & ((1 << len(self._cols)) - 1)
-        below_w = self._select(self._cocols, lacked, self._everything)
+        below_w = self._select(self._cocol_tables, lacked, self._everything)
         out = set()
         for pair in cover_pairs(w):
             k = self._pair_bit[pair]

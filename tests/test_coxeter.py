@@ -91,14 +91,34 @@ def test_call_rejects_arguments_beyond_the_window():
 
 
 def test_window_validation():
-    with pytest.raises(ValueError):
-        parse_window(A3, "1,2,3")
-    with pytest.raises(ValueError):
-        parse_window(A3, "1,2,2,4")
-    with pytest.raises(ValueError):
-        parse_window(D4, "1,2,3,-4")  # odd number of negatives
-    with pytest.raises(ValueError):
-        parse_window(D4, "1,2,3,5")
+    cases = [
+        (A3, "1,2,3", "window length 3 != 4 for A3"),
+        (D4, "1,2,3,4,5", "window length 5 != 4 for D4"),
+        (A3, "1,2,2,4", "not a permutation of [1,4]: (1, 2, 2, 4)"),
+        (A3, "1,2,-3,4", "not a permutation of [1,4]: (1, 2, -3, 4)"),
+        (D4, "1,2,3,5", "absolute values must form [1,4]: (1, 2, 3, 5)"),
+        (D4, "1,-2,-2,4", "absolute values must form [1,4]: (1, -2, -2, 4)"),
+        (D4, "0,2,3,-4", "absolute values must form [1,4]: (0, 2, 3, -4)"),
+        (D4, "1,2,3,-4", "odd number of negative entries: (1, 2, 3, -4)"),
+        (D4, "-1,-2,3,-4", "odd number of negative entries: (-1, -2, 3, -4)"),
+    ]
+    for dynkin, text, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_window(dynkin, text)
+
+
+def test_dynkin_types_compare_and_hash_by_family_and_rank():
+    same = [DynkinType(Family.D, 4), DynkinType(Family.D, 4), DynkinType("D", 4)]
+    for u, v in itertools.combinations(same, 2):
+        assert u is not v and u == v and not u != v
+        assert hash(u) == hash(v) == hash((Family.D, 4))
+        assert u.memo is not v.memo
+    assert len({*same, D4}) == 1
+    for other in (DynkinType(Family.A, 4), DynkinType(Family.D, 5), DynkinType(Family.A, 3)):
+        assert D4 != other and not D4 == other
+    assert A3 == DynkinType(Family.A, 3) and A3 != D4
+    assert D4 != (Family.D, 4) and not D4 == (Family.D, 4)
+    assert (Family.D, 4) != D4
 
 
 def test_reflection_rejects_a_pair_outside_its_normal_form():

@@ -1,6 +1,8 @@
 """Lattice structure of the weak order and the brute-force CJR oracle."""
 
+import functools
 import itertools
+import operator
 import random
 from array import array
 
@@ -130,6 +132,33 @@ def test_columns_transpose_masks():
         bits = rng.sample(range(len(order)), rng.randint(1, 40))
         top = order[(sum(1 << b for b in bits)).bit_length() - 1]
         assert masks[top].bit_count() == min(masks[order[b]].bit_count() for b in bits)
+    # And a join starts from the low bits: the elements at least l long.
+    for l, start in enumerate(poset._at_least):
+        assert start == sum(1 << b for b, i in enumerate(order) if masks[i].bit_count() >= l), l
+    # D5's 20 columns make five whole groups of four, A4's 10 end in a
+    # group of two.
+    for p in (poset, GroupPoset.build(A4)):
+        for tables, columns in ((p._col_tables, p._cols), (p._cocol_tables, p._cocols)):
+            assert len(tables) == (len(columns) + 3) // 4
+            for g, table in enumerate(tables):
+                group = columns[4 * g : 4 * g + 4]
+                assert len(table) == 1 << len(group)
+                for s, entry in enumerate(table):
+                    picked = [col for j, col in enumerate(group) if s >> j & 1]
+                    assert entry == functools.reduce(operator.and_, picked, p._everything)
+                    if len(picked) == 1:
+                        assert entry is picked[0]
+
+
+def test_queries_on_two_chunks_equal_scan_oracle():
+    # D5's 1920 elements span two transpose chunks.
+    poset = GroupPoset.build(DynkinType(Family.D, 5))
+    rng = random.Random(45)
+    for w in rng.sample(poset.elements, 300):
+        assert poset.cjr_oracle(w) == scan_oracle.cjr_oracle(poset, w), w
+    for _ in range(300):
+        us = rng.sample(poset.elements, rng.randint(0, 4))
+        assert poset.join(*us) == scan_oracle.join_all(poset, us), us
 
 
 def test_masks_are_one_array_of_64_bit_words(a3):
@@ -240,6 +269,17 @@ def test_cjr_oracle_errors_on_tampered_masks(a3):
         lambda: scan_oracle.cjr_oracle(alone, s3),
         "0 minimal elements below 1,2,4,3 containing Reflection(a=4, b=3)",
     )
+
+
+def test_poset_rejects_masks_that_do_not_fit_its_elements(a3):
+    u, v = a3.elements[:2]
+    with pytest.raises(ValueError, match="^2 elements need as many masks, got 1$"):
+        _hand_built(a3, [u, v], [0])
+    with pytest.raises(ValueError, match="^1 elements need as many masks, got 2$"):
+        _hand_built(a3, [u], [0, 1])
+    # A3 has 6 reflections, so bit 6 stands for none of them.
+    with pytest.raises(ValueError, match="^an inversion mask has a bit beyond the 6 reflections"):
+        _hand_built(a3, [u, v], [0, 1 << 6])
 
 
 def test_poset_rejects_shared_inversion_sets(a3):
